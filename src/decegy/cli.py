@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .dataset import (
     BASE_COLUMNS,
-    Dataset,
     SynthSpec,
     dataset_to_csv,
     default_specific_energies,
@@ -27,18 +26,14 @@ from .dataset import (
     synth_dataset,
 )
 from .errors import DataValidationError, DecegyError, FitError, TraceParseError
-from .evaluation import breakdown_csv, breakdown_report, breakdown_svg, cross_validate
-from .fitting import feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls
-from .models import (
-    SpecificEnergies,
-    load_params,
-    params_to_json,
-    predict_feature_model,
-    predict_hl1,
-    predict_hl2,
-)
+from .evaluation import MODELS, breakdown_csv, breakdown_report, breakdown_svg, cross_validate
+from .models import SpecificEnergies, load_params, params_to_json
 from .taxonomy import Codec, build_feature_set
 from .trace import analyze, parse_trace
+
+# Not called here: bench/spans.py wraps these names as attributes of this module.
+from .fitting import feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls  # noqa: F401
+from .models import predict_feature_model, predict_hl1, predict_hl2  # noqa: F401
 
 log = logging.getLogger("decegy")
 
@@ -50,17 +45,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _highlevel_pairs(dataset: Dataset):
-    pairs = []
-    for rec in dataset:
-        if rec.highlevel is None:
-            raise DataValidationError(
-                f"record {rec.stream_id!r} lacks high-level metadata"
-            )
-        pairs.append((rec.highlevel, rec.energy_joules))
-    return pairs
 
 
 def cmd_analyze(args) -> None:
@@ -102,14 +86,7 @@ def cmd_analyze(args) -> None:
 def cmd_fit(args) -> None:
     dataset = load_dataset(args.dataset)
     codec = dataset.codec
-    if args.model == "feature":
-        system = feature_linear_system(dataset.records)
-        coeffs, diagnostics = fit_linear_ls(system, nonneg=args.nonneg)
-        params = SpecificEnergies(build_feature_set(codec), coeffs)
-    elif args.model == "hl1":
-        params, diagnostics = fit_hl1(_highlevel_pairs(dataset))
-    else:
-        params, diagnostics = fit_hl2(_highlevel_pairs(dataset))
+    params, diagnostics = MODELS[args.model].fit(dataset.records, {"nonneg": args.nonneg})
     doc = params_to_json(params, codec, extra={"diagnostics": diagnostics.as_dict()})
     if args.out:
         Path(args.out).write_text(doc + "\n", encoding="utf-8")
@@ -131,25 +108,15 @@ def cmd_predict(args) -> None:
         raise DataValidationError(
             f"codec mismatch: dataset is {dataset.codec.value}, params are {codec.value}"
         )
-    estimates = []
-    for rec in dataset:
-        if kind == "feature":
-            estimates.append(predict_feature_model(params, rec.features))
-        else:
-            info = rec.highlevel
-            if info is None:
-                raise DataValidationError(
-                    f"record {rec.stream_id!r} lacks high-level metadata"
-                )
-            estimates.append(
-                predict_hl1(params, info) if kind == "hl1" else predict_hl2(params, info)
-            )
-    base = dataset_to_csv(dataset)
-    lines = base.splitlines()
-    out_lines = [lines[0] + ",E_hat"]
-    for line, estimate in zip(lines[1:], estimates):
-        out_lines.append(line + "," + repr(float(estimate)))
-    _emit("\n".join(out_lines) + "\n", args.out)
+    predict = MODELS[kind].predict
+    estimates = [predict(params, rec) for rec in dataset]
+    header, *rows = csv.reader(io.StringIO(dataset_to_csv(dataset)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header + ["E_hat"])
+    for row, estimate in zip(rows, estimates, strict=True):
+        writer.writerow(row + [repr(float(estimate))])
+    _emit(out.getvalue(), args.out)
     if args.out:
         print(f"predicted {len(estimates)} stream(s) with the {kind} model -> {args.out}")
 
@@ -175,8 +142,8 @@ def cmd_report(args) -> None:
     rows = []
     for ds_path, params_path in zip(args.dataset, args.params):
         dataset = load_dataset(ds_path)
-        kind, codec, params = load_params(params_path)
-        if kind != "feature":
+        _, codec, params = load_params(params_path)
+        if not isinstance(params, SpecificEnergies):
             raise DataValidationError("breakdown reports need feature-model parameters")
         if codec is not dataset.codec:
             raise DataValidationError(
@@ -203,8 +170,8 @@ def cmd_report(args) -> None:
 def cmd_synth(args) -> None:
     codec = Codec.from_name(args.codec)
     if args.params:
-        kind, params_codec, params = load_params(args.params)
-        if kind != "feature" or params_codec is not codec:
+        _, params_codec, params = load_params(args.params)
+        if not isinstance(params, SpecificEnergies) or params_codec is not codec:
             raise DataValidationError("synth needs feature-model parameters for the codec")
     else:
         params = default_specific_energies(codec)
@@ -232,6 +199,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="decegy", description=__doc__.splitlines()[0])
+    kinds = tuple(MODELS)  # the feature model comes first and is the default
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="count features in decode traces")
@@ -242,7 +210,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit model parameters to a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", choices=("feature", "hl1", "hl2"), default="feature")
+    p.add_argument("--model", choices=kinds, default=kinds[0])
     p.add_argument("--nonneg", action="store_true", help="constrain specific energies >= 0")
     p.add_argument("--out", help="parameter JSON output path")
     p.set_defaults(func=cmd_fit)
@@ -255,7 +223,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("crossval", help="k-fold cross-validation")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", choices=("feature", "hl1", "hl2"), default="feature")
+    p.add_argument("--model", choices=kinds, default=kinds[0])
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--nonneg", action="store_true")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -39,16 +40,9 @@ from .taxonomy import (
     validate_vector,
 )
 
-BASE_COLUMNS = (
-    "stream_id",
-    "codec",
-    "width",
-    "height",
-    "frames",
-    "file_size_bytes",
-    "intra_frames",
-    "energy_joules",
-)
+#: Integer stream metadata, all five needed by the high-level models.
+METADATA_COLUMNS = ("width", "height", "frames", "file_size_bytes", "intra_frames")
+BASE_COLUMNS = ("stream_id", "codec", *METADATA_COLUMNS, "energy_joules")
 
 
 @dataclass(frozen=True)
@@ -82,10 +76,9 @@ class BitstreamRecord:
         violations = validate_vector(self.features.feature_set, self.features)
         if violations:
             raise DataValidationError("; ".join(violations))
-        if self.energy_joules is not None and not self.energy_joules > 0:
-            raise DataValidationError(
-                f"nonpositive energy: {self.energy_joules}"
-            )
+        energy = self.energy_joules
+        if energy is not None and not (math.isfinite(energy) and energy > 0):
+            raise DataValidationError(f"non-finite or nonpositive energy: {energy}")
         for name in ("width", "height", "frames", "file_size_bytes"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -351,17 +344,19 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
         energy = raw.get("energy_joules")
         if energy is None and require_energy:
             raise DataValidationError("missing energy value", row=i)
+        if energy is not None and (isinstance(energy, bool) or not isinstance(energy, (int, float))):
+            raise DataValidationError(f"'energy_joules': not a number: {energy!r}", row=i)
+        metadata = {name: raw.get(name) for name in METADATA_COLUMNS}
+        for name, value in metadata.items():
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise DataValidationError(f"{name!r}: not an integer: {value!r}", row=i)
         try:
             records.append(
                 BitstreamRecord(
                     stream_id=str(raw.get("stream_id", "")),
                     codec=codec,
                     features=FeatureVector.from_dict(fs, features),
-                    width=raw.get("width"),
-                    height=raw.get("height"),
-                    frames=raw.get("frames"),
-                    file_size_bytes=raw.get("file_size_bytes"),
-                    intra_frames=raw.get("intra_frames"),
+                    **metadata,
                     energy_joules=energy,
                     tags=raw.get("tags", {}),
                 )

@@ -17,23 +17,78 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .dataset import BitstreamRecord, Dataset
+from .dataset import METADATA_COLUMNS, BitstreamRecord, Dataset
 from .errors import DataValidationError, FitError
-from .fitting import feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls
+from .fitting import FitDiagnostics, feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls
 from .models import (
     Category,
+    HighLevelInfo,
+    HL1Params,
+    HL2Params,
+    ModelParams,
     SpecificEnergies,
     category_breakdown,
+    params_to_dict,
     predict_feature_model,
     predict_hl1,
     predict_hl2,
 )
 
-MODEL_KINDS = ("feature", "hl1", "hl2")
+
+def _highlevel(rec: BitstreamRecord) -> HighLevelInfo:
+    info = rec.highlevel
+    if info is None:
+        raise DataValidationError(
+            f"record {rec.stream_id!r} lacks high-level metadata ({'/'.join(METADATA_COLUMNS)})"
+        )
+    return info
+
+
+def _highlevel_pairs(records) -> list[tuple[HighLevelInfo, float]]:
+    return [(_highlevel(rec), rec.energy_joules) for rec in records]
+
+
+def _fit_feature(records, nonneg: bool) -> tuple[SpecificEnergies, FitDiagnostics]:
+    coeffs, diagnostics = fit_linear_ls(feature_linear_system(records), nonneg=nonneg)
+    return SpecificEnergies(records[0].features.feature_set, coeffs), diagnostics
+
+
+class Model(NamedTuple):
+    """One energy model: its parameter type, how to fit it and how to predict.
+
+    ``fit(records, options)`` returns ``(params, FitDiagnostics)``;
+    ``predict(params, record)`` returns the estimated energy in joules.
+    """
+
+    params_type: type
+    fit: Callable[[Sequence[BitstreamRecord], dict], tuple[ModelParams, FitDiagnostics]]
+    predict: Callable[[ModelParams, BitstreamRecord], float]
+
+
+# The solvers and predictors are looked up in this module's globals at call
+# time, so that wrappers installed on them (bench/spans.py) see every call.
+MODELS: dict[str, Model] = {
+    "feature": Model(
+        SpecificEnergies,
+        lambda records, options: _fit_feature(records, options.get("nonneg", False)),
+        lambda params, rec: predict_feature_model(params, rec.features),
+    ),
+    "hl1": Model(
+        HL1Params,
+        lambda records, options: fit_hl1(_highlevel_pairs(records), options.get("trust_region")),
+        lambda params, rec: predict_hl1(params, _highlevel(rec)),
+    ),
+    "hl2": Model(
+        HL2Params,
+        lambda records, options: fit_hl2(_highlevel_pairs(records)),
+        lambda params, rec: predict_hl2(params, _highlevel(rec)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -123,53 +178,6 @@ class CVReport:
         return json.dumps(doc, indent=indent)
 
 
-def _fit_fold(model_kind: str, train: list[BitstreamRecord], fit_options: dict):
-    """Fit one fold; returns (predict_fn, serializable params dict)."""
-    if model_kind == "feature":
-        system = feature_linear_system(train)
-        coeffs, _ = fit_linear_ls(system, nonneg=fit_options.get("nonneg", False))
-        energies = SpecificEnergies(train[0].features.feature_set, coeffs)
-
-        def predict(rec: BitstreamRecord) -> float:
-            return predict_feature_model(energies, rec.features)
-
-        return predict, {"specific_energies": energies.as_dict()}
-    if model_kind in ("hl1", "hl2"):
-        pairs = []
-        for rec in train:
-            info = rec.highlevel
-            if info is None:
-                raise FitError(
-                    f"record {rec.stream_id!r} lacks high-level metadata "
-                    "(width/height/frames/file_size_bytes/intra_frames)"
-                )
-            pairs.append((info, rec.energy_joules))
-        if model_kind == "hl1":
-            params, _ = fit_hl1(pairs, fit_options.get("trust_region"))
-
-            def predict(rec: BitstreamRecord) -> float:
-                return predict_hl1(params, rec.highlevel)
-
-            return predict, {
-                "base_joules": params.base_joules,
-                "per_pixel_joules": params.per_pixel_joules,
-                "rate_coeff": params.rate_coeff,
-                "rate_power": params.rate_power,
-            }
-        params, _ = fit_hl2(pairs)
-
-        def predict(rec: BitstreamRecord) -> float:
-            return predict_hl2(params, rec.highlevel)
-
-        return predict, {
-            "intra_bytes_coeff": params.intra_bytes_coeff,
-            "intra_coeff": params.intra_coeff,
-            "bytes_coeff": params.bytes_coeff,
-            "base_coeff": params.base_coeff,
-        }
-    raise ValueError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
-
-
 def cross_validate(
     dataset: Dataset,
     model_kind: str,
@@ -181,10 +189,13 @@ def cross_validate(
 
     Each fold is validated with parameters trained on the other k-1 folds.
     A fold whose fit fails is reported and excluded from the pooled error
-    instead of aborting the whole run.  Deterministic per seed.
+    instead of aborting the whole run; a record the model cannot use (HL1 or
+    HL2 without metadata) raises DataValidationError in the first fold, which
+    trains or validates on every record.  Deterministic per seed.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
+    model = MODELS.get(model_kind)
+    if model is None:
+        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {tuple(MODELS)}")
     records = list(dataset)
     if len(records) < k:
         raise ValueError(f"dataset has {len(records)} records, fewer than k={k}")
@@ -202,15 +213,15 @@ def cross_validate(
         val_idx = partition.fold_indices(fold)
         train = [records[i] for i in range(len(records)) if partition.assignment[i] != fold]
         try:
-            predict, params_doc = _fit_fold(model_kind, train, options)
+            params, _ = model.fit(train, options)
             errors = []
             for i in val_idx:
                 rec = records[i]
-                estimate = predict(rec)
+                estimate = model.predict(params, rec)
                 errors.append(abs(estimate - rec.energy_joules) / rec.energy_joules)
                 per_stream[rec.stream_id] = errors[-1]
             fold_errors.append(float(np.mean(errors)))
-            fold_params.append(params_doc)
+            fold_params.append(params_to_dict(params))
         except FitError as exc:
             warnings.warn(f"fold {fold} failed: {exc}", stacklevel=2)
             failed.append(fold)

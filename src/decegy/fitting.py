@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -457,9 +457,7 @@ def fit_hl2(records: list[tuple[HighLevelInfo, float]]) -> tuple[HL2Params, FitD
     pixels, sizes, energies = _highlevel_arrays(records)
     intra = np.array([rec[0].intra_rate for rec in records], dtype=float)
     matrix = np.column_stack([intra * sizes, intra * pixels, sizes, pixels])
-    system = LinearSystem(
-        matrix, energies, ("intra_bytes_coeff", "intra_coeff", "bytes_coeff", "base_coeff")
-    )
+    system = LinearSystem(matrix, energies, tuple(f.name for f in fields(HL2Params)))
     coeffs, diagnostics = fit_linear_ls(system)
     return HL2Params(*(float(c) for c in coeffs)), diagnostics
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,7 @@ class HL2Params:
                 raise ValueError(f"{name} must be finite, got {v}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.intra_bytes_coeff, self.intra_coeff, self.bytes_coeff, self.base_coeff)
+        return astuple(self)
 
 
 def _require_same_set(energies: SpecificEnergies, vector: FeatureVector) -> None:
@@ -195,34 +195,25 @@ def predict_hl2(params: HL2Params, info: HighLevelInfo) -> float:
 ModelParams = SpecificEnergies | HL1Params | HL2Params
 
 
+def params_to_dict(params: ModelParams) -> dict:
+    """The fitted values of a parameter file, without its model and codec fields."""
+    if isinstance(params, SpecificEnergies):
+        return {"specific_energies": params.as_dict()}
+    return asdict(params)
+
+
+def _model_kinds() -> dict[str, type]:
+    from .evaluation import MODELS  # evaluation imports this module
+
+    return {kind: model.params_type for kind, model in MODELS.items()}
+
+
 def params_to_json(params, codec: Codec, indent: int | None = 2, extra: dict | None = None) -> str:
     """Serialize fitted parameters of any of the three models."""
-    if isinstance(params, SpecificEnergies):
-        doc = {
-            "model": "feature",
-            "codec": codec.value,
-            "specific_energies": params.as_dict(),
-        }
-    elif isinstance(params, HL1Params):
-        doc = {
-            "model": "hl1",
-            "codec": codec.value,
-            "base_joules": params.base_joules,
-            "per_pixel_joules": params.per_pixel_joules,
-            "rate_coeff": params.rate_coeff,
-            "rate_power": params.rate_power,
-        }
-    elif isinstance(params, HL2Params):
-        doc = {
-            "model": "hl2",
-            "codec": codec.value,
-            "intra_bytes_coeff": params.intra_bytes_coeff,
-            "intra_coeff": params.intra_coeff,
-            "bytes_coeff": params.bytes_coeff,
-            "base_coeff": params.base_coeff,
-        }
-    else:
+    kind = next((k for k, cls in _model_kinds().items() if isinstance(params, cls)), None)
+    if kind is None:
         raise TypeError(f"unsupported parameter object {type(params).__name__}")
+    doc = {"model": kind, "codec": codec.value, **params_to_dict(params)}
     if extra:
         doc.update(extra)
     return json.dumps(doc, indent=indent)
@@ -235,28 +226,18 @@ def params_from_json(text: str):
         raise ValueError("parameter file must carry 'model' and 'codec' fields")
     kind = doc["model"]
     codec = Codec.from_name(doc["codec"])
-    if kind == "feature":
+    kinds = _model_kinds()
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls = kinds[kind]
+    if cls is SpecificEnergies:
         fs = build_feature_set(codec)
         mapping = doc["specific_energies"]
         missing = set(fs.names) - set(mapping)
         if missing:
             raise ValueError(f"parameter file missing features: {sorted(missing)}")
         return kind, codec, SpecificEnergies.from_dict(fs, mapping)
-    if kind == "hl1":
-        return kind, codec, HL1Params(
-            base_joules=float(doc["base_joules"]),
-            per_pixel_joules=float(doc["per_pixel_joules"]),
-            rate_coeff=float(doc["rate_coeff"]),
-            rate_power=float(doc["rate_power"]),
-        )
-    if kind == "hl2":
-        return kind, codec, HL2Params(
-            intra_bytes_coeff=float(doc["intra_bytes_coeff"]),
-            intra_coeff=float(doc["intra_coeff"]),
-            bytes_coeff=float(doc["bytes_coeff"]),
-            base_coeff=float(doc["base_coeff"]),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    return kind, codec, cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
 
 
 def save_params(params, codec: Codec, path, extra: dict | None = None) -> None:

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior and exit codes."""
 
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +211,35 @@ def test_predict_codec_mismatch_exits_2(tmp_path, capsys):
     assert "codec mismatch" in capsys.readouterr().err
 
 
+def test_predict_keeps_one_row_per_stream_when_tags_hold_newlines(tmp_path):
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 4, seed=3))
+    notes = ["plain", "first line\nsecond line", "x", "a,b"]
+    tagged = Dataset(tuple(replace(rec, tags={"note": n}) for rec, n in zip(dataset, notes)))
+    data, params, pred = tmp_path / "tagged.csv", tmp_path / "true.json", tmp_path / "pred.csv"
+    export_dataset(tagged, data)
+    energies = default_specific_energies(Codec.HEVC)
+    save_params(energies, Codec.HEVC, params)
+    assert main(["predict", "--dataset", str(data), "--params", str(params), "--out", str(pred)]) == 0
+    with open(pred, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header[-2:] == ["note", "E_hat"]
+    assert [row[0] for row in rows] == [rec.stream_id for rec in dataset]
+    assert [row[-2] for row in rows] == notes
+    for row, rec in zip(rows, dataset):
+        assert float(row[-1]) == predict_feature_model(energies, rec.features)
+
+
+def test_json_metadata_of_wrong_type_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
+    doc = json.loads(data.read_text())
+    doc["records"][1]["width"] = "abc"
+    data.write_text(json.dumps(doc))
+    assert main(["fit", "--dataset", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "row 2" in err and "'width'" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # crossval
 
@@ -233,6 +264,19 @@ def test_crossval_feature_model_beats_hl2_on_feature_generated_data(tmp_path, ca
         return float(line.split()[1].rstrip("%"))
 
     assert eps_for("feature") < eps_for("hl2")
+
+
+@pytest.mark.parametrize("model", ["hl1", "hl2"])
+def test_highlevel_models_without_metadata_exit_2_in_fit_and_crossval(tmp_path, capsys, model):
+    records = list(synth_dataset(SynthSpec(Codec.HEVC, 20, seed=2)))
+    records[7] = replace(records[7], intra_frames=None)
+    data = tmp_path / "partial.csv"
+    export_dataset(Dataset(tuple(records)), data)
+    for command in (["fit"], ["crossval", "--k", "5"]):
+        assert main([*command, "--dataset", str(data), "--model", model]) == 2
+        captured = capsys.readouterr()
+        assert "'synth-hevc-0007' lacks high-level metadata" in captured.err
+        assert "nan" not in captured.out
 
 
 def test_crossval_reports_are_reproducible(tmp_path):

@@ -1,5 +1,7 @@
 """Dataset schema, CSV/JSON round trips, synthetic generator behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from decegy.dataset import (
     BASE_COLUMNS,
     Dataset,
     dataset_from_csv,
+    dataset_from_json,
     dataset_to_csv,
+    dataset_to_json,
 )
 from decegy.taxonomy import build_feature_set
 
@@ -61,6 +65,38 @@ def test_zero_energy_is_rejected_with_row_number():
     text = "\n".join([HEVC_HEADER, _hevc_row(energy="0.0")])
     with pytest.raises(DataValidationError, match="row 2.*onpositive energy"):
         dataset_from_csv(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_infinite_energy_is_rejected_at_load_with_row_number(fmt):
+    # CSV rows count the header line, JSON rows count records
+    if fmt == "csv":
+        load, text = dataset_from_csv, "\n".join([HEVC_HEADER, _hevc_row("a", "inf"), _hevc_row("b")])
+    else:
+        doc = json.loads(dataset_to_json(synth_dataset(SynthSpec(Codec.HEVC, 2, seed=1))))
+        doc["records"][1]["energy_joules"] = float("inf")
+        load, text = dataset_from_json, json.dumps(doc)
+    with pytest.raises(DataValidationError, match="row 2: non-finite"):
+        load(text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("width", "abc"),
+        ("height", 240.0),
+        ("frames", True),
+        ("file_size_bytes", [1]),
+        ("intra_frames", "4"),
+        ("energy_joules", "2.5"),
+        ("energy_joules", False),
+    ],
+)
+def test_json_metadata_types_are_checked(field, value):
+    doc = json.loads(dataset_to_json(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1))))
+    doc["records"][2][field] = value
+    with pytest.raises(DataValidationError, match=f"row 3: '{field}': not an? "):
+        dataset_from_json(json.dumps(doc))
 
 
 def test_negative_count_is_rejected():
