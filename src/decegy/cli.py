@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from .dataset import (
-    BASE_COLUMNS,
+    BitstreamRecord,
+    Dataset,
     SynthSpec,
     dataset_to_csv,
     default_specific_energies,
@@ -28,7 +29,7 @@ from .dataset import (
 from .errors import DataValidationError, DecegyError, FitError, TraceParseError
 from .evaluation import MODELS, breakdown_csv, breakdown_report, breakdown_svg, cross_validate
 from .models import SpecificEnergies, load_params, params_to_json
-from .taxonomy import Codec, build_feature_set
+from .taxonomy import Codec
 from .trace import analyze, parse_trace
 
 # Not called here: bench/spans.py wraps these names as attributes of this module.
@@ -48,39 +49,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_analyze(args) -> None:
-    rows = []
     codec_flag = Codec.from_name(args.codec) if args.codec else None
-    codec_seen = None
+    records = []
     for path in args.traces:
         try:
             with open(path, encoding="utf-8") as handle:
                 trace = parse_trace(handle, codec=codec_flag, stream_id=None)
         except TraceParseError as exc:
             raise TraceParseError(f"{path}: {exc}") from None
-        if codec_seen is None:
-            codec_seen = trace.codec
-        elif trace.codec is not codec_seen:
+        if records and trace.codec is not records[0].codec:
             raise DataValidationError(
-                f"mixed codecs: {codec_seen.value} and {trace.codec.value} ({path})"
+                f"mixed codecs: {records[0].codec.value} and {trace.codec.value} ({path})"
             )
         vector = analyze(trace)
         stream_id = trace.stream_id or Path(path).stem
-        rows.append((stream_id, trace.codec, vector))
-    if not rows:
-        raise DataValidationError("no trace files given")
-    fs = build_feature_set(codec_seen)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(BASE_COLUMNS) + list(fs.names))
-    for stream_id, codec, vector in rows:
         frames = int(vector["frame"])
-        writer.writerow(
-            [stream_id, codec.value, "", "", str(frames) if frames else "", "", "", ""]
-            + [repr(float(c)) for c in vector.counts]
-        )
-    _emit(out.getvalue(), args.out)
+        records.append(BitstreamRecord(stream_id, trace.codec, vector, frames=frames or None))
+    dataset = Dataset(tuple(records))
+    _emit(dataset_to_csv(dataset), args.out)
     if args.out:
-        print(f"analyzed {len(rows)} trace(s) [{codec_seen.value}] -> {args.out}")
+        print(f"analyzed {len(dataset)} trace(s) [{dataset.codec.value}] -> {args.out}")
 
 
 def cmd_fit(args) -> None:

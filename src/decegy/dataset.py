@@ -327,12 +327,14 @@ def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
 
 def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "codec" not in doc or "records" not in doc:
-        raise DataValidationError("dataset JSON must carry 'codec' and 'records'")
+    if not isinstance(doc, dict) or "codec" not in doc or not isinstance(doc.get("records"), list):
+        raise DataValidationError("dataset JSON must carry 'codec' and a 'records' list")
     codec = Codec.from_name(doc["codec"])
     fs = build_feature_set(codec)
     records = []
     for i, raw in enumerate(doc["records"], start=1):
+        if not isinstance(raw, dict):
+            raise DataValidationError("record is not a JSON object", row=i)
         features = raw.get("features")
         if not isinstance(features, dict):
             raise DataValidationError("record without 'features' object", row=i)
@@ -350,6 +352,9 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
         for name, value in metadata.items():
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise DataValidationError(f"{name!r}: not an integer: {value!r}", row=i)
+        tags = raw.get("tags", {})
+        if not isinstance(tags, dict):
+            raise DataValidationError(f"'tags': not an object: {tags!r}", row=i)
         try:
             records.append(
                 BitstreamRecord(
@@ -358,7 +363,7 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
                     features=FeatureVector.from_dict(fs, features),
                     **metadata,
                     energy_joules=energy,
-                    tags=raw.get("tags", {}),
+                    tags=tags,
                 )
             )
         except DataValidationError as exc:

@@ -219,6 +219,13 @@ def params_to_json(params, codec: Codec, indent: int | None = 2, extra: dict | N
     return json.dumps(doc, indent=indent)
 
 
+def _number(doc: dict, key: str) -> float:
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} is missing or not a number: {value!r}")
+    return float(value)
+
+
 def params_from_json(text: str):
     """Parse a parameter file; returns (model_kind, codec, params)."""
     doc = json.loads(text)
@@ -232,12 +239,15 @@ def params_from_json(text: str):
     cls = kinds[kind]
     if cls is SpecificEnergies:
         fs = build_feature_set(codec)
-        mapping = doc["specific_energies"]
+        mapping = doc.get("specific_energies")
+        if not isinstance(mapping, dict):
+            raise ValueError(f"field 'specific_energies' is not an object: {mapping!r}")
         missing = set(fs.names) - set(mapping)
         if missing:
             raise ValueError(f"parameter file missing features: {sorted(missing)}")
-        return kind, codec, SpecificEnergies.from_dict(fs, mapping)
-    return kind, codec, cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
+        values = {name: _number(mapping, name) for name in mapping}
+        return kind, codec, SpecificEnergies.from_dict(fs, values)
+    return kind, codec, cls(**{f.name: _number(doc, f.name) for f in fields(cls)})
 
 
 def save_params(params, codec: Codec, path, extra: dict | None = None) -> None:

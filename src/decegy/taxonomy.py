@@ -38,13 +38,14 @@ class Codec(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Codec":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown codec {name!r}; expected one of "
-                f"{', '.join(c.value for c in cls)}"
-            ) from None
+        if isinstance(name, str):
+            try:
+                return cls(name.strip().lower())
+            except ValueError:
+                pass
+        raise ValueError(
+            f"unknown codec {name!r}; expected one of {', '.join(c.value for c in cls)}"
+        )
 
 
 class Category(Enum):
@@ -220,6 +221,7 @@ class FeatureSet:
             index[fid] = i
             index[fid.name] = i
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_names", tuple(fid.name for fid in self.features))
 
     def __len__(self) -> int:
         return len(self.features)
@@ -229,7 +231,7 @@ class FeatureSet:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(fid.name for fid in self.features)
+        return self._names
 
     def index_of(self, feature: FeatureId | str) -> int:
         """Index of a feature (by id or canonical name) in the set."""

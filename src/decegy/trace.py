@@ -32,6 +32,11 @@ Counting rules applied by :func:`analyze`:
   the feature matching the entropy mode (CAVLC or CABAC).
 * ``sao`` counts SAO-filtered 64x64 luma blocks (HEVC only); the trace
   producer is responsible for the geometry.
+
+The block rules live in one table per codec, built once, that maps each
+``(kind, w, h)`` to its feature and weight.  Every contribution except ``val``
+is a multiple of 0.5, so its float sums are exact in any order; ``val`` is
+summed with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Union
-
-import numpy as np
 
 from .errors import IllegalEventError, TraceParseError
 from .taxonomy import (
@@ -260,29 +265,31 @@ def parse_trace(
         raise TraceParseError(str(exc)) from None
 
 
-def _check_dims(codec: Codec, w: int, h: int) -> None:
-    legal = CODEC_DIMS[codec]
-    if w not in legal or h not in legal:
-        raise IllegalEventError(
-            f"{w}x{h} block illegal for {codec.value} "
-            f"(legal edge lengths: {sorted(legal)})"
-        )
+@lru_cache(maxsize=None)
+def _block_table(codec: Codec) -> dict[tuple[Kind, int, int], tuple[FeatureId, float]]:
+    """``(kind, w, h) -> (feature, weight)`` for every block the codec can emit.
+
+    Kinds are intra, inter and trans, plus obmc for H.263.
+    """
+    table = {}
+    for w, h in product(CODEC_DIMS[codec], repeat=2):
+        weight = 1.0 if w == h else 0.5
+        for kind in (Kind.INTRA, Kind.INTER, Kind.TRANS):
+            sizes = counted_sizes(codec, kind)
+            size = min((s for s in sizes if s >= max(w, h)), default=sizes[0])
+            table[kind, w, h] = (FeatureId(codec, kind, size), weight)
+        if codec is Codec.H263:
+            table[Kind.OBMC, w, h] = (FeatureId(codec, Kind.OBMC), weight)
+    return table
 
 
-def _snap_size(edge: int, sizes_desc: tuple[int, ...]) -> int:
-    # smallest counted size >= edge; above the largest counted, the largest
-    for size in reversed(sizes_desc):
-        if size >= edge:
-            return size
-    return sizes_desc[0]
-
-
-def _map_sized_block(codec: Codec, kind: Kind, w: int, h: int) -> tuple[FeatureId, float]:
-    _check_dims(codec, w, h)
-    sizes = counted_sizes(codec, kind)
-    if w == h:
-        return FeatureId(codec, kind, _snap_size(w, sizes)), 1.0
-    return FeatureId(codec, kind, _snap_size(max(w, h), sizes)), 0.5
+def _illegal_block(codec: Codec, kind: Kind, w: int, h: int) -> IllegalEventError:
+    if kind is Kind.OBMC and codec is not Codec.H263:
+        return IllegalEventError(f"obmc flag illegal for {codec.value} (h263 only)")
+    return IllegalEventError(
+        f"{w}x{h} block illegal for {codec.value} "
+        f"(legal edge lengths: {sorted(CODEC_DIMS[codec])})"
+    )
 
 
 def map_inter_block(codec: Codec, w: int, h: int) -> list[tuple[FeatureId, float]]:
@@ -292,8 +299,10 @@ def map_inter_block(codec: Codec, w: int, h: int) -> list[tuple[FeatureId, float
     codec's counted range; rectangular blocks count as half of the next
     bigger counted square (e.g. an 8x16 block is half a 16x16 block).
     """
-    fid, weight = _map_sized_block(codec, Kind.INTER, w, h)
-    return [(fid, weight)]
+    try:
+        return [_block_table(codec)[Kind.INTER, w, h]]
+    except KeyError:
+        raise _illegal_block(codec, Kind.INTER, w, h) from None
 
 
 def coeff_value_contribution(codec: Codec, value: int, coded_bits: int) -> float:
@@ -327,66 +336,53 @@ def pel_and_frac_counts(block: InterBlock) -> tuple[float, float]:
 def analyze(trace: DecodeTrace) -> FeatureVector:
     """Count feature occurrences in a decode trace.
 
-    The result is exact and order-insensitive: per-feature contributions are
-    accumulated with exact (compensated) summation, so permuting block events
-    leaves the vector bit-identical.
+    The sums are exact, so permuting block events leaves the vector
+    bit-identical (see the module docstring).
     """
     codec = trace.codec
     fs = build_feature_set(codec)
-    parts: list[list[float]] = [[] for _ in range(len(fs))]
-    frame_count = 0
-    pel_idx = fs.index_of("pel")
-    frac_idx = fs.index_of("frac")
+    blocks = {k: (fs.index_of(fid), weight) for k, (fid, weight) in _block_table(codec).items()}
+    modes = [(m, f"_{m.value}") for m in EntropyMode] if codec is Codec.H264 else [(None, "")]
+    residual = {m: (fs.index_of(f"coeff{x}"), fs.index_of(f"val{x}"), []) for m, x in modes}
+    sao = fs.index_of("sao") if codec is Codec.HEVC else None
+    pel, frac, frame = fs.index_of("pel"), fs.index_of("frac"), fs.index_of("frame")
+    counts = [0.0] * len(fs)
+    counts[fs.index_of("e0")] = 1.0
     for ev in trace.events:
         if isinstance(ev, FrameStart):
-            frame_count += 1
-        elif isinstance(ev, IntraBlock):
-            fid, weight = _map_sized_block(codec, Kind.INTRA, ev.w, ev.h)
-            parts[fs.index_of(fid)].append(weight)
-        elif isinstance(ev, InterBlock):
+            counts[frame] += 1.0
+            continue
+        if isinstance(ev, InterBlock):
             pels, fracs = pel_and_frac_counts(ev)
-            parts[pel_idx].append(pels)
-            if fracs:
-                parts[frac_idx].append(fracs)
-            if ev.obmc:
-                if codec is not Codec.H263:
-                    raise IllegalEventError(
-                        f"obmc flag illegal for {codec.value} (h263 only)"
-                    )
-                _check_dims(codec, ev.w, ev.h)
-                weight = 1.0 if ev.w == ev.h else 0.5
-                parts[fs.index_of("obmc")].append(weight)
-            else:
-                for fid, weight in map_inter_block(codec, ev.w, ev.h):
-                    parts[fs.index_of(fid)].append(weight)
+            counts[pel] += pels
+            counts[frac] += fracs
+            kind = Kind.OBMC if ev.obmc else Kind.INTER
+        elif isinstance(ev, IntraBlock):
+            kind = Kind.INTRA
         elif isinstance(ev, TransformBlock):
-            fid, weight = _map_sized_block(codec, Kind.TRANS, ev.w, ev.h)
-            parts[fs.index_of(fid)].append(weight)
+            kind = Kind.TRANS
         elif isinstance(ev, Coefficient):
-            if codec is Codec.H264:
-                if ev.entropy is None:
-                    raise IllegalEventError(
-                        "h264 coefficient requires an entropy mode (cavlc or cabac)"
-                    )
-                coeff_name = f"coeff_{ev.entropy.value}"
-                val_name = f"val_{ev.entropy.value}"
-            else:
-                if ev.entropy is not None:
-                    raise IllegalEventError(
-                        f"entropy mode illegal for {codec.value} (h264 only)"
-                    )
-                coeff_name, val_name = "coeff", "val"
-            parts[fs.index_of(coeff_name)].append(1.0)
-            parts[fs.index_of(val_name)].append(
-                coeff_value_contribution(codec, ev.value, ev.coded_bits)
-            )
+            if ev.entropy not in residual:
+                raise IllegalEventError(
+                    "h264 coefficient requires an entropy mode (cavlc or cabac)"
+                    if codec is Codec.H264
+                    else f"entropy mode illegal for {codec.value} (h264 only)"
+                )
+            coeff, _, vals = residual[ev.entropy]
+            counts[coeff] += 1.0
+            vals.append(coeff_value_contribution(codec, ev.value, ev.coded_bits))
+            continue
         elif isinstance(ev, SaoBlock):
-            if codec is not Codec.HEVC:
+            if sao is None:
                 raise IllegalEventError(f"sao event illegal for {codec.value}")
-            parts[fs.index_of("sao")].append(1.0)
+            counts[sao] += 1.0
+            continue
         else:
             raise IllegalEventError(f"unknown event type {type(ev).__name__}")
-    counts = np.array([math.fsum(p) for p in parts])
-    counts[fs.index_of("e0")] = 1.0
-    counts[fs.index_of("frame")] = float(frame_count)
+        entry = blocks.get((kind, ev.w, ev.h))
+        if entry is None:
+            raise _illegal_block(codec, kind, ev.w, ev.h)
+        counts[entry[0]] += entry[1]
+    for _, val, vals in residual.values():
+        counts[val] = math.fsum(vals)
     return FeatureVector(fs, counts)

@@ -3,6 +3,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Fixed example sequence and no example database, so runs are repeatable.
+    settings.register_profile("decegy", derandomize=True, database=None, deadline=None)
+    settings.load_profile("decegy")
+
 _acceptance_results: list[tuple[str, str]] = []
 
 

@@ -87,6 +87,18 @@ def test_analyze_mixed_codecs_exits_with_data_error(tmp_path, capsys):
     assert "mixed codecs" in capsys.readouterr().err
 
 
+def test_analyze_duplicate_stream_ids_exit_2(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    traces = [tmp_path / "a" / "x.jsonl", tmp_path / "b" / "x.jsonl"]
+    for path in traces:
+        _write_trace(path, events=[{"event": "frame_start"}])
+    out = tmp_path / "x.csv"
+    assert main(["analyze", *map(str, traces), "--out", str(out)]) == 2
+    assert "duplicate stream_id 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_parse_error_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(
@@ -227,6 +239,23 @@ def test_predict_keeps_one_row_per_stream_when_tags_hold_newlines(tmp_path):
     assert [row[-2] for row in rows] == notes
     for row, rec in zip(rows, dataset):
         assert float(row[-1]) == predict_feature_model(energies, rec.features)
+
+
+def test_json_record_that_is_not_an_object_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"codec": "hevc", "records": [1]}))
+    assert main(["fit", "--dataset", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "row 1" in err and "Traceback" not in err
+
+
+def test_predict_with_malformed_params_exits_2(tmp_path, capsys):
+    data, params = tmp_path / "data.csv", tmp_path / "p.json"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
+    params.write_text(json.dumps({"model": "hl1", "codec": "hevc", "base_joules": 0.4,
+                                  "per_pixel_joules": 1e-8, "rate_coeff": 1e-7, "rate_power": [1]}))
+    assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
+    assert "'rate_power'" in capsys.readouterr().err
 
 
 def test_json_metadata_of_wrong_type_exits_2(tmp_path, capsys):

@@ -99,6 +99,23 @@ def test_json_metadata_types_are_checked(field, value):
         dataset_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        (lambda doc: doc.update(records={"a": 1}), DataValidationError, "'records' list"),
+        (lambda doc: doc["records"].__setitem__(1, [1]), DataValidationError, "row 2: record is not"),
+        (lambda doc: doc["records"][1].update(tags=["x"]), DataValidationError, "row 2: 'tags'"),
+        (lambda doc: doc.update(codec=5), ValueError, "unknown codec 5"),
+    ],
+    ids=["records", "record", "tags", "codec"],
+)
+def test_json_structure_is_checked(change, error, match):
+    doc = json.loads(dataset_to_json(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1))))
+    change(doc)
+    with pytest.raises(error, match=match):
+        dataset_from_json(json.dumps(doc))
+
+
 def test_negative_count_is_rejected():
     text = "\n".join([HEVC_HEADER, _hevc_row(pel="-3.0")])
     with pytest.raises(DataValidationError, match="negative count"):

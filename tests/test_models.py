@@ -265,6 +265,27 @@ def test_hl2_params_roundtrip():
     assert loaded == params
 
 
+@pytest.mark.parametrize(
+    "params, field, value",
+    [
+        (HL1Params(0.4, 2.1e-8, 1.3e-7, 0.7), "rate_power", [1]),
+        (HL1Params(0.4, 2.1e-8, 1.3e-7, 0.7), "base_joules", True),
+        (HL2Params(2e-9, 5e-8, 3e-9, 1e-8), "intra_bytes_coeff", None),
+        (SpecificEnergies(HEVC, np.ones(len(HEVC))), "specific_energies", [1.0]),
+        (SpecificEnergies(HEVC, np.ones(len(HEVC))), "inter32", "1e-6"),
+    ],
+)
+def test_malformed_params_file_names_the_field(params, field, value):
+    doc = json.loads(params_to_json(params, Codec.HEVC))
+    target = doc["specific_energies"] if field in HEVC else doc
+    if value is None:
+        del target[field]
+    else:
+        target[field] = value
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        params_from_json(json.dumps(doc))
+
+
 def test_feature_params_file_must_cover_all_features():
     doc = {
         "model": "feature",
