@@ -53,7 +53,7 @@ def cmd_analyze(args) -> None:
     records = []
     for path in args.traces:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
                 trace = parse_trace(handle, codec=codec_flag, stream_id=None)
         except TraceParseError as exc:
             raise TraceParseError(f"{path}: {exc}") from None

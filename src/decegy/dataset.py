@@ -325,6 +325,15 @@ def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
         raise DataValidationError(str(exc)) from None
 
 
+def _json_number(name: str, value, row: int) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataValidationError(f"{name!r}: not a number: {value!r}", row=row)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataValidationError(f"{name!r}: too large for a float", row=row) from None
+
+
 def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "codec" not in doc or not isinstance(doc.get("records"), list):
@@ -338,16 +347,20 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
         features = raw.get("features")
         if not isinstance(features, dict):
             raise DataValidationError("record without 'features' object", row=i)
-        missing = set(fs.names) - set(features)
-        if missing:
-            raise DataValidationError(
-                f"missing features: {', '.join(sorted(missing))}", row=i
-            )
+        for problem, names in (
+            ("missing", set(fs.names) - set(features)),
+            ("unknown", set(features) - set(fs.names)),
+        ):
+            if names:
+                raise DataValidationError(
+                    f"{problem} features: {', '.join(sorted(names))}", row=i
+                )
+        counts = {name: _json_number(name, value, i) for name, value in features.items()}
         energy = raw.get("energy_joules")
         if energy is None and require_energy:
             raise DataValidationError("missing energy value", row=i)
-        if energy is not None and (isinstance(energy, bool) or not isinstance(energy, (int, float))):
-            raise DataValidationError(f"'energy_joules': not a number: {energy!r}", row=i)
+        if energy is not None:
+            energy = _json_number("energy_joules", energy, i)
         metadata = {name: raw.get(name) for name in METADATA_COLUMNS}
         for name, value in metadata.items():
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
@@ -360,7 +373,7 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
                 BitstreamRecord(
                     stream_id=str(raw.get("stream_id", "")),
                     codec=codec,
-                    features=FeatureVector.from_dict(fs, features),
+                    features=FeatureVector.from_dict(fs, counts),
                     **metadata,
                     energy_joules=energy,
                     tags=tags,

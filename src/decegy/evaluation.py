@@ -13,12 +13,12 @@ bar above one stacked estimated bar per stream.
 
 from __future__ import annotations
 
+import html
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -327,7 +327,8 @@ def breakdown_svg(rows: list[BreakdownRow], title: str = "Decoding energy by cat
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif" font-size="11">',
-        f'<text x="{left}" y="18" font-size="13" font-weight="bold">{escape(title)}</text>',
+        f'<text x="{left}" y="18" font-size="13" font-weight="bold">'
+        f'{html.escape(title, quote=False)}</text>',
     ]
     # legend
     lx = left
@@ -357,7 +358,7 @@ def breakdown_svg(rows: list[BreakdownRow], title: str = "Decoding energy by cat
     for row in rows:
         parts.append(
             f'<text x="{left - 8}" y="{y + group_h / 2 + 4:.1f}" '
-            f'text-anchor="end">{escape(row.stream_id)}</text>'
+            f'text-anchor="end">{html.escape(row.stream_id, quote=False)}</text>'
         )
         parts.append(
             f'<rect class="bar-measured" x="{left}" y="{y}" '

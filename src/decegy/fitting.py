@@ -9,6 +9,9 @@ Gauss-Newton iteration with the exponent and the power-law coefficient kept
 positive through exp-reparameterization.
 
 All solvers are deterministic: identical inputs give bit-identical outputs.
+
+``scipy.linalg`` is imported inside the solvers that call it, so only the
+fitting commands (``fit`` and ``crossval``) pay for loading scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FitError
 from .models import HL1Params, HL2Params, HighLevelInfo
@@ -95,6 +97,8 @@ def _nnls_active_set(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the KKT multipliers: w <= 0 (up to tolerance) on the clamped coordinates,
     ~0 on the free ones.
     """
+    import scipy.linalg
+
     m, n = A.shape
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -140,6 +144,8 @@ def fit_linear_ls(
     the numerical rank get coefficient 0 and a CollinearityWarning.  With
     ``nonneg`` an active-set pass keeps all coefficients >= 0 at a KKT point.
     """
+    import scipy.linalg
+
     A, y = system.matrix, system.targets
     m, k = A.shape
     scale = np.max(np.abs(A), axis=0)
@@ -221,6 +227,8 @@ class TrustRegionOptions:
 
 def _dogleg_step(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     """Dogleg minimizer of the Gauss-Newton model within the radius."""
+    import scipy.linalg
+
     p_gn, *_ = scipy.linalg.lstsq(J, -r, lapack_driver="gelsd")
     if np.linalg.norm(p_gn) <= radius:
         return p_gn
@@ -406,6 +414,8 @@ def fit_hl1(
             [e_scale, e_scale / p_scale, params.rate_coeff, params.rate_power]
         )
         return J * chain / e_scale
+
+    import scipy.linalg
 
     best: tuple[float, np.ndarray, FitDiagnostics] | None = None
     for gamma0 in _HL1_STARTS:

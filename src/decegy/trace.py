@@ -37,6 +37,13 @@ The block rules live in one table per codec, built once, that maps each
 ``(kind, w, h)`` to its feature and weight.  Every contribution except ``val``
 is a multiple of 0.5, so its float sums are exact in any order; ``val`` is
 summed with ``math.fsum``.
+
+An event depends only on the text of its line, and real traces repeat a few
+thousand distinct lines many times, so :func:`parse_trace` decodes each line
+through a memo (``functools.lru_cache`` of :data:`LINE_MEMO_SIZE` lines, shared
+by all calls): a repeated line costs one lookup and yields the same frozen
+event object.  Errors are raised without a line number inside the memo and
+get it from the caller, so their messages do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -59,6 +66,9 @@ from .taxonomy import (
     build_feature_set,
     counted_sizes,
 )
+
+#: Distinct trace lines whose decoded events ``parse_trace`` keeps for reuse.
+LINE_MEMO_SIZE = 4096
 
 # Block edge lengths a codec can emit at all (before merging).
 CODEC_DIMS = {
@@ -135,66 +145,104 @@ class DecodeTrace:
                 raise ValueError("block event before the first frame_start")
 
 
-def _parse_codec(raw, line: int) -> Codec:
+def _parse_codec(raw) -> Codec:
     try:
         return Codec.from_name(str(raw))
     except ValueError as exc:
-        raise TraceParseError(str(exc), line=line) from None
+        raise TraceParseError(str(exc)) from None
 
 
-def _require_int(obj: dict, key: str, line: int) -> int:
+def _require_int(obj: dict, key: str) -> int:
     value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TraceParseError(f"field {key!r} must be an integer", line=line)
+    if type(value) is not int:  # JSON gives exact types; bool is not an integer here
+        raise TraceParseError(f"field {key!r} must be an integer")
     return value
 
 
-def _require_size(obj: dict, key: str, line: int) -> int:
-    value = _require_int(obj, key, line)
-    if value not in BLOCK_SIZES:
-        raise TraceParseError(
-            f"block size {value} outside {set(BLOCK_SIZES)}", line=line
-        )
-    return value
+def _require_size(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    if type(value) is int and value in BLOCK_SIZES:
+        return value
+    _require_int(obj, key)  # raises for a non-integer
+    raise TraceParseError(f"block size {value} outside {set(BLOCK_SIZES)}")
 
 
-def _require_flag(obj: dict, key: str, line: int) -> bool:
+def _require_flag(obj: dict, key: str) -> bool:
     value = obj.get(key, False)
     if not isinstance(value, bool):
-        raise TraceParseError(f"field {key!r} must be a boolean", line=line)
+        raise TraceParseError(f"field {key!r} must be a boolean")
     return value
 
 
-def _parse_event(obj: dict, line: int) -> DecodeEvent:
+# json.loads without its per-call argument checks.  It differs only on a
+# leading byte-order mark, which makes a line non-ASCII, and those lines go
+# through json.loads itself.
+_decode_json = json.JSONDecoder().decode
+
+
+def _load_object(line: str) -> dict:
+    """Decode one stripped line into a JSON object (errors carry no line number)."""
+    decode = _decode_json
+    if not line.isascii():
+        decode = json.loads
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # a byte the file's UTF-8 decoding escaped into a lone surrogate
+            byte = ord(line[exc.start]) - 0xDC00
+            raise TraceParseError(
+                f"not valid UTF-8: byte 0x{byte:02x} at column {exc.start + 1}"
+            ) from None
+    try:
+        obj = decode(line)
+    except json.JSONDecodeError as exc:
+        raise TraceParseError(f"malformed JSON at column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer over Python's digit limit
+        raise TraceParseError(f"unreadable number: {exc}") from None
+    except RecursionError:
+        raise TraceParseError("malformed JSON: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise TraceParseError("expected a JSON object")
+    return obj
+
+
+@lru_cache(maxsize=LINE_MEMO_SIZE)
+def _decode_line(line: str) -> DecodeEvent:
+    """The event of one stripped, non-header line.
+
+    An event depends only on its line's text, so repeated lines are decoded
+    once and share one frozen event; errors are not cached.
+    """
+    obj = _load_object(line)
     name = obj.get("event")
     if name is None:
-        raise TraceParseError(
-            "missing 'event' field (a header line is only allowed first)", line=line
-        )
+        raise TraceParseError("missing 'event' field (a header line is only allowed first)")
     if name == "frame_start":
         return FrameStart()
     if name == "intra":
-        return IntraBlock(_require_size(obj, "w", line), _require_size(obj, "h", line))
+        return IntraBlock(_require_size(obj, "w"), _require_size(obj, "h"))
     if name == "inter":
         return InterBlock(
-            _require_size(obj, "w", line),
-            _require_size(obj, "h", line),
-            bipred=_require_flag(obj, "bipred", line),
-            frac_h=_require_flag(obj, "frac_h", line),
-            frac_v=_require_flag(obj, "frac_v", line),
-            obmc=_require_flag(obj, "obmc", line),
+            _require_size(obj, "w"),
+            _require_size(obj, "h"),
+            bipred=_require_flag(obj, "bipred"),
+            frac_h=_require_flag(obj, "frac_h"),
+            frac_v=_require_flag(obj, "frac_v"),
+            obmc=_require_flag(obj, "obmc"),
         )
     if name == "transform":
-        return TransformBlock(
-            _require_size(obj, "w", line), _require_size(obj, "h", line)
-        )
+        return TransformBlock(_require_size(obj, "w"), _require_size(obj, "h"))
     if name == "coeff":
-        value = _require_int(obj, "value", line)
+        value = _require_int(obj, "value")
         if value == 0:
-            raise TraceParseError("zero coefficient", line=line)
-        bits = _require_int(obj, "bits", line)
+            raise TraceParseError("zero coefficient")
+        bits = _require_int(obj, "bits")
         if bits <= 0:
-            raise TraceParseError("field 'bits' must be positive", line=line)
+            raise TraceParseError("field 'bits' must be positive")
+        try:
+            float(bits)  # analyze counts coded bits as floats
+        except OverflowError:
+            raise TraceParseError("field 'bits' too large to count") from None
         raw_mode = obj.get("entropy")
         if raw_mode is None or raw_mode == "na":
             entropy = None
@@ -202,13 +250,11 @@ def _parse_event(obj: dict, line: int) -> DecodeEvent:
             try:
                 entropy = EntropyMode(str(raw_mode).lower())
             except ValueError:
-                raise TraceParseError(
-                    f"unknown entropy mode {raw_mode!r}", line=line
-                ) from None
+                raise TraceParseError(f"unknown entropy mode {raw_mode!r}") from None
         return Coefficient(value, bits, entropy)
     if name == "sao":
         return SaoBlock()
-    raise TraceParseError(f"unknown event name {name!r}", line=line)
+    raise TraceParseError(f"unknown event name {name!r}")
 
 
 def parse_trace(
@@ -221,35 +267,33 @@ def parse_trace(
     The codec comes from the header line when present, otherwise from the
     ``codec`` argument; giving both is an error if they disagree.  An empty
     file is a valid trace with zero events (the analyzer then yields e0=1
-    and all other counts zero).
+    and all other counts zero).  A file opened with
+    ``errors="surrogateescape"`` gets its invalid UTF-8 reported by line.
     """
     events: list[DecodeEvent] = []
     header_codec: Codec | None = None
     header_id: str | None = None
     seen_content = False
     line_no = 0
-    for raw in source:
-        line_no += 1
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(
-                f"malformed JSON at column {exc.colno}: {exc.msg}", line=line_no
-            ) from None
-        if not isinstance(obj, dict):
-            raise TraceParseError("expected a JSON object", line=line_no)
-        if not seen_content and "event" not in obj:
-            if "codec" in obj:
-                header_codec = _parse_codec(obj["codec"], line_no)
-            if "stream_id" in obj:
-                header_id = str(obj["stream_id"])
-            seen_content = True
-            continue
-        seen_content = True
-        events.append(_parse_event(obj, line_no))
+    append, decode = events.append, _decode_line
+    try:
+        for raw in source:
+            line_no += 1
+            line = raw.strip()
+            if not line:
+                continue
+            if not seen_content:
+                seen_content = True
+                obj = _load_object(line)
+                if "event" not in obj:
+                    if "codec" in obj:
+                        header_codec = _parse_codec(obj["codec"])
+                    if "stream_id" in obj:
+                        header_id = str(obj["stream_id"])
+                    continue
+            append(decode(line))
+    except TraceParseError as exc:  # raised without a line number
+        raise TraceParseError(str(exc), line=line_no) from None
     if codec is not None and header_codec is not None and codec is not header_codec:
         raise TraceParseError(
             f"codec mismatch: header says {header_codec.value}, "

@@ -111,6 +111,31 @@ def test_analyze_parse_error_names_file_and_line(tmp_path, capsys):
     assert "bad.jsonl" in err and "line 3" in err and "zero coefficient" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"event":"coeff","value":3,"bits":1' + "0" * 400 + "}", "field 'bits' too large"),
+        ('{"event":"coeff","value":1' + "0" * 5000 + ',"bits":3}', "unreadable number"),
+        ("[" * 100_000, "malformed JSON: nested too deeply"),
+    ],
+    ids=["huge-bits", "over-long-integer", "deep-nesting"],
+)
+def test_analyze_unreadable_numbers_name_file_and_line(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"codec":"vp9"}\n{"event":"frame_start"}\n' + line + "\n", encoding="utf-8")
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 3: {message}")
+
+
+def test_analyze_non_utf8_trace_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"codec":"hevc"}\n{"event":"frame_start"}\n{"event":"sao"}\xff\n')
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line 3: not valid UTF-8: byte 0xff at column 16\n"
+
+
 def test_analyze_is_idempotent(tmp_path):
     trace = tmp_path / "t.jsonl"
     _write_trace(trace, events=[{"event": "frame_start"}, {"event": "sao"}])
@@ -267,6 +292,22 @@ def test_json_metadata_of_wrong_type_exits_2(tmp_path, capsys):
     assert main(["fit", "--dataset", str(data)]) == 2
     err = capsys.readouterr().err
     assert "row 2" in err and "'width'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [([1], "not a number: [1]"), ("x", "not a number: 'x'"), (True, "not a number: True"),
+     (10**400, "too large for a float")],
+    ids=["list", "string", "bool", "huge"],
+)
+def test_json_feature_value_that_is_not_a_number_exits_2(tmp_path, capsys, value, message):
+    data = tmp_path / "data.json"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
+    doc = json.loads(data.read_text())
+    doc["records"][1]["features"]["pel"] = value
+    data.write_text(json.dumps(doc))
+    assert main(["fit", "--dataset", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: row 2: 'pel': {message}\n"
 
 
 # ---------------------------------------------------------------------------

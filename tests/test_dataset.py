@@ -106,8 +106,12 @@ def test_json_metadata_types_are_checked(field, value):
         (lambda doc: doc["records"].__setitem__(1, [1]), DataValidationError, "row 2: record is not"),
         (lambda doc: doc["records"][1].update(tags=["x"]), DataValidationError, "row 2: 'tags'"),
         (lambda doc: doc.update(codec=5), ValueError, "unknown codec 5"),
+        (lambda doc: doc["records"][1]["features"].update(bogus=1), DataValidationError,
+         "row 2: unknown features: bogus"),
+        (lambda doc: doc["records"][1].update(energy_joules=10**400), DataValidationError,
+         "row 2: 'energy_joules': too large for a float"),
     ],
-    ids=["records", "record", "tags", "codec"],
+    ids=["records", "record", "tags", "codec", "unknown-feature", "huge-energy"],
 )
 def test_json_structure_is_checked(change, error, match):
     doc = json.loads(dataset_to_json(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1))))

@@ -104,6 +104,37 @@ def test_block_event_before_first_frame_start_rejected():
         DecodeTrace("x", Codec.HEVC, (SaoBlock(), FrameStart()))
 
 
+def test_parse_rejects_bits_a_float_cannot_hold():
+    for codec in Codec:
+        with pytest.raises(TraceParseError, match="'bits' too large") as excinfo:
+            _parse('{"event":"frame_start"}\n{"event":"coeff","value":3,"bits":%d}\n' % 2**1024,
+                   codec=codec)
+        assert excinfo.value.line == 2
+    largest = int(float.fromhex("0x1.fffffffffffffp+1023"))
+    trace = _parse('{"event":"frame_start"}\n{"event":"coeff","value":3,"bits":%d}\n' % largest,
+                   codec=Codec.VP9)
+    assert analyze(trace)["val"] == float(largest)
+
+
+def test_parse_reports_escaped_invalid_utf8_by_line():
+    raw = b'{"codec":"hevc"}\n{"event":"frame_start"}\n{"event":"sao"}\xfe \n'
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape"))
+    assert str(excinfo.value) == "line 3: not valid UTF-8: byte 0xfe at column 16"
+
+
+def test_equal_lines_share_one_event_and_the_memo_is_bounded():
+    from decegy.trace import LINE_MEMO_SIZE, _decode_line
+
+    trace = _parse('{"event":"frame_start"}\n{"event":"sao"}\n {"event":"sao"}\n', codec=Codec.HEVC)
+    assert trace.events[1] is trace.events[2]
+    lines = [f'{{"event":"coeff","value":{v},"bits":1}}' for v in range(1, LINE_MEMO_SIZE + 100)]
+    trace = parse_trace(['{"event":"frame_start"}', *lines], codec=Codec.VP9)
+    assert [ev.value for ev in trace.events[1:]] == list(range(1, LINE_MEMO_SIZE + 100))
+    info = _decode_line.cache_info()
+    assert info.maxsize == LINE_MEMO_SIZE and info.currsize == LINE_MEMO_SIZE
+
+
 # ---------------------------------------------------------------------------
 # block-size merging
 

@@ -1,16 +1,20 @@
-"""Differential and property tests of the trace counting core.
+"""Differential and property tests of the trace parser and counting core.
 
-``trace_oracle.analyze`` is the earlier per-event implementation of the
-counting rules.  On random traces for all four codecs, legal or not, the
-library must give the same vector bytes or raise the same exception with the
-same message, and its vectors must not depend on event order.
+``trace_oracle.parse_trace`` is the earlier parser that decoded every line
+afresh; on traces whose lines repeat, the memoizing library parser must give
+the same trace or raise the same exception with the same message, with a cold
+or a warm memo.  ``trace_oracle.analyze`` is the earlier per-event
+implementation of the counting rules.  On random traces for all four codecs,
+legal or not, the library must give the same vector bytes or raise the same
+exception with the same message, and its vectors must not depend on event
+order.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import trace_oracle  # noqa: E402
@@ -26,6 +30,7 @@ from decegy import (  # noqa: E402
     TransformBlock,
     analyze,
     map_inter_block,
+    parse_trace,
 )
 from decegy.taxonomy import BLOCK_SIZES  # noqa: E402
 from decegy.trace import CODEC_DIMS  # noqa: E402
@@ -118,3 +123,101 @@ def test_map_inter_block_matches_oracle_for_every_size(codec):
                 assert str(excinfo.value) == str(exc)
                 continue
             assert map_inter_block(codec, w, h) == expected
+
+
+# Trace lines the parser accepts: every event kind, blanks and spacing
+# variants.  Whether an event is legal for the codec is analyze's concern.
+_GOOD_LINES = [
+    '{"event": "frame_start"}',
+    ' {"event":"frame_start"}',
+    '{"event": "intra", "w": 16, "h": 16}',
+    '{"event": "intra", "w": 4, "h": 8}',
+    '{"event": "intra", "w": 64, "h": 64}',
+    '{"event": "inter", "w": 16, "h": 8, "bipred": true, "frac_h": true, "frac_v": false, '
+    '"obmc": false}',
+    '{"event": "inter", "w": 8, "h": 8, "obmc": true}',
+    '{"event": "inter", "w": 32, "h": 32, "frac_v": true}',
+    '{"event": "transform", "w": 4, "h": 4}',
+    '{"event": "transform", "w": 32, "h": 16}',
+    '{"event": "coeff", "value": -3, "bits": 5, "entropy": "cabac"}',
+    '{"event": "coeff", "value": 7, "bits": 2, "entropy": "CAVLC"}',
+    '{"event": "coeff", "value": 1, "bits": 1}',
+    '{"event": "coeff", "value": 2, "bits": 9, "entropy": "na"}',
+    '{"event": "sao"}',
+    '{"event": "sao", "note": "caf\u00e9"}',
+    "",
+    "   ",
+]
+# Lines it rejects after a first line (where some of them are headers):
+# illegal fields, header-like objects, malformed JSON and non-objects.  Huge
+# numbers, deep nesting and invalid UTF-8 are left out: the library names
+# their line, where the oracle fails without one.
+_BAD_LINES = [
+    '{"event": "intra", "w": 12, "h": 16}',
+    '{"event": "intra", "w": 8}',
+    '{"event": "intra", "w": 8.0, "h": 8}',
+    '{"event": "inter", "w": 8, "h": 8, "bipred": 1}',
+    '{"event": "transform", "w": true, "h": 4}',
+    '{"event": "coeff", "value": 0, "bits": 1}',
+    '{"event": "coeff", "value": 5, "bits": 0}',
+    '{"event": "coeff", "value": 5, "bits": 2.0}',
+    '{"event": "coeff", "value": 5, "bits": 3, "entropy": "huffman"}',
+    '{"event": "deblock"}',
+    '{"event": null}',
+    '{"codec": "hevc"}',
+    '{"codec": "h264", "stream_id": "late"}',
+    '{"stream_id": 7}',
+    '{"codec": "av1"}',
+    "{}",
+    '{"event": "sao"',
+    '\ufeff{"event": "sao"}',
+    "not json",
+    "[1, 2]",
+    "3",
+    "null",
+    '"frame_start"',
+]
+_HEADERS = [[], ['{"codec": "h263"}'], ['{"stream_id": "s", "codec": "HEVC"}']] + [
+    [f'{{"codec": "{codec.value}"}}'] for codec in Codec
+]
+_ENDINGS = ["", "\n", "\r\n", " \t\n"]
+
+
+def _line(pool):
+    return st.builds(str.__add__, st.sampled_from(pool), st.sampled_from(_ENDINGS))
+
+
+@st.composite
+def trace_lines(draw):
+    """Header (or none), then lines from a small pool, so that lines repeat."""
+    body = draw(st.lists(_line(_GOOD_LINES), max_size=30))
+    if draw(st.booleans()):
+        body.insert(0, draw(_line(_GOOD_LINES[:2])))
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), draw(_line(_BAD_LINES)))
+    return draw(st.sampled_from(_HEADERS)) + body
+
+
+def _outcome(parse, lines, codec, stream_id):
+    try:
+        return parse(lines, codec=codec, stream_id=stream_id)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=300)
+@given(trace_lines(), st.sampled_from([None, *Codec]), st.sampled_from([None, "given"]))
+def test_memoized_parse_matches_oracle_on_repeated_lines(lines, codec, stream_id):
+    expected = _outcome(trace_oracle.parse_trace, lines, codec, stream_id)
+    # the first call may decode lines afresh; the second finds all of them in the memo
+    assert _outcome(parse_trace, lines, codec, stream_id) == expected
+    assert _outcome(parse_trace, lines, codec, stream_id) == expected
+
+
+@pytest.mark.parametrize("line", _GOOD_LINES + _BAD_LINES)
+def test_every_pool_line_matches_oracle_in_each_position(line):
+    for prefix in ([], ['{"codec": "hevc"}'], ['{"codec": "hevc"}', '{"event": "frame_start"}']):
+        for codec in (None, Codec.HEVC):
+            lines = [*prefix, line, line]
+            expected = _outcome(trace_oracle.parse_trace, lines, codec, None)
+            assert _outcome(parse_trace, lines, codec, None) == expected

@@ -1,21 +1,28 @@
-"""Reference implementation of the trace counting rules, kept as a test oracle.
+"""Reference implementations of the trace parser and counting rules, kept as test oracles.
 
-This is the per-event block mapping that ``decegy.trace.analyze`` used before
-it read one precomputed table per codec.  It re-derives every block's feature
-from ``counted_sizes`` and sums every feature with ``math.fsum``, so it is slow
-but independent of the table.  ``test_trace_oracle.py`` requires the library
-to produce the same vectors (bit for bit) or the same exception type.
+``parse_trace`` is the parser that decoded every line with its own
+``json.loads`` and event build, before ``decegy.trace.parse_trace`` memoized
+line decoding.  ``analyze`` is the per-event block mapping that
+``decegy.trace.analyze`` used before it read one precomputed table per codec.
+It re-derives every block's feature from ``counted_sizes`` and sums every
+feature with ``math.fsum``, so it is slow but independent of the table.
+``test_trace_oracle.py`` requires the library to produce the same traces and
+vectors (bit for bit) or the same exception type and message.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from typing import Iterable
 
 import numpy as np
 
-from decegy.errors import IllegalEventError
+from decegy.errors import IllegalEventError, TraceParseError
 from decegy.taxonomy import (
+    BLOCK_SIZES,
     Codec,
+    EntropyMode,
     FeatureId,
     FeatureVector,
     Kind,
@@ -25,6 +32,7 @@ from decegy.taxonomy import (
 from decegy.trace import (
     CODEC_DIMS,
     Coefficient,
+    DecodeEvent,
     DecodeTrace,
     FrameStart,
     InterBlock,
@@ -32,6 +40,129 @@ from decegy.trace import (
     SaoBlock,
     TransformBlock,
 )
+
+
+def _parse_codec(raw, line: int) -> Codec:
+    try:
+        return Codec.from_name(str(raw))
+    except ValueError as exc:
+        raise TraceParseError(str(exc), line=line) from None
+
+
+def _require_int(obj: dict, key: str, line: int) -> int:
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TraceParseError(f"field {key!r} must be an integer", line=line)
+    return value
+
+
+def _require_size(obj: dict, key: str, line: int) -> int:
+    value = _require_int(obj, key, line)
+    if value not in BLOCK_SIZES:
+        raise TraceParseError(
+            f"block size {value} outside {set(BLOCK_SIZES)}", line=line
+        )
+    return value
+
+
+def _require_flag(obj: dict, key: str, line: int) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise TraceParseError(f"field {key!r} must be a boolean", line=line)
+    return value
+
+
+def _parse_event(obj: dict, line: int) -> DecodeEvent:
+    name = obj.get("event")
+    if name is None:
+        raise TraceParseError(
+            "missing 'event' field (a header line is only allowed first)", line=line
+        )
+    if name == "frame_start":
+        return FrameStart()
+    if name == "intra":
+        return IntraBlock(_require_size(obj, "w", line), _require_size(obj, "h", line))
+    if name == "inter":
+        return InterBlock(
+            _require_size(obj, "w", line),
+            _require_size(obj, "h", line),
+            bipred=_require_flag(obj, "bipred", line),
+            frac_h=_require_flag(obj, "frac_h", line),
+            frac_v=_require_flag(obj, "frac_v", line),
+            obmc=_require_flag(obj, "obmc", line),
+        )
+    if name == "transform":
+        return TransformBlock(
+            _require_size(obj, "w", line), _require_size(obj, "h", line)
+        )
+    if name == "coeff":
+        value = _require_int(obj, "value", line)
+        if value == 0:
+            raise TraceParseError("zero coefficient", line=line)
+        bits = _require_int(obj, "bits", line)
+        if bits <= 0:
+            raise TraceParseError("field 'bits' must be positive", line=line)
+        raw_mode = obj.get("entropy")
+        if raw_mode is None or raw_mode == "na":
+            entropy = None
+        else:
+            try:
+                entropy = EntropyMode(str(raw_mode).lower())
+            except ValueError:
+                raise TraceParseError(
+                    f"unknown entropy mode {raw_mode!r}", line=line
+                ) from None
+        return Coefficient(value, bits, entropy)
+    if name == "sao":
+        return SaoBlock()
+    raise TraceParseError(f"unknown event name {name!r}", line=line)
+
+
+def parse_trace(
+    source: Iterable[str],
+    codec: Codec | None = None,
+    stream_id: str | None = None,
+) -> DecodeTrace:
+    events: list[DecodeEvent] = []
+    header_codec: Codec | None = None
+    header_id: str | None = None
+    seen_content = False
+    line_no = 0
+    for raw in source:
+        line_no += 1
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(
+                f"malformed JSON at column {exc.colno}: {exc.msg}", line=line_no
+            ) from None
+        if not isinstance(obj, dict):
+            raise TraceParseError("expected a JSON object", line=line_no)
+        if not seen_content and "event" not in obj:
+            if "codec" in obj:
+                header_codec = _parse_codec(obj["codec"], line_no)
+            if "stream_id" in obj:
+                header_id = str(obj["stream_id"])
+            seen_content = True
+            continue
+        seen_content = True
+        events.append(_parse_event(obj, line_no))
+    if codec is not None and header_codec is not None and codec is not header_codec:
+        raise TraceParseError(
+            f"codec mismatch: header says {header_codec.value}, "
+            f"caller says {codec.value}",
+            line=1,
+        )
+    resolved = header_codec or codec
+    if resolved is None:
+        raise TraceParseError("codec unknown: no header line and no codec argument")
+    try:
+        return DecodeTrace(stream_id or header_id or "", resolved, tuple(events))
+    except ValueError as exc:
+        raise TraceParseError(str(exc)) from None
 
 
 def _check_dims(codec: Codec, w: int, h: int) -> None:
