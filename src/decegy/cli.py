@@ -61,7 +61,10 @@ def cmd_analyze(args) -> None:
             raise DataValidationError(
                 f"mixed codecs: {records[0].codec.value} and {trace.codec.value} ({path})"
             )
-        vector = analyze(trace)
+        try:
+            vector = analyze(trace)
+        except DecegyError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         stream_id = trace.stream_id or Path(path).stem
         frames = int(vector["frame"])
         records.append(BitstreamRecord(stream_id, trace.codec, vector, frames=frames or None))

@@ -9,12 +9,15 @@ decoding energy.  The CSV schema is
 
 with unknown extra columns preserved as free-form tags.  Numbers are decimal,
 files UTF-8 with LF line endings.  The metadata and energy cells may be empty
-(e.g. rows produced by trace analysis before measurements are merged in).
+(e.g. rows produced by trace analysis before measurements are merged in);
+metadata integers may not exceed 2**53.  Row errors get the row number in one
+place per loader (CSV rows count the header line, JSON rows count records).
 
 The synthetic generator replaces physical measurements: it draws feature
 counts, computes the exact feature-model energy under known specific energies
 and optionally applies multiplicative Gaussian noise, so fits and
-cross-validation can be checked against ground truth.
+cross-validation can be checked against ground truth.  One table holds the
+default specific energy and count range of every feature name of all codecs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import DataValidationError
 from .models import HighLevelInfo, SpecificEnergies, predict_feature_model
 from .taxonomy import (
     Codec,
+    FeatureSet,
     FeatureVector,
     Kind,
     build_feature_set,
@@ -79,9 +83,11 @@ class BitstreamRecord:
         energy = self.energy_joules
         if energy is not None and not (math.isfinite(energy) and energy > 0):
             raise DataValidationError(f"non-finite or nonpositive energy: {energy}")
-        for name in ("width", "height", "frames", "file_size_bytes"):
+        for name in METADATA_COLUMNS:
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and value > 2**53:  # the models compute with floats
+                raise DataValidationError(f"{name} must be at most 2**53")
+            if value is not None and value <= 0 and name != "intra_frames":
                 raise DataValidationError(f"{name} must be positive, got {value}")
         if self.intra_frames is not None:
             if self.intra_frames < 0:
@@ -225,22 +231,15 @@ def dataset_to_json(dataset: Dataset) -> str:
     return json.dumps({"codec": dataset.codec.value, "records": records}, indent=2) + "\n"
 
 
-def _parse_optional_int(raw: str | None, column: str, row: int) -> int | None:
+def _parse_cell(raw: str | None, column: str, parse=float) -> int | float | None:
+    """A CSV number cell read by ``parse`` (int or float); None when empty."""
     if raw is None or raw.strip() == "":
         return None
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError:
-        raise DataValidationError(f"column {column!r}: not an integer: {raw!r}", row=row) from None
-
-
-def _parse_optional_float(raw: str | None, column: str, row: int) -> float | None:
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataValidationError(f"column {column!r}: not a number: {raw!r}", row=row) from None
+        what = "an integer" if parse is int else "a number"
+        raise DataValidationError(f"column {column!r}: not {what}: {raw!r}") from None
 
 
 def load_dataset(path, format: str | None = None, require_energy: bool = True) -> Dataset:
@@ -257,6 +256,47 @@ def load_dataset(path, format: str | None = None, require_energy: bool = True) -
     return dataset_from_csv(text, require_energy=require_energy)
 
 
+def _first_csv_codec(row: dict, header: list[str]) -> Codec | None:
+    """The first row's codec once its feature columns are in the header, or None
+    when the codec is unreadable (the row itself then reports it)."""
+    try:
+        codec = Codec.from_name((row.get("codec") or "").strip())
+    except ValueError:
+        return None
+    for column in build_feature_set(codec).names:
+        if column not in header:
+            raise DataValidationError(f"missing column {column!r}")
+    return codec
+
+
+def _csv_record(
+    row: dict, codec: Codec | None, header: list[str], require_energy: bool
+) -> BitstreamRecord:
+    """One CSV row as a record of ``codec``; errors carry no row number."""
+    row_codec = Codec.from_name((row.get("codec") or "").strip())
+    if row_codec is not codec:
+        raise DataValidationError(f"mixed codecs: {codec.value} and {row_codec.value}")
+    fs = build_feature_set(codec)
+    counts = []
+    for name in fs.names:
+        value = _parse_cell(row.get(name), name)
+        if value is None:
+            raise DataValidationError(f"column {name!r}: empty count")
+        counts.append(value)
+    energy = _parse_cell(row.get("energy_joules"), "energy_joules")
+    if energy is None and require_energy:
+        raise DataValidationError("missing energy value")
+    known = set(BASE_COLUMNS) | set(fs.names)
+    return BitstreamRecord(
+        stream_id=(row.get("stream_id") or "").strip(),
+        codec=codec,
+        features=FeatureVector(fs, counts),
+        **{name: _parse_cell(row.get(name), name, int) for name in METADATA_COLUMNS},
+        energy_joules=energy,
+        tags={key: (row.get(key) or "") for key in header if key not in known},
+    )
+
+
 def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
@@ -267,118 +307,73 @@ def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
             raise DataValidationError(f"missing column {column!r}")
     records: list[BitstreamRecord] = []
     codec: Codec | None = None
-    feature_names: tuple[str, ...] = ()
     for line_no, row in enumerate(reader, start=2):
-        raw_codec = (row.get("codec") or "").strip()
-        try:
-            row_codec = Codec.from_name(raw_codec)
-        except ValueError as exc:
-            raise DataValidationError(str(exc), row=line_no) from None
         if codec is None:
-            codec = row_codec
-            feature_names = build_feature_set(codec).names
-            for column in feature_names:
-                if column not in header:
-                    raise DataValidationError(f"missing column {column!r}")
-        elif row_codec is not codec:
-            raise DataValidationError(
-                f"mixed codecs: {codec.value} and {row_codec.value}", row=line_no
-            )
-        counts = []
-        for name in feature_names:
-            value = _parse_optional_float(row.get(name), name, line_no)
-            if value is None:
-                raise DataValidationError(f"column {name!r}: empty count", row=line_no)
-            counts.append(value)
-        energy = _parse_optional_float(row.get("energy_joules"), "energy_joules", line_no)
-        if energy is None and require_energy:
-            raise DataValidationError("missing energy value", row=line_no)
-        known = set(BASE_COLUMNS) | set(feature_names)
-        tags = {
-            key: (row.get(key) or "")
-            for key in header
-            if key not in known
-        }
+            codec = _first_csv_codec(row, header)
         try:
-            record = BitstreamRecord(
-                stream_id=(row.get("stream_id") or "").strip(),
-                codec=row_codec,
-                features=FeatureVector(build_feature_set(row_codec), counts),
-                width=_parse_optional_int(row.get("width"), "width", line_no),
-                height=_parse_optional_int(row.get("height"), "height", line_no),
-                frames=_parse_optional_int(row.get("frames"), "frames", line_no),
-                file_size_bytes=_parse_optional_int(
-                    row.get("file_size_bytes"), "file_size_bytes", line_no
-                ),
-                intra_frames=_parse_optional_int(
-                    row.get("intra_frames"), "intra_frames", line_no
-                ),
-                energy_joules=energy,
-                tags=tags,
-            )
-        except DataValidationError as exc:
+            records.append(_csv_record(row, codec, header, require_energy))
+        except (DataValidationError, ValueError) as exc:  # ValueError: unknown codec
             raise DataValidationError(str(exc), row=line_no) from None
-        records.append(record)
-    try:
-        return Dataset(tuple(records))
-    except DataValidationError as exc:
-        raise DataValidationError(str(exc)) from None
+    return Dataset(tuple(records))
 
 
-def _json_number(name: str, value, row: int) -> float:
+def _json_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataValidationError(f"{name!r}: not a number: {value!r}", row=row)
+        raise DataValidationError(f"{name!r}: not a number: {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise DataValidationError(f"{name!r}: too large for a float", row=row) from None
+        raise DataValidationError(f"{name!r}: too large for a float") from None
+
+
+def _json_record(raw, fs: FeatureSet, require_energy: bool) -> BitstreamRecord:
+    """One JSON record object as a record; errors carry no row number."""
+    if not isinstance(raw, dict):
+        raise DataValidationError("record is not a JSON object")
+    features = raw.get("features")
+    if not isinstance(features, dict):
+        raise DataValidationError("record without 'features' object")
+    for problem, names in (
+        ("missing", set(fs.names) - set(features)),
+        ("unknown", set(features) - set(fs.names)),
+    ):
+        if names:
+            raise DataValidationError(f"{problem} features: {', '.join(sorted(names))}")
+    counts = {name: _json_number(name, value) for name, value in features.items()}
+    energy = raw.get("energy_joules")
+    if energy is None and require_energy:
+        raise DataValidationError("missing energy value")
+    if energy is not None:
+        energy = _json_number("energy_joules", energy)
+    metadata = {name: raw.get(name) for name in METADATA_COLUMNS}
+    for name, value in metadata.items():
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise DataValidationError(f"{name!r}: not an integer: {value!r}")
+    tags = raw.get("tags", {})
+    if not isinstance(tags, dict):
+        raise DataValidationError(f"'tags': not an object: {tags!r}")
+    return BitstreamRecord(
+        stream_id=str(raw.get("stream_id", "")),
+        codec=fs.codec,
+        features=FeatureVector.from_dict(fs, counts),
+        **metadata,
+        energy_joules=energy,
+        tags=tags,
+    )
 
 
 def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise DataValidationError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "codec" not in doc or not isinstance(doc.get("records"), list):
         raise DataValidationError("dataset JSON must carry 'codec' and a 'records' list")
-    codec = Codec.from_name(doc["codec"])
-    fs = build_feature_set(codec)
+    fs = build_feature_set(Codec.from_name(doc["codec"]))
     records = []
     for i, raw in enumerate(doc["records"], start=1):
-        if not isinstance(raw, dict):
-            raise DataValidationError("record is not a JSON object", row=i)
-        features = raw.get("features")
-        if not isinstance(features, dict):
-            raise DataValidationError("record without 'features' object", row=i)
-        for problem, names in (
-            ("missing", set(fs.names) - set(features)),
-            ("unknown", set(features) - set(fs.names)),
-        ):
-            if names:
-                raise DataValidationError(
-                    f"{problem} features: {', '.join(sorted(names))}", row=i
-                )
-        counts = {name: _json_number(name, value, i) for name, value in features.items()}
-        energy = raw.get("energy_joules")
-        if energy is None and require_energy:
-            raise DataValidationError("missing energy value", row=i)
-        if energy is not None:
-            energy = _json_number("energy_joules", energy, i)
-        metadata = {name: raw.get(name) for name in METADATA_COLUMNS}
-        for name, value in metadata.items():
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise DataValidationError(f"{name!r}: not an integer: {value!r}", row=i)
-        tags = raw.get("tags", {})
-        if not isinstance(tags, dict):
-            raise DataValidationError(f"'tags': not an object: {tags!r}", row=i)
         try:
-            records.append(
-                BitstreamRecord(
-                    stream_id=str(raw.get("stream_id", "")),
-                    codec=codec,
-                    features=FeatureVector.from_dict(fs, counts),
-                    **metadata,
-                    energy_joules=energy,
-                    tags=tags,
-                )
-            )
+            records.append(_json_record(raw, fs, require_energy))
         except DataValidationError as exc:
             raise DataValidationError(str(exc), row=i) from None
     return Dataset(tuple(records))
@@ -390,73 +385,48 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
 #: Typical luma resolutions drawn by the generator (width, height).
 RESOLUTIONS = ((416, 240), (832, 480), (1280, 720), (1920, 1080))
 
-_INTRA_ENERGY = {4: 2e-7, 8: 6e-7, 16: 2e-6, 32: 6e-6}
-_INTER_ENERGY = {4: 1.5e-7, 8: 4.5e-7, 16: 1.4e-6, 32: 4e-6, 64: 1.2e-5}
-_TRANS_ENERGY = {4: 1e-7, 8: 3e-7, 16: 1e-6, 32: 3e-6}
-
-_INTRA_RANGE = {4: (200, 5e4), 8: (100, 2e4), 16: (50, 8e3), 32: (10, 2e3)}
-_INTER_RANGE = {4: (200, 8e4), 8: (100, 4e4), 16: (50, 1.5e4), 32: (20, 4e3), 64: (10, 1e3)}
-_TRANS_RANGE = {4: (200, 6e4), 8: (100, 3e4), 16: (50, 1e4), 32: (10, 4e3)}
+#: Per feature name of any codec: a plausible joules-per-occurrence value,
+#: heterogeneous across features, and the generator's uniform count range
+#: (None for e0, fixed to one, and frame, which follows the drawn frame count).
+_DEFAULTS: dict[str, tuple[float, tuple[float, float] | None]] = {
+    "e0": (0.06, None),
+    "frame": (1.8e-3, None),
+    "intra32": (6e-6, (10, 2e3)),
+    "intra16": (2e-6, (50, 8e3)),
+    "intra8": (6e-7, (100, 2e4)),
+    "intra4": (2e-7, (200, 5e4)),
+    "inter64": (1.2e-5, (10, 1e3)),
+    "inter32": (4e-6, (20, 4e3)),
+    "inter16": (1.4e-6, (50, 1.5e4)),
+    "inter8": (4.5e-7, (100, 4e4)),
+    "inter4": (1.5e-7, (200, 8e4)),
+    "obmc": (2.5e-6, (0, 3e3)),
+    "pel": (3.5e-9, (1e5, 5e7)),
+    "frac": (6e-9, (0, 6e7)),
+    "trans32": (3e-6, (10, 4e3)),
+    "trans16": (1e-6, (50, 1e4)),
+    "trans8": (3e-7, (100, 3e4)),
+    "trans4": (1e-7, (200, 6e4)),
+    "coeff": (7e-8, (1e3, 1e6)),
+    "coeff_cavlc": (7e-8, (1e3, 1e6)),
+    "coeff_cabac": (9e-8, (1e3, 1e6)),
+    "val": (2.5e-8, (2e3, 4e6)),
+    "val_cavlc": (2.5e-8, (2e3, 4e6)),
+    "val_cabac": (3e-8, (2e3, 4e6)),
+    "sao": (2.5e-6, (0, 5e3)),
+}
 
 
 def default_specific_energies(codec: Codec) -> SpecificEnergies:
     """Plausible joules-per-occurrence values, heterogeneous across features."""
     fs = build_feature_set(codec)
-    values = []
-    for fid in fs:
-        if fid.kind is Kind.E0:
-            values.append(0.06)
-        elif fid.kind is Kind.FRAME:
-            values.append(1.8e-3)
-        elif fid.kind is Kind.INTRA:
-            values.append(_INTRA_ENERGY[fid.block_size])
-        elif fid.kind is Kind.INTER:
-            values.append(_INTER_ENERGY[fid.block_size])
-        elif fid.kind is Kind.OBMC:
-            values.append(2.5e-6)
-        elif fid.kind is Kind.PEL:
-            values.append(3.5e-9)
-        elif fid.kind is Kind.FRAC:
-            values.append(6e-9)
-        elif fid.kind is Kind.TRANS:
-            values.append(_TRANS_ENERGY[fid.block_size])
-        elif fid.kind is Kind.COEFF:
-            values.append(9e-8 if fid.name.endswith("cabac") else 7e-8)
-        elif fid.kind is Kind.VAL:
-            values.append(3e-8 if fid.name.endswith("cabac") else 2.5e-8)
-        elif fid.kind is Kind.SAO:
-            values.append(2.5e-6)
-        else:
-            raise AssertionError(fid.kind)
-    return SpecificEnergies(fs, np.array(values))
+    return SpecificEnergies(fs, np.array([_DEFAULTS[name][0] for name in fs.names]))
 
 
 def default_count_ranges(codec: Codec) -> dict[str, tuple[float, float]]:
     """Uniform draw ranges per feature used by :func:`synth_dataset`."""
-    fs = build_feature_set(codec)
-    ranges: dict[str, tuple[float, float]] = {}
-    for fid in fs:
-        if fid.kind in (Kind.E0, Kind.FRAME):
-            continue  # e0 is fixed, frame follows the drawn frame count
-        if fid.kind is Kind.INTRA:
-            ranges[fid.name] = _INTRA_RANGE[fid.block_size]
-        elif fid.kind is Kind.INTER:
-            ranges[fid.name] = _INTER_RANGE[fid.block_size]
-        elif fid.kind is Kind.OBMC:
-            ranges[fid.name] = (0, 3e3)
-        elif fid.kind is Kind.PEL:
-            ranges[fid.name] = (1e5, 5e7)
-        elif fid.kind is Kind.FRAC:
-            ranges[fid.name] = (0, 6e7)
-        elif fid.kind is Kind.TRANS:
-            ranges[fid.name] = _TRANS_RANGE[fid.block_size]
-        elif fid.kind is Kind.COEFF:
-            ranges[fid.name] = (1e3, 1e6)
-        elif fid.kind is Kind.VAL:
-            ranges[fid.name] = (2e3, 4e6)
-        elif fid.kind is Kind.SAO:
-            ranges[fid.name] = (0, 5e3)
-    return ranges
+    names = build_feature_set(codec).names
+    return {name: _DEFAULTS[name][1] for name in names if _DEFAULTS[name][1] is not None}
 
 
 @dataclass(frozen=True)
@@ -485,7 +455,7 @@ class SynthSpec:
             raise ValueError("true_params codec mismatch")
         if self.count_ranges is not None:
             for name, (lo, hi) in self.count_ranges.items():
-                if lo < 0 or hi < lo:
+                if not 0 <= lo <= hi < math.inf:
                     raise ValueError(f"bad range for {name!r}: ({lo}, {hi})")
 
 
@@ -493,11 +463,16 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
     """Generate a dataset from a :class:`SynthSpec`; deterministic per seed."""
     fs = build_feature_set(spec.codec)
     params = spec.true_params or default_specific_energies(spec.codec)
-    ranges = dict(default_count_ranges(spec.codec))
+    ranges = default_count_ranges(spec.codec)
+    drawn = [fs.index_of(name) for name in ranges]  # every feature but e0 and frame
     if spec.count_ranges:
         for name, bounds in spec.count_ranges.items():
             fs.index_of(name)  # reject unknown names
             ranges[name] = bounds
+    lows, highs = np.array([ranges[fs.names[j]] for j in drawn], dtype=float).T
+    coeff = [j for j, fid in enumerate(fs) if fid.kind is Kind.COEFF]
+    val = [j for j, fid in enumerate(fs) if fid.kind is Kind.VAL]
+    e0, frame = fs.index_of("e0"), fs.index_of("frame")
     rng = np.random.default_rng(spec.seed)
     records = []
     for i in range(spec.count):
@@ -505,14 +480,8 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
         frames = int(rng.integers(8, 65))
         intra_frames = int(rng.integers(0, frames + 1))
         counts = np.empty(len(fs))
-        for j, fid in enumerate(fs):
-            if fid.kind is Kind.E0:
-                counts[j] = 1.0
-            elif fid.kind is Kind.FRAME:
-                counts[j] = float(frames)
-            else:
-                lo, hi = ranges[fid.name]
-                counts[j] = rng.uniform(lo, hi)
+        counts[e0], counts[frame] = 1.0, float(frames)
+        counts[drawn] = rng.uniform(lows, highs)
         vector = FeatureVector(fs, counts)
         energy_true = predict_feature_model(params, vector)
         if not energy_true > 0:
@@ -527,10 +496,7 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
                     break
         else:
             energy = energy_true
-        coeff_total = sum(
-            counts[j] for j, fid in enumerate(fs) if fid.kind is Kind.COEFF
-        )
-        val_total = sum(counts[j] for j, fid in enumerate(fs) if fid.kind is Kind.VAL)
+        coeff_total, val_total = sum(counts[coeff]), sum(counts[val])
         file_size = max(1, int(round(200.0 * frames + 2.0 * coeff_total + 0.6 * val_total)))
         records.append(
             BitstreamRecord(

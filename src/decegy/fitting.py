@@ -353,7 +353,13 @@ def hl1_residuals_jacobian(
     """
     if not records:
         raise FitError("no records")
-    pixels, sizes, energies = _highlevel_arrays(records)
+    return _hl1_terms(params, *_highlevel_arrays(records))
+
+
+def _hl1_terms(
+    params: HL1Params, pixels: np.ndarray, sizes: np.ndarray, energies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hl1_residuals_jacobian` over the arrays of :func:`_highlevel_arrays`."""
     x = sizes / pixels
     xg = x ** params.rate_power
     pred = params.base_joules + pixels * (params.per_pixel_joules + params.rate_coeff * xg)
@@ -404,12 +410,12 @@ def fit_hl1(
         )
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        r, _ = hl1_residuals_jacobian(to_params(theta), records)
+        r, _ = _hl1_terms(to_params(theta), pixels, sizes, energies)
         return r / e_scale
 
     def jacobian_fn(theta: np.ndarray) -> np.ndarray:
         params = to_params(theta)
-        _, J = hl1_residuals_jacobian(params, records)
+        _, J = _hl1_terms(params, pixels, sizes, energies)
         chain = np.array(
             [e_scale, e_scale / p_scale, params.rate_coeff, params.rate_power]
         )

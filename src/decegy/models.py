@@ -228,7 +228,10 @@ def _number(doc: dict, key: str) -> float:
 
 def params_from_json(text: str):
     """Parse a parameter file; returns (model_kind, codec, params)."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "model" not in doc or "codec" not in doc:
         raise ValueError("parameter file must carry 'model' and 'codec' fields")
     kind = doc["model"]

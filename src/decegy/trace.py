@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Union
 
-from .errors import IllegalEventError, TraceParseError
+from .errors import DataValidationError, IllegalEventError, TraceParseError
 from .taxonomy import (
     BLOCK_SIZES,
     Codec,
@@ -428,5 +428,8 @@ def analyze(trace: DecodeTrace) -> FeatureVector:
             raise _illegal_block(codec, kind, ev.w, ev.h)
         counts[entry[0]] += entry[1]
     for _, val, vals in residual.values():
-        counts[val] = math.fsum(vals)
+        try:
+            counts[val] = math.fsum(vals)
+        except OverflowError:
+            raise DataValidationError(f"{fs.names[val]} sums past the float range") from None
     return FeatureVector(fs, counts)

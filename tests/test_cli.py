@@ -447,3 +447,54 @@ def test_usage_errors_exit_1(capsys):
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["fit", "--dataset", str(tmp_path / "absent.csv")])
     assert rc == 2
+
+
+def test_analyze_illegal_event_names_the_trace(tmp_path, capsys):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    _write_trace(good, codec="h263", events=[{"event": "frame_start"}])
+    events = [{"event": "frame_start"}, {"event": "intra", "w": 4, "h": 4}]
+    _write_trace(bad, codec="h263", events=events)
+    assert main(["analyze", str(good), str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: 4x4 block illegal for h263")
+
+
+def test_analyze_coded_bits_summing_past_the_float_range_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    coeff = {"event": "coeff", "value": 3, "bits": 10**308}
+    _write_trace(bad, codec="vp9", events=[{"event": "frame_start"}, coeff, coeff])
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: val sums past the float range\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, field", [("csv", "width"), ("csv", "file_size_bytes"), ("json", "width")]
+)
+@pytest.mark.parametrize("model", ["hl1", "hl2"])
+def test_metadata_integer_above_2_53_exits_2_with_the_row(tmp_path, capsys, fmt, field, model):
+    data = tmp_path / f"data.{fmt}"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 6, seed=1)), data)
+    if fmt == "csv":
+        rows = list(csv.reader(data.open(encoding="utf-8")))
+        rows[2][rows[0].index(field)] = "9" * 400
+        with data.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        row = 3  # CSV rows count the header line
+    else:
+        doc = json.loads(data.read_text())
+        doc["records"][1][field] = 10**400
+        data.write_text(json.dumps(doc))
+        row = 2  # JSON rows count records
+    assert main(["fit", "--dataset", str(data), "--model", model]) == 2
+    assert capsys.readouterr().err == f"error: row {row}: {field} must be at most 2**53\n"
+
+
+def test_deeply_nested_json_files_exit_2(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    data, params = tmp_path / "data.csv", tmp_path / "p.json"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
+    save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, params)
+    assert main(["fit", "--dataset", str(nested)]) == 2
+    assert capsys.readouterr().err == "error: malformed JSON: nested too deeply\n"
+    assert main(["predict", "--dataset", str(data), "--params", str(nested)]) == 2
+    assert capsys.readouterr().err == "error: malformed JSON: nested too deeply\n"

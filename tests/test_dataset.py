@@ -18,6 +18,7 @@ from decegy import (
 )
 from decegy.dataset import (
     BASE_COLUMNS,
+    BitstreamRecord,
     Dataset,
     dataset_from_csv,
     dataset_from_json,
@@ -275,3 +276,27 @@ def test_csv_columns_follow_canonical_feature_order():
     header = dataset_to_csv(dataset).splitlines()[0]
     expected = ",".join(BASE_COLUMNS + build_feature_set(Codec.VP9).names)
     assert header == expected
+
+
+def test_bad_csv_integer_cell_names_its_row_once():
+    row = _hevc_row("b").replace(",416,", ",abc,", 1)
+    text = "\n".join([HEVC_HEADER, _hevc_row("a"), row])
+    with pytest.raises(DataValidationError) as excinfo:
+        dataset_from_csv(text)
+    assert str(excinfo.value) == "row 3: column 'width': not an integer: 'abc'"
+
+
+@pytest.mark.parametrize("field", ["width", "height", "frames", "file_size_bytes", "intra_frames"])
+def test_metadata_above_2_53_is_rejected(field):
+    record = synth_dataset(SynthSpec(Codec.HEVC, 1, seed=1)).records[0]
+    fields = {name: 2**53 for name in ("width", "height", "frames", "file_size_bytes")}
+    exact = BitstreamRecord(**{**record.__dict__, **fields, "intra_frames": 2**53})
+    assert exact.highlevel.file_size_bytes == 2.0**53
+    with pytest.raises(DataValidationError, match=f"^{field} must be at most 2\\*\\*53$"):
+        BitstreamRecord(**{**record.__dict__, field: 2**53 + 1})
+
+
+def test_synth_rejects_non_finite_ranges():
+    for bounds in ((0.0, float("inf")), (float("nan"), float("nan"))):
+        with pytest.raises(ValueError, match="bad range for 'pel'"):
+            SynthSpec(Codec.VP9, 5, count_ranges={"pel": bounds})

@@ -1,0 +1,205 @@
+"""Differential tests of the dataset defaults, generator and loaders.
+
+``dataset_oracle`` holds the earlier implementations: per-feature ``Kind``
+dispatch with one scalar draw per feature and row, and loaders that attached
+the row number at every check.  On random specs for all four codecs the
+library generator must write the same CSV bytes, and on synthetic CSV/JSON
+files with one cell or field replaced the loaders must give the same dataset
+bytes or the same exception type and message.  The oracle's CSV loader
+reported some errors with a doubled ``row N: row N:`` prefix; that is the one
+difference allowed, and the library must never produce it.
+"""
+
+import csv
+import io
+import json
+import re
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import dataset_oracle  # noqa: E402
+from decegy import (  # noqa: E402
+    Codec,
+    SynthSpec,
+    default_count_ranges,
+    default_specific_energies,
+    synth_dataset,
+)
+from decegy.dataset import (  # noqa: E402
+    BASE_COLUMNS,
+    METADATA_COLUMNS,
+    Dataset,
+    dataset_from_csv,
+    dataset_from_json,
+    dataset_to_csv,
+    dataset_to_json,
+)
+from decegy.taxonomy import build_feature_set  # noqa: E402
+
+_DOUBLED_ROW = re.compile(r"^(row \d+: )\1")
+
+
+def _outcome(fn, *args):
+    """CSV bytes of the dataset ``fn`` returns, or its exception type and message."""
+    try:
+        return "ok", dataset_to_csv(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_as_oracle(lib_fn, oracle_fn, *args):
+    kind, text = _outcome(oracle_fn, *args)
+    assert _outcome(lib_fn, *args) == (kind, _DOUBLED_ROW.sub(r"\1", text))
+
+
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
+def test_default_tables_match_the_oracle(codec):
+    assert default_specific_energies(codec) == dataset_oracle.default_specific_energies(codec)
+    assert repr(default_count_ranges(codec)) == repr(dataset_oracle.default_count_ranges(codec))
+
+
+@st.composite
+def specs(draw):
+    codec = draw(st.sampled_from(list(Codec)))
+    bound = st.integers(0, 10**6) | st.floats(0, 1e9)
+    bounds = st.tuples(bound, bound).map(lambda pair: tuple(sorted(pair)))
+    names = st.sampled_from(build_feature_set(codec).names)  # e0 and frame too
+    return SynthSpec(
+        codec,
+        draw(st.integers(1, 40)),
+        count_ranges=draw(st.none() | st.dictionaries(names, bounds, max_size=4)),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(specs())
+def test_synth_matches_the_oracle(spec):
+    _assert_same_as_oracle(synth_dataset, dataset_oracle.synth_dataset, spec)
+
+
+@lru_cache(maxsize=None)
+def _synth(codec: Codec, seed: int) -> Dataset:
+    """Four synthetic records, each with a ``qp`` tag."""
+    dataset = synth_dataset(SynthSpec(codec, 4, noise_sigma=0.05, seed=seed))
+    return Dataset(tuple(replace(rec, tags={"qp": str(22 + i)}) for i, rec in enumerate(dataset)))
+
+
+_CODEC_NAMES = [codec.value for codec in Codec]
+_CSV_POOL = ["", "abc", "-1", "0", "1.5", "inf", "nan", "1e400", "9" * 400, "9" * 5000]
+_CSV_POOL += _CODEC_NAMES
+
+
+def _edited_csv(dataset: Dataset, r: int, column: str, value: str) -> str:
+    """The dataset's CSV with the cell of row ``r`` (0 = header) and ``column`` replaced.
+
+    ``"<dup>"`` stands for the stream id of another row.
+    """
+    rows = list(csv.reader(io.StringIO(dataset_to_csv(dataset))))
+    if value == "<dup>":
+        value = rows[1 + r % (len(rows) - 1)][0]
+    rows[r][rows[0].index(column)] = value
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@st.composite
+def csv_texts(draw):
+    """Synthetic CSV text with one cell (header included) replaced from a pool."""
+    dataset = _synth(draw(st.sampled_from(list(Codec))), draw(st.integers(0, 2)))
+    column = draw(st.sampled_from(dataset_to_csv(dataset).split("\n", 1)[0].split(",")))
+    value = draw(st.sampled_from([*_CSV_POOL, "<dup>"]))
+    return _edited_csv(dataset, draw(st.integers(0, len(dataset))), column, value)
+
+
+@settings(max_examples=300)
+@given(csv_texts(), st.booleans())
+def test_csv_loader_matches_the_oracle(text, require_energy):
+    _assert_same_as_oracle(dataset_from_csv, dataset_oracle.dataset_from_csv, text, require_energy)
+
+
+def test_csv_loader_matches_the_oracle_on_every_base_and_tag_cell():
+    dataset = _synth(Codec.H264, 0)
+    for column in (*BASE_COLUMNS, "qp", "e0"):
+        for value in [*_CSV_POOL, "<dup>"]:
+            for r in (0, 1, 3):
+                text = _edited_csv(dataset, r, column, value)
+                for require_energy in (True, False):
+                    _assert_same_as_oracle(
+                        dataset_from_csv, dataset_oracle.dataset_from_csv, text, require_energy
+                    )
+
+
+_RAW_1E400 = "@raw-1e400@"  # json.dumps cannot write this literal; it is spliced in
+_DELETE = "@delete@"
+_JSON_POOL = [
+    "", "abc", -1, 0, 1.5, float("inf"), float("nan"), _RAW_1E400, 10**400,
+    True, [1], "x", {"a": 1}, None, _DELETE, "<dup>", *_CODEC_NAMES,
+]
+_JSON_FIELDS = ("stream_id", *METADATA_COLUMNS, "energy_joules")
+_JSON_FIELDS += ("features", "tags", "record", "codec")
+
+
+def _edited_json(dataset: Dataset, i: int, where: str, value) -> str:
+    """The dataset's JSON with one field of record ``i`` replaced or deleted.
+
+    ``where`` is a record field, ``features.<name>``, ``record`` (the record
+    itself) or ``codec`` (the top-level field); ``"<dup>"`` stands for the
+    stream id of another record.
+    """
+    doc = json.loads(dataset_to_json(dataset))
+    records = doc["records"]
+    if value == "<dup>":
+        value = records[(i + 1) % len(records)]["stream_id"]
+    if where == "codec":
+        container, key = doc, "codec"
+    elif where == "record":
+        container, key = records, i
+    elif where.startswith("features."):
+        container, key = records[i]["features"], where.split(".", 1)[1]
+    else:
+        container, key = records[i], where
+    if value == _DELETE:
+        container.pop(key)
+    else:
+        container[key] = value
+    return json.dumps(doc).replace(json.dumps(_RAW_1E400), "1e400")
+
+
+@st.composite
+def json_texts(draw):
+    """Synthetic JSON text with one field replaced (or deleted) from a pool."""
+    codec = draw(st.sampled_from(list(Codec)))
+    dataset = _synth(codec, draw(st.integers(0, 2)))
+    features = [f"features.{name}" for name in build_feature_set(codec).names]
+    where = draw(st.sampled_from(_JSON_FIELDS) | st.sampled_from(features))
+    i = draw(st.integers(0, len(dataset) - 1))
+    return _edited_json(dataset, i, where, draw(st.sampled_from(_JSON_POOL)))
+
+
+@settings(max_examples=300)
+@given(json_texts(), st.booleans())
+def test_json_loader_matches_the_oracle(text, require_energy):
+    _assert_same_as_oracle(
+        dataset_from_json, dataset_oracle.dataset_from_json, text, require_energy
+    )
+
+
+def test_json_loader_matches_the_oracle_on_every_base_field():
+    dataset = _synth(Codec.VP9, 0)
+    for where in (*_JSON_FIELDS, "features.pel"):
+        for value in _JSON_POOL:
+            for i in (0, 2):
+                text = _edited_json(dataset, i, where, value)
+                for require_energy in (True, False):
+                    _assert_same_as_oracle(
+                        dataset_from_json, dataset_oracle.dataset_from_json, text, require_energy
+                    )
