@@ -26,7 +26,7 @@ from .dataset import (
     load_dataset,
     synth_dataset,
 )
-from .errors import DataValidationError, DecegyError, FitError, TraceParseError
+from .errors import DataValidationError, DecegyError, FitError
 from .evaluation import MODELS, breakdown_csv, breakdown_report, breakdown_svg, cross_validate
 from .models import SpecificEnergies, load_params, params_to_json
 from .taxonomy import Codec
@@ -55,19 +55,17 @@ def cmd_analyze(args) -> None:
         try:
             with open(path, encoding="utf-8", errors="surrogateescape") as handle:
                 trace = parse_trace(handle, codec=codec_flag, stream_id=None)
-        except TraceParseError as exc:
-            raise TraceParseError(f"{path}: {exc}") from None
+            vector = analyze(trace)
+            stream_id = trace.stream_id or Path(path).stem
+            frames = int(vector["frame"]) or None
+            record = BitstreamRecord(stream_id, trace.codec, vector, frames=frames)
+        except DecegyError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         if records and trace.codec is not records[0].codec:
             raise DataValidationError(
                 f"mixed codecs: {records[0].codec.value} and {trace.codec.value} ({path})"
             )
-        try:
-            vector = analyze(trace)
-        except DecegyError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-        stream_id = trace.stream_id or Path(path).stem
-        frames = int(vector["frame"])
-        records.append(BitstreamRecord(stream_id, trace.codec, vector, frames=frames or None))
+        records.append(record)
     dataset = Dataset(tuple(records))
     _emit(dataset_to_csv(dataset), args.out)
     if args.out:
@@ -256,7 +254,7 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 3
-    except (DecegyError, ValueError, KeyError, OSError) as exc:
+    except (DecegyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -33,7 +34,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, json_feature_values, json_number, read_json, read_text
 from .models import HighLevelInfo, SpecificEnergies, predict_feature_model
 from .taxonomy import (
     Codec,
@@ -72,6 +73,9 @@ class BitstreamRecord:
     def __post_init__(self):
         if not self.stream_id:
             raise DataValidationError("empty stream_id")
+        for text in (self.stream_id, *self.tags, *map(str, self.tags.values())):
+            if text.encode("utf-8", "replace").decode("utf-8") != text:  # lone surrogates
+                raise DataValidationError(f"not valid Unicode: {text!r}")
         if self.features.feature_set.codec is not self.codec:
             raise DataValidationError(
                 f"feature vector is for {self.features.feature_set.codec.value}, "
@@ -250,7 +254,7 @@ def load_dataset(path, format: str | None = None, require_energy: bool = True) -
     energy cell is empty (prediction inputs).
     """
     fmt = _detect_format(path, format)
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if fmt == "json":
         return dataset_from_json(text, require_energy=require_energy)
     return dataset_from_csv(text, require_energy=require_energy)
@@ -261,7 +265,7 @@ def _first_csv_codec(row: dict, header: list[str]) -> Codec | None:
     when the codec is unreadable (the row itself then reports it)."""
     try:
         codec = Codec.from_name((row.get("codec") or "").strip())
-    except ValueError:
+    except DataValidationError:
         return None
     for column in build_feature_set(codec).names:
         if column not in header:
@@ -302,6 +306,9 @@ def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
     if reader.fieldnames is None:
         raise DataValidationError("missing CSV header")
     header = list(reader.fieldnames)
+    repeated = [name for name, n in Counter(header).items() if n > 1]
+    if repeated:
+        raise DataValidationError(f"repeated column {repeated[0]!r}")
     for column in BASE_COLUMNS:
         if column not in header:
             raise DataValidationError(f"missing column {column!r}")
@@ -312,18 +319,9 @@ def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
             codec = _first_csv_codec(row, header)
         try:
             records.append(_csv_record(row, codec, header, require_energy))
-        except (DataValidationError, ValueError) as exc:  # ValueError: unknown codec
+        except DataValidationError as exc:
             raise DataValidationError(str(exc), row=line_no) from None
     return Dataset(tuple(records))
-
-
-def _json_number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataValidationError(f"{name!r}: not a number: {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DataValidationError(f"{name!r}: too large for a float") from None
 
 
 def _json_record(raw, fs: FeatureSet, require_energy: bool) -> BitstreamRecord:
@@ -333,22 +331,15 @@ def _json_record(raw, fs: FeatureSet, require_energy: bool) -> BitstreamRecord:
     features = raw.get("features")
     if not isinstance(features, dict):
         raise DataValidationError("record without 'features' object")
-    for problem, names in (
-        ("missing", set(fs.names) - set(features)),
-        ("unknown", set(features) - set(fs.names)),
-    ):
-        if names:
-            raise DataValidationError(f"{problem} features: {', '.join(sorted(names))}")
-    counts = {name: _json_number(name, value) for name, value in features.items()}
+    counts = json_feature_values(fs.names, features)
     energy = raw.get("energy_joules")
     if energy is None and require_energy:
         raise DataValidationError("missing energy value")
-    if energy is not None:
-        energy = _json_number("energy_joules", energy)
-    metadata = {name: raw.get(name) for name in METADATA_COLUMNS}
-    for name, value in metadata.items():
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise DataValidationError(f"{name!r}: not an integer: {value!r}")
+    energy = None if energy is None else json_number("energy_joules", energy)
+    metadata = {
+        name: json_number(name, raw[name], integer=True)
+        for name in METADATA_COLUMNS if raw.get(name) is not None
+    }
     tags = raw.get("tags", {})
     if not isinstance(tags, dict):
         raise DataValidationError(f"'tags': not an object: {tags!r}")
@@ -363,10 +354,7 @@ def _json_record(raw, fs: FeatureSet, require_energy: bool) -> BitstreamRecord:
 
 
 def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise DataValidationError("malformed JSON: nested too deeply") from None
+    doc = read_json(text)
     if not isinstance(doc, dict) or "codec" not in doc or not isinstance(doc.get("records"), list):
         raise DataValidationError("dataset JSON must carry 'codec' and a 'records' list")
     fs = build_feature_set(Codec.from_name(doc["codec"]))
@@ -448,9 +436,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise DataValidationError("count must be >= 1")
+        if not self.noise_sigma >= 0:
+            raise DataValidationError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise DataValidationError(f"seed must be >= 0, got {self.seed}")
         if self.true_params is not None and self.true_params.feature_set.codec is not self.codec:
             raise ValueError("true_params codec mismatch")
         if self.count_ranges is not None:

@@ -127,9 +127,11 @@ class FoldPartition:
 def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
     """Deal a seeded random permutation round-robin into k folds."""
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise DataValidationError(f"k must be >= 2, got {k}")
     if k > record_count:
-        raise ValueError(f"k ({k}) exceeds the record count ({record_count})")
+        raise DataValidationError(f"k ({k}) exceeds the record count ({record_count})")
+    if seed < 0:
+        raise DataValidationError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(record_count)
     assignment = np.empty(record_count, dtype=int)
     assignment[perm] = np.arange(record_count) % k
@@ -198,7 +200,7 @@ def cross_validate(
         raise ValueError(f"unknown model kind {model_kind!r}; expected one of {tuple(MODELS)}")
     records = list(dataset)
     if len(records) < k:
-        raise ValueError(f"dataset has {len(records)} records, fewer than k={k}")
+        raise DataValidationError(f"dataset has {len(records)} records, fewer than k={k}")
     for rec in records:
         if rec.energy_joules is None:
             raise DataValidationError(f"record {rec.stream_id!r} has no measured energy")
@@ -318,6 +320,8 @@ def breakdown_svg(rows: list[BreakdownRow], title: str = "Decoding energy by cat
     width = left + plot_w + right
     height = top + plot_h + bottom
     peak = max(max(r.measured_joules, r.estimated_joules) for r in rows)
+    if not 1e-300 <= peak <= 1e300:
+        raise DataValidationError(f"energy {peak!r} J is outside the chart's range")
     ticks = _nice_ticks(peak * 1.05)
     xmax = ticks[-1]
 

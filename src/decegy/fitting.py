@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import FitError
+from .errors import DataValidationError, FitError
 from .models import HL1Params, HL2Params, HighLevelInfo
 
 
@@ -181,7 +181,7 @@ def fit_linear_ls(
             diagnostics.rank = rank
             if rank > 0:
                 qty = Q.T @ y
-                z = scipy.linalg.solve_triangular(R[:rank, :rank], qty[:rank])
+                z = scipy.linalg.solve_triangular(R[:rank, :rank], qty[:rank], check_finite=False)
                 coeffs_scaled[active[piv[:rank]]] = z
                 if rank < active.size:
                     dropped = [system.labels[active[j]] for j in piv[rank:]]
@@ -201,6 +201,8 @@ def fit_linear_ls(
         diagnostics.dropped = tuple(dropped)
 
     coefficients = coeffs_scaled / scale_safe
+    if not np.all(np.isfinite(coefficients)):
+        raise FitError("coefficients overflow the float range")
     residual = A @ coefficients - y
     diagnostics.residual_norm = float(np.linalg.norm(residual))
     return coefficients, diagnostics
@@ -247,6 +249,13 @@ def _dogleg_step(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float) -> 
     return p_sd + s * d
 
 
+def _jacobian(jacobian_fn, x: np.ndarray) -> np.ndarray:
+    J = np.atleast_2d(np.asarray(jacobian_fn(x), dtype=float))
+    if not np.all(np.isfinite(J)):
+        raise FitError("Jacobian not finite")
+    return J
+
+
 def fit_trust_region(
     residual_fn,
     jacobian_fn,
@@ -270,7 +279,7 @@ def fit_trust_region(
     cost = 0.5 * float(r @ r)
     best_x, best_cost = x.copy(), cost
     radius = opts.initial_radius
-    J = np.atleast_2d(np.asarray(jacobian_fn(x), dtype=float))
+    J = _jacobian(jacobian_fn, x)
     g = J.T @ r
     gnorm0 = float(np.linalg.norm(g, np.inf))
     gradient_floor = opts.gradient_tolerance * max(1.0, gnorm0)
@@ -311,7 +320,7 @@ def fit_trust_region(
             x = x + step
             r = r_trial
             cost = cost_trial
-            J = np.atleast_2d(np.asarray(jacobian_fn(x), dtype=float))
+            J = _jacobian(jacobian_fn, x)
             g = J.T @ r
             diagnostics.cost_history.append(cost)
             if cost < best_cost:
@@ -410,7 +419,11 @@ def fit_hl1(
         )
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        r, _ = _hl1_terms(to_params(theta), pixels, sizes, energies)
+        try:
+            params = to_params(theta)
+        except (DataValidationError, OverflowError):  # outside the model: reject the step
+            return np.full_like(energies, math.inf)
+        r, _ = _hl1_terms(params, pixels, sizes, energies)
         return r / e_scale
 
     def jacobian_fn(theta: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataValidationError, json_feature_values, json_number, read_json, read_text
 from .taxonomy import Category, Codec, FeatureSet, FeatureVector, build_feature_set
 
 
@@ -38,7 +39,7 @@ class SpecificEnergies:
                 f"expected {len(self.feature_set)} values, got {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
-            raise ValueError("specific energies must be finite")
+            raise DataValidationError("specific energies must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -83,6 +84,12 @@ class HighLevelInfo:
             raise ValueError(f"intra_rate must be in [0, 1], got {self.intra_rate}")
 
 
+def _require_finite(params) -> None:
+    for name, v in params.__dict__.items():
+        if not math.isfinite(v):
+            raise DataValidationError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class HL1Params:
     """Offset/pixel/power-law parameters of the first high-level model.
@@ -97,10 +104,11 @@ class HL1Params:
     rate_power: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.rate_power > 0:
-            raise ValueError("rate_power must be > 0")
+            raise DataValidationError("rate_power must be > 0")
         if self.rate_coeff < 0:
-            raise ValueError("rate_coeff must be >= 0")
+            raise DataValidationError("rate_coeff must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,9 +126,7 @@ class HL2Params:
     base_coeff: float
 
     def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        _require_finite(self)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return astuple(self)
@@ -140,6 +146,13 @@ def _require_same_set(energies: SpecificEnergies, vector: FeatureVector) -> None
         )
 
 
+def _fsum(terms) -> float:
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or a finite sum past the float range
+        raise DataValidationError("estimated energy overflows the float range") from None
+
+
 def predict_feature_model(energies: SpecificEnergies, vector: FeatureVector) -> float:
     """Estimated decoding energy: sum of count times specific energy.
 
@@ -147,7 +160,7 @@ def predict_feature_model(energies: SpecificEnergies, vector: FeatureVector) -> 
     terms sit near 1e-1, so naive accumulation would lose digits.
     """
     _require_same_set(energies, vector)
-    return math.fsum(energies.values * vector.counts)
+    return _fsum(energies.values * vector.counts)
 
 
 def category_breakdown(
@@ -163,7 +176,7 @@ def category_breakdown(
     products = energies.values * vector.counts
     for i, fid in enumerate(energies.feature_set):
         terms[fid.category].append(products[i])
-    return {cat: math.fsum(parts) for cat, parts in terms.items()}
+    return {cat: _fsum(parts) for cat, parts in terms.items()}
 
 
 def predict_hl1(params: HL1Params, info: HighLevelInfo) -> float:
@@ -219,38 +232,24 @@ def params_to_json(params, codec: Codec, indent: int | None = 2, extra: dict | N
     return json.dumps(doc, indent=indent)
 
 
-def _number(doc: dict, key: str) -> float:
-    value = doc.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} is missing or not a number: {value!r}")
-    return float(value)
-
-
 def params_from_json(text: str):
     """Parse a parameter file; returns (model_kind, codec, params)."""
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise ValueError("malformed JSON: nested too deeply") from None
+    doc = read_json(text)
     if not isinstance(doc, dict) or "model" not in doc or "codec" not in doc:
-        raise ValueError("parameter file must carry 'model' and 'codec' fields")
+        raise DataValidationError("parameter file must carry 'model' and 'codec' fields")
     kind = doc["model"]
     codec = Codec.from_name(doc["codec"])
     kinds = _model_kinds()
     if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise DataValidationError(f"unknown model kind {kind!r}")
     cls = kinds[kind]
     if cls is SpecificEnergies:
         fs = build_feature_set(codec)
         mapping = doc.get("specific_energies")
         if not isinstance(mapping, dict):
-            raise ValueError(f"field 'specific_energies' is not an object: {mapping!r}")
-        missing = set(fs.names) - set(mapping)
-        if missing:
-            raise ValueError(f"parameter file missing features: {sorted(missing)}")
-        values = {name: _number(mapping, name) for name in mapping}
-        return kind, codec, SpecificEnergies.from_dict(fs, values)
-    return kind, codec, cls(**{f.name: _number(doc, f.name) for f in fields(cls)})
+            raise DataValidationError(f"'specific_energies': not an object: {mapping!r}")
+        return kind, codec, SpecificEnergies.from_dict(fs, json_feature_values(fs.names, mapping))
+    return kind, codec, cls(**{f.name: json_number(f.name, doc.get(f.name)) for f in fields(cls)})
 
 
 def save_params(params, codec: Codec, path, extra: dict | None = None) -> None:
@@ -258,4 +257,4 @@ def save_params(params, codec: Codec, path, extra: dict | None = None) -> None:
 
 
 def load_params(path):
-    return params_from_json(Path(path).read_text(encoding="utf-8"))
+    return params_from_json(read_text(path))

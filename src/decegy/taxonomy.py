@@ -27,6 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import DataValidationError
+
 
 class Codec(Enum):
     """The four supported hybrid video codecs."""
@@ -43,7 +45,7 @@ class Codec(Enum):
                 return cls(name.strip().lower())
             except ValueError:
                 pass
-        raise ValueError(
+        raise DataValidationError(
             f"unknown codec {name!r}; expected one of {', '.join(c.value for c in cls)}"
         )
 

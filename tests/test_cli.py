@@ -498,3 +498,208 @@ def test_deeply_nested_json_files_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: malformed JSON: nested too deeply\n"
     assert main(["predict", "--dataset", str(data), "--params", str(nested)]) == 2
     assert capsys.readouterr().err == "error: malformed JSON: nested too deeply\n"
+
+
+# ---------------------------------------------------------------------------
+# input boundary: every bad input ends as a decegy error with exit 2 or 3
+
+
+def _hevc_files(tmp_path, count=3):
+    data, params = tmp_path / "data.json", tmp_path / "p.json"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, count, seed=1)), data)
+    save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, params)
+    return data, params
+
+
+def test_repeated_csv_column_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    export_dataset(synth_dataset(SynthSpec(Codec.H263, 12, seed=1)), data)
+    lines = data.read_text().splitlines()
+    data.write_text("\n".join([lines[0] + ",pel"] + [line + ",5" for line in lines[1:]]) + "\n")
+    assert main(["fit", "--dataset", str(data)]) == 2
+    assert capsys.readouterr().err == "error: repeated column 'pel'\n"
+
+
+def test_blank_csv_lines_do_not_count_as_rows(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    export_dataset(synth_dataset(SynthSpec(Codec.H263, 3, seed=1)), data)
+    lines = data.read_text().splitlines()
+    lines[2] = lines[2].replace("synth-h263-0001", "")
+    data.write_text("\n".join([lines[0], "", lines[1], "", lines[2], lines[3]]) + "\n")
+    assert main(["fit", "--dataset", str(data)]) == 2
+    assert capsys.readouterr().err == "error: row 3: empty stream_id\n"
+
+
+def test_huge_integer_in_a_feature_parameter_file_exits_2(tmp_path, capsys):
+    data, params = _hevc_files(tmp_path)
+    doc = json.loads(params.read_text())
+    doc["specific_energies"]["pel"] = "@big@"
+    params.write_text(json.dumps(doc).replace('"@big@"', "1" + "0" * 400))
+    assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
+    assert capsys.readouterr().err == "error: 'pel': too large for a float\n"
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [("1" + "0" * 400, "'base_joules': too large for a float"),
+     ("NaN", "base_joules must be finite, got nan"),
+     ("-Infinity", "base_joules must be finite, got -inf")],
+    ids=["huge", "nan", "-inf"],
+)
+def test_hl1_parameter_file_with_unusable_base_exits_2(tmp_path, capsys, literal, message):
+    data, _ = _hevc_files(tmp_path)
+    params = tmp_path / "hl1.json"
+    params.write_text(f'{{"model": "hl1", "codec": "hevc", "base_joules": {literal}, '
+                      '"per_pixel_joules": 1e-8, "rate_coeff": 1e-7, "rate_power": 0.7}')
+    assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unknown_feature_in_a_parameter_file_exits_2(tmp_path, capsys):
+    data, params = _hevc_files(tmp_path)
+    doc = json.loads(params.read_text())
+    doc["specific_energies"]["bogus"] = 1.0
+    params.write_text(json.dumps(doc))
+    assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
+    assert capsys.readouterr().err == "error: unknown features: bogus\n"
+
+
+def test_truncated_json_files_report_line_and_column(tmp_path, capsys):
+    data, params = _hevc_files(tmp_path)
+    short_data, short_params = tmp_path / "short.json", tmp_path / "short-p.json"
+    short_data.write_text(data.read_text()[:300])
+    short_params.write_text(params.read_text()[:100])
+    assert main(["fit", "--dataset", str(short_data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON at line 14 column ") and err.count("\n") == 1
+    assert main(["predict", "--dataset", str(data), "--params", str(short_params)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON at line 6 column ") and err.count("\n") == 1
+
+
+def test_over_long_integer_in_a_dataset_is_unreadable(tmp_path, capsys):
+    data, _ = _hevc_files(tmp_path)
+    data.write_text(data.read_text().replace('"frames": ', '"frames": 1' + "0" * 5000, 1))
+    assert main(["fit", "--dataset", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable number: Exceeds the limit")
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_non_utf8_dataset_gives_byte_and_offset(tmp_path, capsys, suffix):
+    data = tmp_path / f"data.{suffix}"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
+    raw = bytearray(data.read_bytes())
+    raw[200] = 0xFF
+    data.write_bytes(bytes(raw))
+    assert main(["fit", "--dataset", str(data)]) == 2
+    assert capsys.readouterr().err == "error: not valid UTF-8: byte 0xff at offset 200\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["synth", "--codec", "xyz"], "unknown codec 'xyz'; expected one of h263, h264, hevc, vp9"),
+     (["synth", "--codec", "hevc", "--count", "0"], "count must be >= 1"),
+     (["synth", "--codec", "hevc", "--sigma", "nan"], "noise_sigma must be >= 0"),
+     (["synth", "--codec", "hevc", "--seed", "-1"], "seed must be >= 0, got -1"),
+     (["crossval", "--k", "1"], "k must be >= 2, got 1"),
+     (["crossval", "--k", "4"], "dataset has 3 records, fewer than k=4"),
+     (["crossval", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1")],
+    ids=["codec", "count", "sigma-nan", "synth-seed", "k-1", "k-above-m", "crossval-seed"],
+)
+def test_bad_command_values_exit_2(tmp_path, capsys, argv, message):
+    data, _ = _hevc_files(tmp_path)
+    where = ["--out", str(tmp_path / "s.csv")]
+    if argv[0] == "crossval":
+        where = ["--dataset", str(data)]
+    assert main(argv + where) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_lone_surrogate_in_a_stream_id_exits_2(tmp_path, capsys):
+    data, params = _hevc_files(tmp_path)
+    data.write_text(data.read_text().replace('"synth-hevc-0001"', '"\\ud800"'))
+    assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
+    assert capsys.readouterr().err == "error: row 2: not valid Unicode: '\\ud800'\n"
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"codec": "vp9", "stream_id": "\\udcff"}\n', encoding="utf-8")
+    assert main(["analyze", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: {trace}: not valid Unicode: '\\udcff'\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_estimates_past_the_float_range_exit_2(tmp_path, capsys):
+    data, params = _hevc_files(tmp_path)
+    doc = json.loads(data.read_text())
+    doc["records"][0]["features"].update(pel=1e10, frac=1e10)
+    data.write_text(json.dumps(doc))
+    doc = json.loads(params.read_text())
+    doc["specific_energies"].update(pel=1e300, frac=-1e300)
+    params.write_text(json.dumps(doc))
+    assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
+    assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
+
+
+def test_category_sum_past_the_float_range_exits_2(tmp_path, capsys):
+    # the total cancels to a finite estimate; the INTER terms alone overflow
+    data, params = _hevc_files(tmp_path, count=1)
+    counts = load_dataset(data)[0].features
+    doc = json.loads(params.read_text())
+    doc["specific_energies"] = {name: 0.0 for name in doc["specific_energies"]}
+    doc["specific_energies"].update(
+        e0=-1.7e308, inter64=1e308 / counts["inter64"], inter32=1e308 / counts["inter32"]
+    )
+    params.write_text(json.dumps(doc))
+    argv = ["report", "--dataset", str(data), "--params", str(params)]
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
+
+
+def test_chart_of_energies_outside_its_range_exits_2(tmp_path, capsys):
+    data, params = _hevc_files(tmp_path)
+    doc = json.loads(data.read_text())
+    for record in doc["records"]:
+        record["energy_joules"] = 5e-324
+    data.write_text(json.dumps(doc))
+    doc = json.loads(params.read_text())
+    doc["specific_energies"] = {name: 0.0 for name in doc["specific_energies"]}
+    params.write_text(json.dumps(doc))
+    argv = ["report", "--dataset", str(data), "--params", str(params)]
+    assert main(argv + ["--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg")]) == 2
+    assert capsys.readouterr().err == "error: energy 5e-324 J is outside the chart's range\n"
+
+
+def _h263_with_energies(path, energies, seed):
+    records = synth_dataset(SynthSpec(Codec.H263, len(energies), seed=seed)).records
+    export_dataset(Dataset(tuple(
+        replace(rec, energy_joules=float(e)) for rec, e in zip(records, energies)
+    )), path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hl2_fit_with_non_finite_coefficients_exits_3(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _h263_with_energies(data, 10.0 ** np.random.default_rng(4).uniform(303, 308.2, 12), seed=4)
+    assert main(["fit", "--dataset", str(data), "--model", "hl2"]) == 3
+    assert capsys.readouterr().err == "fit error: coefficients overflow the float range\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hl1_crossval_over_extreme_energies_reports_failed_folds(tmp_path, capsys):
+    records = synth_dataset(SynthSpec(Codec.H263, 24, seed=8)).records
+    bytes_per_pixel = [r.file_size_bytes / (r.width * r.height * r.frames) for r in records]
+    energies = np.logspace(-300, 300, 24)[np.argsort(np.argsort(bytes_per_pixel))]
+    data = tmp_path / "data.csv"
+    _h263_with_energies(data, energies, seed=8)
+    argv = ["crossval", "--dataset", str(data), "--model", "hl1", "--k", "4"]
+    with pytest.warns(UserWarning, match="Jacobian not finite"):
+        assert main(argv) == 0
+    assert "warning: folds failed and were excluded" in capsys.readouterr().out
+
+
+def test_main_lets_non_decegy_exceptions_through(monkeypatch, tmp_path):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("decegy.cli.cmd_fit", broken)
+    with pytest.raises(KeyError):
+        main(["fit", "--dataset", str(tmp_path / "x.csv")])

@@ -1,0 +1,188 @@
+"""Whole-CLI fuzz: mutated input files must end in an exit code, never a traceback.
+
+Every example runs one of the six subcommands in-process on valid synthetic
+datasets (CSV or JSON), parameter files of the three models, or random decode
+traces, with one input file mutated by a byte or CSV-cell edit (delete,
+duplicate, flip, truncate, swap).  ``main`` must return 0-3 without raising;
+a failing run ends stderr with one ``error:``, ``fit error:`` or
+``usage error:`` line, and a successful ``predict`` or ``analyze`` writes one
+row per input stream with its id.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+import warnings
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from decegy import (  # noqa: E402
+    Codec,
+    Coefficient,
+    FrameStart,
+    HL1Params,
+    HL2Params,
+    InterBlock,
+    IntraBlock,
+    SaoBlock,
+    SynthSpec,
+    TransformBlock,
+    default_specific_energies,
+    load_dataset,
+    synth_dataset,
+)
+from decegy.cli import main  # noqa: E402
+from decegy.dataset import dataset_to_csv, dataset_to_json  # noqa: E402
+from decegy.models import params_to_json  # noqa: E402
+from util import random_trace  # noqa: E402
+
+_EVENT_NAMES = {
+    IntraBlock: "intra", InterBlock: "inter", TransformBlock: "transform", SaoBlock: "sao",
+}
+
+
+def _trace_text(trace) -> str:
+    """A decode trace as the JSON Lines file ``decegy analyze`` reads."""
+    lines = [{"codec": trace.codec.value, "stream_id": trace.stream_id}]
+    for ev in trace.events:
+        if isinstance(ev, FrameStart):
+            lines.append({"event": "frame_start"})
+        elif isinstance(ev, Coefficient):
+            entropy = ev.entropy.value if ev.entropy else "na"
+            lines.append({"event": "coeff", "value": ev.value, "bits": ev.coded_bits,
+                          "entropy": entropy})
+        else:
+            lines.append({"event": _EVENT_NAMES[type(ev)], **vars(ev)})
+    return "".join(f"{json.dumps(line)}\n" for line in lines)
+
+
+@lru_cache(maxsize=None)
+def _files(codec: Codec) -> dict[str, bytes]:
+    """Valid input files of one codec, by file name."""
+    dataset = synth_dataset(SynthSpec(codec, 6, noise_sigma=0.05, seed=3))
+    hl1 = HL1Params(0.4, 2.1e-8, 1.3e-7, 0.7)
+    hl2 = HL2Params(2e-9, 5e-8, 3e-9, 1e-8)
+    texts = {
+        "data.csv": dataset_to_csv(dataset),
+        "data.json": dataset_to_json(dataset),
+        "feature.json": params_to_json(default_specific_energies(codec), codec),
+        "hl1.json": params_to_json(hl1, codec),
+        "hl2.json": params_to_json(hl2, codec),
+        "trace.jsonl": _trace_text(random_trace(codec, np.random.default_rng(7), 2, 5)),
+    }
+    return {name: text.encode("utf-8") for name, text in texts.items()}
+
+
+def _commands(codec: Codec, data: str, params: str) -> dict[str, list[list[str]]]:
+    return {
+        "analyze": [["analyze", "trace.jsonl", "--out", "out.csv"]],
+        "fit": [["fit", "--dataset", data, "--model", m, "--out", "fit.json"]
+                for m in ("feature", "hl1", "hl2")],
+        "predict": [["predict", "--dataset", data, "--params", params, "--out", "out.csv"]],
+        "crossval": [["crossval", "--dataset", data, "--model", m, "--k", "3"]
+                     for m in ("feature", "hl1", "hl2")],
+        "report": [["report", "--dataset", data, "--params", "feature.json",
+                    "--out", "out.csv", "--svg", "out.svg"]],
+        "synth": [["synth", "--codec", codec.value, "--count", "3", "--params", "feature.json",
+                   "--out", "s.csv"]],
+    }
+
+
+def _mutate_bytes(raw: bytes, op: str, i: int, j: int, byte: int) -> bytes:
+    i, j = i % (len(raw) + 1), j % (len(raw) + 1)
+    if op == "delete":
+        return raw[:i] + raw[i + 1:]
+    if op == "duplicate":
+        return raw[:i] + raw[i:i + 1] + raw[i:]
+    if op == "flip":
+        return raw[:i] + bytes([byte]) + raw[i + 1:]
+    if op == "truncate":
+        return raw[:i]
+    i, j = sorted((i, j))
+    return raw[:i] + raw[j:j + 1] + raw[i + 1:j] + raw[i:i + 1] + raw[j + 1:]  # swap
+
+
+def _mutate_cells(raw: bytes, op: str, i: int, j: int, byte: int) -> bytes:
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"))))
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    (r, c), (r2, c2) = cells[i % len(cells)], cells[j % len(cells)]
+    cell = rows[r][c]
+    if op == "delete":
+        del rows[r][c]
+    elif op == "duplicate":
+        rows[r].insert(c, cell)
+    elif op == "flip":
+        rows[r][c] = ["", "-1", "0", "nan", "inf", "1e400", "9" * 30, chr(byte)][byte % 8]
+    elif op == "truncate":
+        rows[r][c] = cell[: j % (len(cell) + 1)]
+    else:
+        rows[r][c], rows[r2][c2] = rows[r2][c2], cell
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+_OPS = ("delete", "duplicate", "flip", "truncate", "swap")
+
+
+@st.composite
+def runs(draw):
+    """(argv, files): one command and its input files, one of them mutated."""
+    codec = draw(st.sampled_from(list(Codec)))
+    data = draw(st.sampled_from(["data.csv", "data.json"]))
+    params = draw(st.sampled_from(["feature.json", "hl1.json", "hl2.json"]))
+    commands = _commands(codec, data, params)
+    argv = draw(st.sampled_from(commands[draw(st.sampled_from(sorted(commands)))]))
+    files = dict(_files(codec))
+    target = draw(st.sampled_from([arg for arg in argv if arg in files]))
+    op = draw(st.sampled_from(_OPS))
+    i, j = draw(st.integers(0, 2**16)), draw(st.integers(0, 2**16))
+    byte = draw(st.integers(0, 255))
+    by_cell = target.endswith(".csv") and draw(st.booleans())
+    files[target] = (_mutate_cells if by_cell else _mutate_bytes)(files[target], op, i, j, byte)
+    return argv, files
+
+
+def _run(argv, files, workdir: Path):
+    for name, raw in files.items():
+        (workdir / name).write_bytes(raw)
+    argv = [str(workdir / arg) if arg in files or arg.startswith(("out.", "fit.", "s."))
+            else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _ids_in(csv_path: Path) -> list[str]:
+    rows = list(csv.reader(csv_path.open(encoding="utf-8", newline="")))
+    return [row[0] for row in rows[1:]]
+
+
+@settings(max_examples=200)
+@given(runs())
+def test_mutated_inputs_end_in_an_exit_code(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        rc, _, err = _run(argv, files, workdir)
+        assert rc in (0, 1, 2, 3)
+        if rc:
+            assert err.splitlines()[-1].startswith(("error:", "fit error:", "usage error:"))
+        elif argv[0] == "predict":
+            dataset = load_dataset(workdir / argv[2], require_energy=False)
+            assert _ids_in(workdir / "out.csv") == [rec.stream_id for rec in dataset]
+        elif argv[0] == "analyze":
+            assert len(_ids_in(workdir / "out.csv")) == 1

@@ -413,3 +413,19 @@ def test_hl2_fit_underdetermined():
     records = hl2_records(rng, 3, HL2Params(0.0, 0.0, 0.0, 1e-8))
     with pytest.raises(FitError, match="under-determined"):
         fit_hl2(records)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "seed, radius", [(5, 1e6), (0, 1e3)], ids=["exp-underflow", "exp-overflow"]
+)
+def test_hl1_trial_outside_the_model_is_a_rejected_step(seed, radius):
+    # Energies falling over 600 decades as bytes per pixel rise, and a wide first
+    # radius: trial exponents leave exp's range (rate_power 0, or an overflow).
+    records = synth_dataset(SynthSpec(Codec.H263, 24, seed=seed, noise_sigma=0.3)).records
+    infos = [rec.highlevel for rec in records]
+    bytes_per_pixel = [i.file_size_bytes / (i.pixels_per_frame * i.frames) for i in infos]
+    rank = np.argsort(np.argsort(bytes_per_pixel))
+    pairs = list(zip(infos, np.logspace(300, -300, 24)[rank]))
+    params, diagnostics = fit_hl1(pairs, TrustRegionOptions(initial_radius=radius))
+    assert params.rate_power > 0 and np.isfinite(diagnostics.residual_norm)
