@@ -14,6 +14,7 @@ import io
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .dataset import (
@@ -26,7 +27,7 @@ from .dataset import (
     load_dataset,
     synth_dataset,
 )
-from .errors import DataValidationError, DecegyError, FitError
+from .errors import DataValidationError, DecegyError, FitError, about_file
 from .evaluation import MODELS, breakdown_csv, breakdown_report, breakdown_svg, cross_validate
 from .models import SpecificEnergies, load_params, params_to_json
 from .taxonomy import Codec
@@ -52,15 +53,13 @@ def cmd_analyze(args) -> None:
     codec_flag = Codec.from_name(args.codec) if args.codec else None
     records = []
     for path in args.traces:
-        try:
+        with about_file(path):
             with open(path, encoding="utf-8", errors="surrogateescape") as handle:
                 trace = parse_trace(handle, codec=codec_flag, stream_id=None)
             vector = analyze(trace)
             stream_id = trace.stream_id or Path(path).stem
             frames = int(vector["frame"]) or None
             record = BitstreamRecord(stream_id, trace.codec, vector, frames=frames)
-        except DecegyError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
         if records and trace.codec is not records[0].codec:
             raise DataValidationError(
                 f"mixed codecs: {records[0].codec.value} and {trace.codec.value} ({path})"
@@ -75,7 +74,8 @@ def cmd_analyze(args) -> None:
 def cmd_fit(args) -> None:
     dataset = load_dataset(args.dataset)
     codec = dataset.codec
-    params, diagnostics = MODELS[args.model].fit(dataset.records, {"nonneg": args.nonneg})
+    every_row = range(len(dataset))
+    params, diagnostics = MODELS[args.model].fit(dataset, every_row, {"nonneg": args.nonneg})
     doc = params_to_json(params, codec, extra={"diagnostics": diagnostics.as_dict()})
     if args.out:
         Path(args.out).write_text(doc + "\n", encoding="utf-8")
@@ -93,12 +93,11 @@ def cmd_fit(args) -> None:
 def cmd_predict(args) -> None:
     dataset = load_dataset(args.dataset, require_energy=False)
     kind, codec, params = load_params(args.params)
-    if dataset.records and codec is not dataset.codec:
+    if len(dataset) and codec is not dataset.codec:
         raise DataValidationError(
             f"codec mismatch: dataset is {dataset.codec.value}, params are {codec.value}"
         )
-    predict = MODELS[kind].predict
-    estimates = [predict(params, rec) for rec in dataset]
+    estimates = MODELS[kind].predict(params, dataset, range(len(dataset)))
     header, *rows = csv.reader(io.StringIO(dataset_to_csv(dataset)))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -138,11 +137,8 @@ def cmd_report(args) -> None:
             raise DataValidationError(
                 f"codec mismatch: dataset is {dataset.codec.value}, params are {codec.value}"
             )
-        records = dataset.records
-        if wanted:
-            subset = [rec for rec in records if rec.stream_id in wanted]
-            records = tuple(subset)
-        rows.extend(breakdown_report(records, params))
+        selected = [i for i, stream_id in enumerate(dataset.ids) if stream_id in wanted]
+        rows.extend(breakdown_report(dataset, params, selected if wanted else None))
     if wanted:
         missing = set(wanted) - {row.stream_id for row in rows}
         if missing:
@@ -243,6 +239,8 @@ def main(argv=None) -> int:
     level = os.environ.get("DECEGY_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
+    format_warning = warnings.formatwarning  # one line per warning, without the source line
+    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     try:
         args = parser.parse_args(argv)
         log.debug("running %s with %s", args.command, vars(args))
@@ -257,6 +255,8 @@ def main(argv=None) -> int:
     except (DecegyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

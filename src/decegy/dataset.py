@@ -1,8 +1,8 @@
 """Dataset schema, CSV/JSON loading and saving, and the synthetic generator.
 
-A dataset holds one record per bitstream of a single codec: the feature
-counts, the high-level stream metadata and the measured (or synthesized)
-decoding energy.  The CSV schema is
+A dataset holds one row per bitstream of a single codec: the feature counts,
+the high-level stream metadata and the measured (or synthesized) decoding
+energy.  The CSV schema is
 
     stream_id,codec,width,height,frames,file_size_bytes,intra_frames,
     energy_joules,<feature columns in canonical order>
@@ -10,8 +10,14 @@ decoding energy.  The CSV schema is
 with unknown extra columns preserved as free-form tags.  Numbers are decimal,
 files UTF-8 with LF line endings.  The metadata and energy cells may be empty
 (e.g. rows produced by trace analysis before measurements are merged in);
-metadata integers may not exceed 2**53.  Row errors get the row number in one
-place per loader (CSV rows count the header line, JSON rows count records).
+metadata integers may not exceed 2**53.
+
+A :class:`Dataset` keeps its rows as columns and checks each column once,
+whichever way it is built.  When a check fails, the check of a single
+:class:`BitstreamRecord` runs again from the first row, so the error names
+the first bad row in the words it always had.  Row errors get the row number
+in one place per loader (CSV rows count the header line, JSON rows count
+records).
 
 The synthetic generator replaces physical measurements: it draws feature
 counts, computes the exact feature-model energy under known specific energies
@@ -26,24 +32,21 @@ import csv
 import io
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataValidationError, json_feature_values, json_number, read_json, read_text
-from .models import HighLevelInfo, SpecificEnergies, predict_feature_model
-from .taxonomy import (
-    Codec,
-    FeatureSet,
-    FeatureVector,
-    Kind,
-    build_feature_set,
-    validate_vector,
-)
+from .errors import DataValidationError, about_file, json_feature_values, json_number
+from .errors import read_json, read_text
+from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, predict_feature_model
+from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set, validate_vector
 
 #: Integer stream metadata, all five needed by the high-level models.
 METADATA_COLUMNS = ("width", "height", "frames", "file_size_bytes", "intra_frames")
@@ -89,6 +92,8 @@ class BitstreamRecord:
             raise DataValidationError(f"non-finite or nonpositive energy: {energy}")
         for name in METADATA_COLUMNS:
             value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise DataValidationError(f"{name} must be an integer, got {value!r}")
             if value is not None and value > 2**53:  # the models compute with floats
                 raise DataValidationError(f"{name} must be at most 2**53")
             if value is not None and value <= 0 and name != "intra_frames":
@@ -114,58 +119,147 @@ class BitstreamRecord:
         )
 
 
-@dataclass(frozen=True)
+def _record(codec: Codec, stream_id, counts, energy, metadata, tags) -> BitstreamRecord:
+    """One row as a record, which runs the record check."""
+    features = FeatureVector(build_feature_set(codec), counts)
+    return BitstreamRecord(stream_id, codec, features, *metadata, energy, tags)
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
+
+
 class Dataset:
-    """Records of one codec with unique stream ids."""
+    """Streams of one codec with unique stream ids, held as columns.
 
-    records: tuple[BitstreamRecord, ...]
+    ``counts`` is the read-only M x F count matrix in the codec's feature
+    order, ``energies`` the M energies and ``metadata`` the M x 5 matrix of
+    :data:`METADATA_COLUMNS`, all float64 with NaN for an empty cell (the
+    metadata integers are at most 2**53, so their floats are exact); ``ids``
+    and ``tags`` hold one stream id and one tag mapping per row.
 
-    def __post_init__(self):
-        seen: set[str] = set()
-        codec = None
-        for rec in self.records:
-            if codec is None:
-                codec = rec.codec
-            elif rec.codec is not codec:
-                raise DataValidationError(
-                    f"mixed codecs: {codec.value} and {rec.codec.value}"
-                )
-            if rec.stream_id in seen:
-                raise DataValidationError(f"duplicate stream_id {rec.stream_id!r}")
-            seen.add(rec.stream_id)
+    ``Dataset(records)`` builds one from records; the loaders and the
+    generator fill the columns directly.  Records (``dataset[i]``, iteration,
+    :attr:`records`) are built on demand.
+    """
+
+    __slots__ = ("_codec", "ids", "counts", "energies", "metadata", "tags", "_index", "_highlevel")
+
+    def __init__(self, records: Iterable[BitstreamRecord] = ()):
+        records = tuple(records)
+        for rec in records:
+            if rec.codec is not records[0].codec:
+                first = records[0].codec.value
+                raise DataValidationError(f"mixed codecs: {first} and {rec.codec.value}")
+        self._fill(
+            records[0].codec if records else None,
+            [rec.stream_id for rec in records],
+            [rec.features.counts for rec in records],
+            [rec.energy_joules for rec in records],
+            [[getattr(rec, name) for rec in records] for name in METADATA_COLUMNS],
+            [rec.tags for rec in records],
+        )
+
+    @classmethod
+    def _from_columns(cls, *columns) -> Dataset:
+        dataset = cls.__new__(cls)
+        dataset._fill(*columns)
+        return dataset
+
+    def _fill(self, codec, ids, counts, energies, metadata, tags) -> None:
+        """Check and keep M rows: ``counts`` M rows of floats, ``energies`` M floats or
+        None, ``metadata`` per metadata column M integers or None, ``tags`` M mappings.
+
+        Each column is checked once; when a check fails, the record check runs
+        from the first row and raises the first bad row's error."""
+        m = len(ids)
+        fs = build_feature_set(codec) if m else None
+        matrix = np.asarray(counts, dtype=float).reshape(m, len(fs) if m else 0)
+        energy = np.array(energies, dtype=float)  # None reads as NaN
+        measured = energy[~np.isnan(energy)]
+        given = [[v for v in values if v is not None] for values in metadata]
+        lowest = [0 if name == "intra_frames" else 1 for name in METADATA_COLUMNS]
+        texts = chain(ids, *tags, map(str, chain(*(t.values() for t in tags))))  # tag keys, values
+        passed = (
+            all(ids)
+            and bool(np.isfinite(matrix).all() and (matrix >= 0).all())
+            and (m == 0 or bool((matrix[:, fs.index_of("e0")] == 1).all()))
+            and measured.size == m - energies.count(None)  # no energy is NaN
+            and bool((measured > 0).all() and np.isfinite(measured).all())
+            and all(not v or low <= min(v) and max(v) <= 2**53 for v, low in zip(given, lowest))
+            and not _SURROGATE.search("".join(texts))
+        )
+        if passed:  # the metadata are exact as floats now
+            meta = np.array(metadata, dtype=float).reshape(5, m).T.copy()
+            passed = not np.any(meta[:, 4] > meta[:, 2])  # intra_frames <= frames
+        if not passed:
+            for i in range(m):
+                _record(codec, ids[i], counts[i], energies[i], [v[i] for v in metadata], tags[i])
+            raise AssertionError("the column checks reject a row that the record check accepts")
+        self._index = dict(zip(ids, range(m)))
+        if len(self._index) < m:
+            seen: set[str] = set()
+            repeated = next(sid for sid in ids if sid in seen or seen.add(sid))  # add gives None
+            raise DataValidationError(f"duplicate stream_id {repeated!r}")
+        for array in (matrix, energy, meta):
+            array.setflags(write=False)
+        self._codec = codec if m else None
+        self.ids, self.counts, self.energies, self.metadata = tuple(ids), matrix, energy, meta
+        self.tags = tuple(map(MappingProxyType, tags))  # callers hand over fresh mappings
+        width, height, frames, size, intra = meta.T
+        self._highlevel = HighLevelColumns(width * height, frames, size, intra / frames, energy)
 
     @property
     def codec(self) -> Codec:
-        if not self.records:
+        if self._codec is None:
             raise DataValidationError("empty dataset has no codec")
-        return self.records[0].codec
+        return self._codec
+
+    @property
+    def feature_set(self) -> FeatureSet:
+        return build_feature_set(self.codec)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> BitstreamRecord:
+        metadata = [None if math.isnan(v) else int(v) for v in self.metadata[i].tolist()]
+        energy = None if math.isnan(self.energies[i]) else float(self.energies[i])
+        return _record(self.codec, self.ids[i], self.counts[i], energy, metadata, self.tags[i])
 
     def __iter__(self) -> Iterator[BitstreamRecord]:
-        return iter(self.records)
+        return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, index: int) -> BitstreamRecord:
-        return self.records[index]
+    @property
+    def records(self) -> tuple[BitstreamRecord, ...]:
+        """Every row as a record, built on each access."""
+        return tuple(self)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dataset) and self.records == other.records
 
     def get(self, stream_id: str) -> BitstreamRecord:
-        for rec in self.records:
-            if rec.stream_id == stream_id:
-                return rec
-        raise KeyError(f"unknown stream id {stream_id!r}")
+        if stream_id not in self._index:
+            raise KeyError(f"unknown stream id {stream_id!r}")
+        return self[self._index[stream_id]]
+
+    def vector(self, i: int) -> FeatureVector:
+        """The feature counts of row ``i``."""
+        return FeatureVector(self.feature_set, self.counts[i])
+
+    def highlevel(self, rows) -> HighLevelColumns:
+        """The high-level model inputs of ``rows``; each row needs all five metadata fields."""
+        rows = np.asarray(rows, dtype=int)
+        lacking = rows[np.isnan(self.metadata[rows]).any(axis=1)]
+        if lacking.size:
+            raise DataValidationError(
+                f"record {self.ids[lacking[0]]!r} lacks high-level metadata "
+                f"({'/'.join(METADATA_COLUMNS)})"
+            )
+        return HighLevelColumns(*(column[rows] for column in self._highlevel))
 
 
 # ---------------------------------------------------------------------------
 # CSV / JSON serialization
-
-
-def _format_number(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
 
 
 def _detect_format(path, format: str | None) -> str:
@@ -182,89 +276,92 @@ def export_dataset(dataset: Dataset, path, format: str | None = None) -> None:
     Counts and energies are written with full precision so the round trip is
     bitwise.  The format is taken from the file suffix unless given.
     """
-    if not dataset.records:
+    if not len(dataset):
         raise DataValidationError("empty dataset")
     fmt = _detect_format(path, format)
     text = dataset_to_json(dataset) if fmt == "json" else dataset_to_csv(dataset)
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def _rows(dataset: Dataset) -> Iterator[tuple]:
+    """Per row: the stream id, the five metadata integers and the energy (None where
+    empty), the counts and the tags."""
+    columns = [(column, int) for column in dataset.metadata.T] + [(dataset.energies, float)]
+    numbers = ([None if math.isnan(v) else kind(v) for v in c.tolist()] for c, kind in columns)
+    return zip(dataset.ids, zip(*numbers), map(np.ndarray.tolist, dataset.counts), dataset.tags)
+
+
 def dataset_to_csv(dataset: Dataset) -> str:
-    if not dataset.records:
+    if not len(dataset):
         raise DataValidationError("empty dataset")
-    feature_names = build_feature_set(dataset.codec).names
-    tag_keys = sorted({key for rec in dataset for key in rec.tags})
+    tag_keys = sorted({key for tags in dataset.tags for key in tags})
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(BASE_COLUMNS) + list(feature_names) + tag_keys)
-    for rec in dataset:
-        row = [
-            rec.stream_id,
-            rec.codec.value,
-            _format_number(rec.width),
-            _format_number(rec.height),
-            _format_number(rec.frames),
-            _format_number(rec.file_size_bytes),
-            _format_number(rec.intra_frames),
-            _format_number(rec.energy_joules),
-        ]
-        row += [repr(float(c)) for c in rec.features.counts]
-        row += [rec.tags.get(key, "") for key in tag_keys]
-        writer.writerow(row)
+    writer.writerow(list(BASE_COLUMNS) + list(dataset.feature_set.names) + tag_keys)
+    for stream_id, numbers, counts, tags in _rows(dataset):
+        numbers = ["" if value is None else repr(value) for value in numbers]
+        row = [stream_id, dataset.codec.value, *numbers, *map(repr, counts)]
+        writer.writerow(row + [tags.get(key, "") for key in tag_keys])
     return out.getvalue()
 
 
 def dataset_to_json(dataset: Dataset) -> str:
-    if not dataset.records:
+    if not len(dataset):
         raise DataValidationError("empty dataset")
-    records = []
-    for rec in dataset:
-        records.append(
-            {
-                "stream_id": rec.stream_id,
-                "width": rec.width,
-                "height": rec.height,
-                "frames": rec.frames,
-                "file_size_bytes": rec.file_size_bytes,
-                "intra_frames": rec.intra_frames,
-                "energy_joules": rec.energy_joules,
-                "features": rec.features.as_dict(),
-                "tags": dict(rec.tags),
-            }
-        )
+    names = dataset.feature_set.names
+    records = [
+        {
+            "stream_id": stream_id,
+            **dict(zip(METADATA_COLUMNS, numbers)),
+            "energy_joules": numbers[-1],
+            "features": dict(zip(names, counts)),
+            "tags": dict(tags),
+        }
+        for stream_id, numbers, counts, tags in _rows(dataset)
+    ]
     return json.dumps({"codec": dataset.codec.value, "records": records}, indent=2) + "\n"
-
-
-def _parse_cell(raw: str | None, column: str, parse=float) -> int | float | None:
-    """A CSV number cell read by ``parse`` (int or float); None when empty."""
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        return parse(raw)
-    except ValueError:
-        what = "an integer" if parse is int else "a number"
-        raise DataValidationError(f"column {column!r}: not {what}: {raw!r}") from None
 
 
 def load_dataset(path, format: str | None = None, require_energy: bool = True) -> Dataset:
     """Load and validate a dataset file.
 
     Every record is validated (vector invariants, positive energy); failures
-    report the offending row.  ``require_energy=False`` admits rows whose
-    energy cell is empty (prediction inputs).
+    name the file and the offending row.  ``require_energy=False`` admits rows
+    whose energy cell is empty (prediction inputs).
     """
     fmt = _detect_format(path, format)
-    text = read_text(path)
-    if fmt == "json":
-        return dataset_from_json(text, require_energy=require_energy)
-    return dataset_from_csv(text, require_energy=require_energy)
+    with about_file(path):
+        text = read_text(path)
+        if fmt == "json":
+            return dataset_from_json(text, require_energy=require_energy)
+        return dataset_from_csv(text, require_energy=require_energy)
 
 
-def _first_csv_codec(row: dict, header: list[str]) -> Codec | None:
+def _load(build: Callable[[slice], Dataset], count: int, first_row: int, error=None) -> Dataset:
+    """The dataset that ``build`` makes of a slice of the ``count`` rows, for all of them.
+
+    When that fails, or ``error`` is the error of an unreadable row after them,
+    each row is built alone from the first, so the first bad row raises its
+    error with its number.  If none does, that failure (a repeated id) or
+    ``error`` is raised."""
+    try:
+        if error is None:
+            return build(slice(None))
+    except DataValidationError as exc:
+        error = exc
+    for i in range(count):
+        try:
+            build(slice(i, i + 1))
+        except DataValidationError as exc:
+            raise DataValidationError(str(exc), row=first_row + i) from None
+    raise error
+
+
+def _first_csv_codec(row: list[str], header: list[str]) -> Codec | None:
     """The first row's codec once its feature columns are in the header, or None
     when the codec is unreadable (the row itself then reports it)."""
     try:
-        codec = Codec.from_name((row.get("codec") or "").strip())
+        codec = Codec.from_name(dict(zip(header, row)).get("codec", "").strip())
     except DataValidationError:
         return None
     for column in build_feature_set(codec).names:
@@ -273,59 +370,101 @@ def _first_csv_codec(row: dict, header: list[str]) -> Codec | None:
     return codec
 
 
-def _csv_record(
-    row: dict, codec: Codec | None, header: list[str], require_energy: bool
-) -> BitstreamRecord:
-    """One CSV row as a record of ``codec``; errors carry no row number."""
-    row_codec = Codec.from_name((row.get("codec") or "").strip())
-    if row_codec is not codec:
-        raise DataValidationError(f"mixed codecs: {codec.value} and {row_codec.value}")
+def _parse_column(cells, column: str, parse=float, blank: str | None = None) -> list:
+    """CSV number cells read by ``parse`` (int or float); a blank cell is None,
+    or an error that says ``blank`` when given."""
+    try:
+        return list(map(parse, cells))
+    except ValueError:  # a blank cell, or one that is not a number
+        pass
+    values = []
+    for raw in cells:
+        if blank and not raw.strip():
+            raise DataValidationError(f"column {column!r}: {blank}")
+        try:
+            values.append(parse(raw) if raw.strip() else None)
+        except ValueError:
+            what = "an integer" if parse is int else "a number"
+            raise DataValidationError(f"column {column!r}: not {what}: {raw!r}") from None
+    return values
+
+
+def _csv_columns(header: list[str], rows: list[list[str]], codec, require_energy: bool) -> tuple:
+    """The columns of CSV rows of ``codec``; a cell error names the column but not the row."""
+    width = len(header)
+    rows = [row if len(row) == width else (row + [""] * width)[:width] for row in rows]
+    column = dict(zip(header, zip(*rows)))  # a short row reads as empty cells
+    for found in {Codec.from_name(cell.strip()) for cell in set(column["codec"])}:
+        if found is not codec:
+            raise DataValidationError(f"mixed codecs: {codec.value} and {found.value}")
     fs = build_feature_set(codec)
-    counts = []
-    for name in fs.names:
-        value = _parse_cell(row.get(name), name)
-        if value is None:
-            raise DataValidationError(f"column {name!r}: empty count")
-        counts.append(value)
-    energy = _parse_cell(row.get("energy_joules"), "energy_joules")
-    if energy is None and require_energy:
+    counts = [_parse_column(column[name], name, blank="empty count") for name in fs.names]
+    energies = _parse_column(column["energy_joules"], "energy_joules")
+    if require_energy and None in energies:
         raise DataValidationError("missing energy value")
+    metadata = [_parse_column(column[name], name, int) for name in METADATA_COLUMNS]
     known = set(BASE_COLUMNS) | set(fs.names)
-    return BitstreamRecord(
-        stream_id=(row.get("stream_id") or "").strip(),
-        codec=codec,
-        features=FeatureVector(fs, counts),
-        **{name: _parse_cell(row.get(name), name, int) for name in METADATA_COLUMNS},
-        energy_joules=energy,
-        tags={key: (row.get(key) or "") for key in header if key not in known},
-    )
+    tag_keys = [key for key in header if key not in known]
+    tags = [dict(zip(tag_keys, cells)) for cells in zip(*(column[key] for key in tag_keys))]
+    ids = [cell.strip() for cell in column["stream_id"]]
+    return codec, ids, np.array(counts).T, energies, metadata, tags or [{}] * len(rows)
 
 
-def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+#: CSV rows parsed at a time, so that only this many rows are held as text cells.
+_CSV_CHUNK = 500
+
+
+def _csv_rows(text: str) -> tuple[list[str], Iterator[list[str]]]:
+    """The checked header of CSV text, and a reader of its rows (blank lines are not rows)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataValidationError(str(exc), row=1) from None
+    if header is None:
         raise DataValidationError("missing CSV header")
-    header = list(reader.fieldnames)
     repeated = [name for name, n in Counter(header).items() if n > 1]
     if repeated:
         raise DataValidationError(f"repeated column {repeated[0]!r}")
     for column in BASE_COLUMNS:
         if column not in header:
             raise DataValidationError(f"missing column {column!r}")
-    records: list[BitstreamRecord] = []
-    codec: Codec | None = None
-    for line_no, row in enumerate(reader, start=2):
-        if codec is None:
-            codec = _first_csv_codec(row, header)
-        try:
-            records.append(_csv_record(row, codec, header, require_energy))
-        except DataValidationError as exc:
-            raise DataValidationError(str(exc), row=line_no) from None
-    return Dataset(tuple(records))
+    return header, filter(None, reader)
 
 
-def _json_record(raw, fs: FeatureSet, require_energy: bool) -> BitstreamRecord:
-    """One JSON record object as a record; errors carry no row number."""
+def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
+    header, reader = _csv_rows(text)
+    parts: list[tuple] = []
+    try:
+        for rows in iter(lambda: list(islice(reader, _CSV_CHUNK)), []):
+            codec = parts[0][0] if parts else _first_csv_codec(rows[0], header)
+            parts.append(_csv_columns(header, rows, codec, require_energy))
+            del rows  # before the next chunk is read
+        if not parts:
+            return Dataset()
+        codecs, ids, counts, energies, metadata, tags = zip(*parts)
+        metadata = [[*chain(*column)] for column in zip(*metadata)]
+        return Dataset._from_columns(
+            codecs[0], [*chain(*ids)], np.concatenate(counts), [*chain(*energies)], metadata,
+            [*chain(*tags)],
+        )
+    except (DataValidationError, csv.Error):  # the rows again, for the first bad one
+        header, reader = _csv_rows(text)
+    rows, unreadable = [], None
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        unreadable = DataValidationError(str(exc), row=len(rows) + 2)
+    codec = _first_csv_codec(rows[0], header) if rows else None
+
+    def build(part: slice) -> Dataset:
+        return Dataset._from_columns(*_csv_columns(header, rows[part], codec, require_energy))
+
+    return _load(build, len(rows), first_row=2, error=unreadable)
+
+
+def _json_row(raw, fs: FeatureSet, require_energy: bool) -> tuple:
+    """A JSON record's stream id, counts, energy, metadata and tags; errors carry no row number."""
     if not isinstance(raw, dict):
         raise DataValidationError("record is not a JSON object")
     features = raw.get("features")
@@ -336,21 +475,15 @@ def _json_record(raw, fs: FeatureSet, require_energy: bool) -> BitstreamRecord:
     if energy is None and require_energy:
         raise DataValidationError("missing energy value")
     energy = None if energy is None else json_number("energy_joules", energy)
-    metadata = {
-        name: json_number(name, raw[name], integer=True)
-        for name in METADATA_COLUMNS if raw.get(name) is not None
-    }
+    metadata = [
+        None if raw.get(name) is None else json_number(name, raw[name], integer=True)
+        for name in METADATA_COLUMNS
+    ]
     tags = raw.get("tags", {})
     if not isinstance(tags, dict):
         raise DataValidationError(f"'tags': not an object: {tags!r}")
-    return BitstreamRecord(
-        stream_id=str(raw.get("stream_id", "")),
-        codec=fs.codec,
-        features=FeatureVector.from_dict(fs, counts),
-        **metadata,
-        energy_joules=energy,
-        tags=tags,
-    )
+    stream_id = str(raw.get("stream_id", ""))
+    return stream_id, [counts[name] for name in fs.names], energy, metadata, tags
 
 
 def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
@@ -358,13 +491,14 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
     if not isinstance(doc, dict) or "codec" not in doc or not isinstance(doc.get("records"), list):
         raise DataValidationError("dataset JSON must carry 'codec' and a 'records' list")
     fs = build_feature_set(Codec.from_name(doc["codec"]))
-    records = []
-    for i, raw in enumerate(doc["records"], start=1):
-        try:
-            records.append(_json_record(raw, fs, require_energy))
-        except DataValidationError as exc:
-            raise DataValidationError(str(exc), row=i) from None
-    return Dataset(tuple(records))
+    raws = doc["records"]
+
+    def build(part: slice) -> Dataset:
+        rows = [_json_row(raw, fs, require_energy) for raw in raws[part]]
+        ids, counts, energies, metadata, tags = zip(*rows)
+        return Dataset._from_columns(fs.codec, ids, counts, energies, list(zip(*metadata)), tags)
+
+    return _load(build, len(raws), first_row=1) if raws else Dataset()
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +598,15 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
     val = [j for j, fid in enumerate(fs) if fid.kind is Kind.VAL]
     e0, frame = fs.index_of("e0"), fs.index_of("frame")
     rng = np.random.default_rng(spec.seed)
-    records = []
-    for i in range(spec.count):
+    counts = np.empty((spec.count, len(fs)))
+    energies, metadata = [], []
+    for row in counts:
         width, height = RESOLUTIONS[int(rng.integers(len(RESOLUTIONS)))]
         frames = int(rng.integers(8, 65))
         intra_frames = int(rng.integers(0, frames + 1))
-        counts = np.empty(len(fs))
-        counts[e0], counts[frame] = 1.0, float(frames)
-        counts[drawn] = rng.uniform(lows, highs)
-        vector = FeatureVector(fs, counts)
-        energy_true = predict_feature_model(params, vector)
+        row[e0], row[frame] = 1.0, float(frames)
+        row[drawn] = rng.uniform(lows, highs)
+        energy_true = predict_feature_model(params, FeatureVector(fs, row))
         if not energy_true > 0:
             raise DataValidationError(
                 f"true parameters produce nonpositive energy ({energy_true})"
@@ -486,19 +619,10 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
                     break
         else:
             energy = energy_true
-        coeff_total, val_total = sum(counts[coeff]), sum(counts[val])
+        coeff_total, val_total = sum(row[coeff]), sum(row[val])
         file_size = max(1, int(round(200.0 * frames + 2.0 * coeff_total + 0.6 * val_total)))
-        records.append(
-            BitstreamRecord(
-                stream_id=f"synth-{spec.codec.value}-{i:04d}",
-                codec=spec.codec,
-                features=vector,
-                width=width,
-                height=height,
-                frames=frames,
-                file_size_bytes=file_size,
-                intra_frames=intra_frames,
-                energy_joules=float(energy),
-            )
-        )
-    return Dataset(tuple(records))
+        energies.append(float(energy))
+        metadata.append((width, height, frames, file_size, intra_frames))
+    ids = [f"synth-{spec.codec.value}-{i:04d}" for i in range(spec.count)]
+    no_tags = [{}] * spec.count
+    return Dataset._from_columns(spec.codec, ids, counts, energies, list(zip(*metadata)), no_tags)

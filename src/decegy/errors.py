@@ -4,6 +4,7 @@ Outside input fails only with a DecegyError, raised where the fault is found (th
 maps FitError to exit 3 and every other DecegyError to 2); any other exception is a bug."""
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -36,6 +37,15 @@ class DataValidationError(DecegyError, ValueError):
 
 class FitError(DecegyError):
     """A model fit cannot be performed (under-determined or numerically failed)."""
+
+
+@contextmanager
+def about_file(path):
+    """Prefix ``<path>: `` to the message of a DecegyError raised inside."""
+    try:
+        yield
+    except DecegyError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def read_text(path) -> str:

@@ -22,12 +22,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import METADATA_COLUMNS, BitstreamRecord, Dataset
+from .dataset import Dataset
 from .errors import DataValidationError, FitError
 from .fitting import FitDiagnostics, feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls
 from .models import (
     Category,
-    HighLevelInfo,
     HL1Params,
     HL2Params,
     ModelParams,
@@ -40,34 +39,26 @@ from .models import (
 )
 
 
-def _highlevel(rec: BitstreamRecord) -> HighLevelInfo:
-    info = rec.highlevel
-    if info is None:
-        raise DataValidationError(
-            f"record {rec.stream_id!r} lacks high-level metadata ({'/'.join(METADATA_COLUMNS)})"
-        )
-    return info
+def _fit_feature(dataset: Dataset, rows, nonneg: bool) -> tuple[SpecificEnergies, FitDiagnostics]:
+    coeffs, diagnostics = fit_linear_ls(feature_linear_system(dataset, rows), nonneg=nonneg)
+    return SpecificEnergies(dataset.feature_set, coeffs), diagnostics
 
 
-def _highlevel_pairs(records) -> list[tuple[HighLevelInfo, float]]:
-    return [(_highlevel(rec), rec.energy_joules) for rec in records]
-
-
-def _fit_feature(records, nonneg: bool) -> tuple[SpecificEnergies, FitDiagnostics]:
-    coeffs, diagnostics = fit_linear_ls(feature_linear_system(records), nonneg=nonneg)
-    return SpecificEnergies(records[0].features.feature_set, coeffs), diagnostics
+def _highlevel_estimates(predict, params, dataset: Dataset, rows) -> list[float]:
+    return [predict(params, info) for info in dataset.highlevel(rows).infos()]
 
 
 class Model(NamedTuple):
     """One energy model: its parameter type, how to fit it and how to predict.
 
-    ``fit(records, options)`` returns ``(params, FitDiagnostics)``;
-    ``predict(params, record)`` returns the estimated energy in joules.
+    ``fit(dataset, rows, options)`` trains on the given rows of a dataset and
+    returns ``(params, FitDiagnostics)``; ``predict(params, dataset, rows)``
+    returns the estimated energies of those rows in joules, row by row.
     """
 
     params_type: type
-    fit: Callable[[Sequence[BitstreamRecord], dict], tuple[ModelParams, FitDiagnostics]]
-    predict: Callable[[ModelParams, BitstreamRecord], float]
+    fit: Callable[[Dataset, Sequence[int], dict], tuple[ModelParams, FitDiagnostics]]
+    predict: Callable[[ModelParams, Dataset, Sequence[int]], list[float]]
 
 
 # The solvers and predictors are looked up in this module's globals at call
@@ -75,18 +66,18 @@ class Model(NamedTuple):
 MODELS: dict[str, Model] = {
     "feature": Model(
         SpecificEnergies,
-        lambda records, options: _fit_feature(records, options.get("nonneg", False)),
-        lambda params, rec: predict_feature_model(params, rec.features),
+        lambda data, rows, options: _fit_feature(data, rows, options.get("nonneg", False)),
+        lambda params, data, rows: [predict_feature_model(params, data.vector(i)) for i in rows],
     ),
     "hl1": Model(
         HL1Params,
-        lambda records, options: fit_hl1(_highlevel_pairs(records), options.get("trust_region")),
-        lambda params, rec: predict_hl1(params, _highlevel(rec)),
+        lambda data, rows, options: fit_hl1(data.highlevel(rows), options.get("trust_region")),
+        lambda params, data, rows: _highlevel_estimates(predict_hl1, params, data, rows),
     ),
     "hl2": Model(
         HL2Params,
-        lambda records, options: fit_hl2(_highlevel_pairs(records)),
-        lambda params, rec: predict_hl2(params, _highlevel(rec)),
+        lambda data, rows, options: fit_hl2(data.highlevel(rows)),
+        lambda params, data, rows: _highlevel_estimates(predict_hl2, params, data, rows),
     ),
 }
 
@@ -198,14 +189,14 @@ def cross_validate(
     model = MODELS.get(model_kind)
     if model is None:
         raise ValueError(f"unknown model kind {model_kind!r}; expected one of {tuple(MODELS)}")
-    records = list(dataset)
-    if len(records) < k:
-        raise DataValidationError(f"dataset has {len(records)} records, fewer than k={k}")
-    for rec in records:
-        if rec.energy_joules is None:
-            raise DataValidationError(f"record {rec.stream_id!r} has no measured energy")
+    if len(dataset) < k:
+        raise DataValidationError(f"dataset has {len(dataset)} records, fewer than k={k}")
+    unmeasured = np.flatnonzero(np.isnan(dataset.energies))
+    if unmeasured.size:
+        raise DataValidationError(f"record {dataset.ids[unmeasured[0]]!r} has no measured energy")
     options = fit_options or {}
-    partition = make_folds(len(records), k, seed)
+    partition = make_folds(len(dataset), k, seed)
+    energies = dataset.energies.tolist()
 
     fold_errors: list[float | None] = []
     fold_params: list[dict | None] = []
@@ -213,15 +204,12 @@ def cross_validate(
     failed: list[int] = []
     for fold in range(k):
         val_idx = partition.fold_indices(fold)
-        train = [records[i] for i in range(len(records)) if partition.assignment[i] != fold]
         try:
-            params, _ = model.fit(train, options)
+            params, _ = model.fit(dataset, np.flatnonzero(partition.assignment != fold), options)
             errors = []
-            for i in val_idx:
-                rec = records[i]
-                estimate = model.predict(params, rec)
-                errors.append(abs(estimate - rec.energy_joules) / rec.energy_joules)
-                per_stream[rec.stream_id] = errors[-1]
+            for i, estimate in zip(val_idx.tolist(), model.predict(params, dataset, val_idx)):
+                errors.append(abs(estimate - energies[i]) / energies[i])
+                per_stream[dataset.ids[i]] = errors[-1]
             fold_errors.append(float(np.mean(errors)))
             fold_params.append(params_to_dict(params))
         except FitError as exc:
@@ -257,22 +245,29 @@ class BreakdownRow:
     by_category: dict[Category, float]
 
 
-def breakdown_report(records, energies: SpecificEnergies) -> list[BreakdownRow]:
-    """Measured vs estimated energy with per-category decomposition."""
-    rows = []
-    for rec in records:
-        if rec.energy_joules is None:
-            raise DataValidationError(f"record {rec.stream_id!r} has no measured energy")
-        estimate = predict_feature_model(energies, rec.features)
-        rows.append(
+def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[BreakdownRow]:
+    """Measured vs estimated energy with per-category decomposition.
+
+    Covers ``rows`` of a dataset (every row by default); ``dataset`` may also
+    be the records of one.
+    """
+    if not isinstance(dataset, Dataset):
+        dataset = Dataset(dataset)
+    report = []
+    for i in range(len(dataset)) if rows is None else rows:
+        measured = float(dataset.energies[i])
+        if math.isnan(measured):
+            raise DataValidationError(f"record {dataset.ids[i]!r} has no measured energy")
+        vector = dataset.vector(i)
+        report.append(
             BreakdownRow(
-                stream_id=rec.stream_id,
-                measured_joules=rec.energy_joules,
-                estimated_joules=estimate,
-                by_category=category_breakdown(energies, rec.features),
+                stream_id=dataset.ids[i],
+                measured_joules=measured,
+                estimated_joules=predict_feature_model(energies, vector),
+                by_category=category_breakdown(energies, vector),
             )
         )
-    return rows
+    return report
 
 
 def breakdown_csv(rows: list[BreakdownRow]) -> str:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataValidationError, FitError
-from .models import HL1Params, HL2Params, HighLevelInfo
+from .dataset import Dataset
+from .models import HL1Params, HL2Params, HighLevelColumns
 
 
 class CollinearityWarning(UserWarning):
@@ -344,31 +345,23 @@ def fit_trust_region(
 # HL1: offset + power-law model
 
 
-def _highlevel_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    infos = [rec[0] for rec in records]
-    pixels = np.array([i.pixels_per_frame * i.frames for i in infos], dtype=float)
-    sizes = np.array([i.file_size_bytes for i in infos], dtype=float)
-    energies = np.array([float(rec[1]) for rec in records], dtype=float)
-    return pixels, sizes, energies
-
-
-def hl1_residuals_jacobian(
-    params: HL1Params, records: list[tuple[HighLevelInfo, float]]
-) -> tuple[np.ndarray, np.ndarray]:
+def hl1_residuals_jacobian(params: HL1Params, streams) -> tuple[np.ndarray, np.ndarray]:
     """Residuals (prediction - measured) and analytic Jacobian of HL1.
 
-    Jacobian columns follow the parameter order (base_joules,
+    ``streams`` is a :class:`HighLevelColumns` or a list of (HighLevelInfo,
+    energy) pairs.  Jacobian columns follow the parameter order (base_joules,
     per_pixel_joules, rate_coeff, rate_power).
     """
-    if not records:
+    data = HighLevelColumns.of(streams)
+    if not data.energies.size:
         raise FitError("no records")
-    return _hl1_terms(params, *_highlevel_arrays(records))
+    return _hl1_terms(params, data.pixels, data.file_size_bytes, data.energies)
 
 
 def _hl1_terms(
     params: HL1Params, pixels: np.ndarray, sizes: np.ndarray, energies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hl1_residuals_jacobian` over the arrays of :func:`_highlevel_arrays`."""
+    """:func:`hl1_residuals_jacobian` over pixel, size and energy arrays."""
     x = sizes / pixels
     xg = x ** params.rate_power
     pred = params.base_joules + pixels * (params.per_pixel_joules + params.rate_coeff * xg)
@@ -388,19 +381,20 @@ _HL1_STARTS = (0.5, 1.0, 1.5)
 
 
 def fit_hl1(
-    records: list[tuple[HighLevelInfo, float]],
-    options: TrustRegionOptions | None = None,
+    streams, options: TrustRegionOptions | None = None
 ) -> tuple[HL1Params, FitDiagnostics]:
     """Fit the HL1 model by the dogleg trust region.
 
-    The power-law exponent and coefficient are kept positive by optimizing
-    their logarithms; the iteration is started from exponent guesses 0.5,
-    1.0 and 1.5 (each with a preliminary linear fit of the remaining
-    parameters) and the lowest-residual result wins.
+    ``streams`` is a :class:`HighLevelColumns` or a list of (HighLevelInfo,
+    energy) pairs.  The power-law exponent and coefficient are kept positive
+    by optimizing their logarithms; the iteration is started from exponent
+    guesses 0.5, 1.0 and 1.5 (each with a preliminary linear fit of the
+    remaining parameters) and the lowest-residual result wins.
     """
-    if len(records) < 4:
-        raise FitError(f"under-determined: {len(records)} records for 4 parameters")
-    pixels, sizes, energies = _highlevel_arrays(records)
+    data = HighLevelColumns.of(streams)
+    if data.energies.size < 4:
+        raise FitError(f"under-determined: {data.energies.size} records for 4 parameters")
+    pixels, sizes, energies = data.pixels, data.file_size_bytes, data.energies
     x = sizes / pixels
     if np.unique(x).size < 2:
         raise FitError("under-determined: all records share one bytes-per-pixel value")
@@ -474,33 +468,32 @@ def fit_hl1(
     return params, diagnostics
 
 
-def fit_hl2(records: list[tuple[HighLevelInfo, float]]) -> tuple[HL2Params, FitDiagnostics]:
+def fit_hl2(streams) -> tuple[HL2Params, FitDiagnostics]:
     """Fit the HL2 model by unconstrained linear least squares.
 
-    Regressors are (intra_rate*bytes/pixel, intra_rate, bytes/pixel, 1), each
-    scaled by total pixels.  Collinear data (e.g. every record all-intra)
-    yields a CollinearityWarning with the dependent coefficients zeroed.
+    ``streams`` is as for :func:`fit_hl1`.  Regressors are (intra_rate*bytes/pixel,
+    intra_rate, bytes/pixel, 1), each scaled by total pixels.  Collinear data
+    (e.g. every record all-intra) yields a CollinearityWarning with the
+    dependent coefficients zeroed.
     """
-    if len(records) < 4:
-        raise FitError(f"under-determined: {len(records)} records for 4 parameters")
-    pixels, sizes, energies = _highlevel_arrays(records)
-    intra = np.array([rec[0].intra_rate for rec in records], dtype=float)
+    data = HighLevelColumns.of(streams)
+    if data.energies.size < 4:
+        raise FitError(f"under-determined: {data.energies.size} records for 4 parameters")
+    intra, sizes, pixels = data.intra_rate, data.file_size_bytes, data.pixels
     matrix = np.column_stack([intra * sizes, intra * pixels, sizes, pixels])
-    system = LinearSystem(matrix, energies, tuple(f.name for f in fields(HL2Params)))
+    system = LinearSystem(matrix, data.energies, tuple(f.name for f in fields(HL2Params)))
     coeffs, diagnostics = fit_linear_ls(system)
     return HL2Params(*(float(c) for c in coeffs)), diagnostics
 
 
-def feature_linear_system(records) -> LinearSystem:
-    """Linear system mapping feature counts to measured energies.
+def feature_linear_system(dataset, rows=None) -> LinearSystem:
+    """Linear system mapping the feature counts of ``rows`` of a dataset to their energies.
 
-    ``records`` is an iterable of objects with ``features`` (FeatureVector)
-    and ``energy_joules`` attributes, all sharing one feature set.
+    ``rows`` defaults to every row; ``dataset`` may also be the records of one.
     """
-    records = list(records)
-    if not records:
+    if not isinstance(dataset, Dataset):
+        dataset = Dataset(dataset)
+    if not len(dataset):
         raise FitError("no records")
-    fs = records[0].features.feature_set
-    matrix = np.vstack([r.features.counts for r in records])
-    targets = np.array([float(r.energy_joules) for r in records])
-    return LinearSystem(matrix, targets, fs.names)
+    rows = slice(None) if rows is None else rows
+    return LinearSystem(dataset.counts[rows], dataset.energies[rows], dataset.feature_set.names)

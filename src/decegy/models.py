@@ -18,10 +18,12 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DataValidationError, json_feature_values, json_number, read_json, read_text
+from .errors import DataValidationError, about_file, json_feature_values, json_number
+from .errors import read_json, read_text
 from .taxonomy import Category, Codec, FeatureSet, FeatureVector, build_feature_set
 
 
@@ -82,6 +84,34 @@ class HighLevelInfo:
             raise ValueError("pixels_per_frame, frames and file_size_bytes must be > 0")
         if not 0.0 <= self.intra_rate <= 1.0:
             raise ValueError(f"intra_rate must be in [0, 1], got {self.intra_rate}")
+
+
+class HighLevelColumns(NamedTuple):
+    """The :class:`HighLevelInfo` fields of many streams as float arrays, and their energies."""
+
+    pixels_per_frame: np.ndarray
+    frames: np.ndarray
+    file_size_bytes: np.ndarray
+    intra_rate: np.ndarray
+    energies: np.ndarray
+
+    @classmethod
+    def of(cls, streams) -> HighLevelColumns:
+        """Columns as they are, or the columns of (HighLevelInfo, energy) pairs."""
+        if isinstance(streams, cls):
+            return streams
+        rows = [(*astuple(info), energy) for info, energy in streams]
+        return cls(*np.array(rows, dtype=float).reshape(-1, 5).T)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """Pixels per stream: pixels per frame times frames."""
+        return self.pixels_per_frame * self.frames
+
+    def infos(self) -> Iterator[HighLevelInfo]:
+        """One :class:`HighLevelInfo` per stream."""
+        for pixels, frames, size, rate in zip(*(column.tolist() for column in self[:4])):
+            yield HighLevelInfo(pixels, int(frames), size, rate)
 
 
 def _require_finite(params) -> None:
@@ -146,11 +176,20 @@ def _require_same_set(energies: SpecificEnergies, vector: FeatureVector) -> None
         )
 
 
+_OVERFLOW = "estimated energy overflows the float range"
+
+
 def _fsum(terms) -> float:
     try:
         return math.fsum(terms)
     except (ValueError, OverflowError):  # inf - inf, or a finite sum past the float range
-        raise DataValidationError("estimated energy overflows the float range") from None
+        raise DataValidationError(_OVERFLOW) from None
+
+
+def _finite(energy: float) -> float:
+    if not math.isfinite(energy):
+        raise DataValidationError(_OVERFLOW)
+    return energy
 
 
 def predict_feature_model(energies: SpecificEnergies, vector: FeatureVector) -> float:
@@ -183,10 +222,12 @@ def predict_hl1(params: HL1Params, info: HighLevelInfo) -> float:
     """First high-level baseline: offset plus per-pixel power law in bytes/pixel."""
     pixels = info.pixels_per_frame * info.frames
     bytes_per_pixel = info.file_size_bytes / pixels
-    return params.base_joules + pixels * (
-        params.per_pixel_joules
-        + params.rate_coeff * bytes_per_pixel ** params.rate_power
-    )
+    try:
+        power = bytes_per_pixel ** params.rate_power
+    except OverflowError:
+        raise DataValidationError(_OVERFLOW) from None
+    per_pixel = params.per_pixel_joules + params.rate_coeff * power
+    return _finite(params.base_joules + pixels * per_pixel)
 
 
 def predict_hl2(params: HL2Params, info: HighLevelInfo) -> float:
@@ -199,7 +240,7 @@ def predict_hl2(params: HL2Params, info: HighLevelInfo) -> float:
         + params.bytes_coeff * bytes_per_pixel
         + params.base_coeff
     )
-    return per_pixel * pixels
+    return _finite(per_pixel * pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -257,4 +298,6 @@ def save_params(params, codec: Codec, path, extra: dict | None = None) -> None:
 
 
 def load_params(path):
-    return params_from_json(read_text(path))
+    """Read a parameter file; errors name the file."""
+    with about_file(path):
+        return params_from_json(read_text(path))

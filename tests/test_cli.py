@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decegy
 from decegy import (
     Codec,
     SpecificEnergies,
@@ -307,7 +312,7 @@ def test_json_feature_value_that_is_not_a_number_exits_2(tmp_path, capsys, value
     doc["records"][1]["features"]["pel"] = value
     data.write_text(json.dumps(doc))
     assert main(["fit", "--dataset", str(data)]) == 2
-    assert capsys.readouterr().err == f"error: row 2: 'pel': {message}\n"
+    assert capsys.readouterr().err == f"error: {data}: row 2: 'pel': {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +490,7 @@ def test_metadata_integer_above_2_53_exits_2_with_the_row(tmp_path, capsys, fmt,
         data.write_text(json.dumps(doc))
         row = 2  # JSON rows count records
     assert main(["fit", "--dataset", str(data), "--model", model]) == 2
-    assert capsys.readouterr().err == f"error: row {row}: {field} must be at most 2**53\n"
+    assert capsys.readouterr().err == f"error: {data}: row {row}: {field} must be at most 2**53\n"
 
 
 def test_deeply_nested_json_files_exit_2(tmp_path, capsys):
@@ -495,9 +500,9 @@ def test_deeply_nested_json_files_exit_2(tmp_path, capsys):
     export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
     save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, params)
     assert main(["fit", "--dataset", str(nested)]) == 2
-    assert capsys.readouterr().err == "error: malformed JSON: nested too deeply\n"
+    assert capsys.readouterr().err == f"error: {nested}: malformed JSON: nested too deeply\n"
     assert main(["predict", "--dataset", str(data), "--params", str(nested)]) == 2
-    assert capsys.readouterr().err == "error: malformed JSON: nested too deeply\n"
+    assert capsys.readouterr().err == f"error: {nested}: malformed JSON: nested too deeply\n"
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +522,7 @@ def test_repeated_csv_column_exits_2(tmp_path, capsys):
     lines = data.read_text().splitlines()
     data.write_text("\n".join([lines[0] + ",pel"] + [line + ",5" for line in lines[1:]]) + "\n")
     assert main(["fit", "--dataset", str(data)]) == 2
-    assert capsys.readouterr().err == "error: repeated column 'pel'\n"
+    assert capsys.readouterr().err == f"error: {data}: repeated column 'pel'\n"
 
 
 def test_blank_csv_lines_do_not_count_as_rows(tmp_path, capsys):
@@ -527,7 +532,7 @@ def test_blank_csv_lines_do_not_count_as_rows(tmp_path, capsys):
     lines[2] = lines[2].replace("synth-h263-0001", "")
     data.write_text("\n".join([lines[0], "", lines[1], "", lines[2], lines[3]]) + "\n")
     assert main(["fit", "--dataset", str(data)]) == 2
-    assert capsys.readouterr().err == "error: row 3: empty stream_id\n"
+    assert capsys.readouterr().err == f"error: {data}: row 3: empty stream_id\n"
 
 
 def test_huge_integer_in_a_feature_parameter_file_exits_2(tmp_path, capsys):
@@ -536,7 +541,7 @@ def test_huge_integer_in_a_feature_parameter_file_exits_2(tmp_path, capsys):
     doc["specific_energies"]["pel"] = "@big@"
     params.write_text(json.dumps(doc).replace('"@big@"', "1" + "0" * 400))
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
-    assert capsys.readouterr().err == "error: 'pel': too large for a float\n"
+    assert capsys.readouterr().err == f"error: {params}: 'pel': too large for a float\n"
 
 
 @pytest.mark.parametrize(
@@ -552,7 +557,7 @@ def test_hl1_parameter_file_with_unusable_base_exits_2(tmp_path, capsys, literal
     params.write_text(f'{{"model": "hl1", "codec": "hevc", "base_joules": {literal}, '
                       '"per_pixel_joules": 1e-8, "rate_coeff": 1e-7, "rate_power": 0.7}')
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {params}: {message}\n"
 
 
 def test_unknown_feature_in_a_parameter_file_exits_2(tmp_path, capsys):
@@ -561,7 +566,7 @@ def test_unknown_feature_in_a_parameter_file_exits_2(tmp_path, capsys):
     doc["specific_energies"]["bogus"] = 1.0
     params.write_text(json.dumps(doc))
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
-    assert capsys.readouterr().err == "error: unknown features: bogus\n"
+    assert capsys.readouterr().err == f"error: {params}: unknown features: bogus\n"
 
 
 def test_truncated_json_files_report_line_and_column(tmp_path, capsys):
@@ -571,17 +576,19 @@ def test_truncated_json_files_report_line_and_column(tmp_path, capsys):
     short_params.write_text(params.read_text()[:100])
     assert main(["fit", "--dataset", str(short_data)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed JSON at line 14 column ") and err.count("\n") == 1
+    assert err.startswith(f"error: {short_data}: malformed JSON at line 14 column ")
+    assert err.count("\n") == 1
     assert main(["predict", "--dataset", str(data), "--params", str(short_params)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed JSON at line 6 column ") and err.count("\n") == 1
+    assert err.startswith(f"error: {short_params}: malformed JSON at line 6 column ")
+    assert err.count("\n") == 1
 
 
 def test_over_long_integer_in_a_dataset_is_unreadable(tmp_path, capsys):
     data, _ = _hevc_files(tmp_path)
     data.write_text(data.read_text().replace('"frames": ', '"frames": 1' + "0" * 5000, 1))
     assert main(["fit", "--dataset", str(data)]) == 2
-    assert capsys.readouterr().err.startswith("error: unreadable number: Exceeds the limit")
+    assert capsys.readouterr().err.startswith(f"error: {data}: unreadable number: Exceeds the limit")
 
 
 @pytest.mark.parametrize("suffix", ["csv", "json"])
@@ -592,7 +599,7 @@ def test_non_utf8_dataset_gives_byte_and_offset(tmp_path, capsys, suffix):
     raw[200] = 0xFF
     data.write_bytes(bytes(raw))
     assert main(["fit", "--dataset", str(data)]) == 2
-    assert capsys.readouterr().err == "error: not valid UTF-8: byte 0xff at offset 200\n"
+    assert capsys.readouterr().err == f"error: {data}: not valid UTF-8: byte 0xff at offset 200\n"
 
 
 @pytest.mark.parametrize(
@@ -619,7 +626,7 @@ def test_lone_surrogate_in_a_stream_id_exits_2(tmp_path, capsys):
     data, params = _hevc_files(tmp_path)
     data.write_text(data.read_text().replace('"synth-hevc-0001"', '"\\ud800"'))
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
-    assert capsys.readouterr().err == "error: row 2: not valid Unicode: '\\ud800'\n"
+    assert capsys.readouterr().err == f"error: {data}: row 2: not valid Unicode: '\\ud800'\n"
     trace = tmp_path / "t.jsonl"
     trace.write_text('{"codec": "vp9", "stream_id": "\\udcff"}\n', encoding="utf-8")
     assert main(["analyze", str(trace)]) == 2
@@ -637,6 +644,67 @@ def test_estimates_past_the_float_range_exit_2(tmp_path, capsys):
     params.write_text(json.dumps(doc))
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
     assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
+
+
+@pytest.mark.parametrize(
+    "params, file_size",
+    [({"model": "hl1", "base_joules": 0.0, "per_pixel_joules": 0.0, "rate_coeff": 1.0,
+       "rate_power": 1e6}, 2**53),
+     ({"model": "hl1", "base_joules": 0.0, "per_pixel_joules": 1e308, "rate_coeff": 0.0,
+       "rate_power": 1.0}, None),
+     ({"model": "hl2", "intra_bytes_coeff": 0.0, "intra_coeff": 0.0, "bytes_coeff": 0.0,
+       "base_coeff": 1e308}, None)],
+    ids=["hl1-power", "hl1-product", "hl2-product"],
+)
+def test_highlevel_estimates_past_the_float_range_exit_2(tmp_path, capsys, params, file_size):
+    data, path = _hevc_files(tmp_path)
+    if file_size is not None:  # bytes per pixel far above one, raised to the millionth power
+        doc = json.loads(data.read_text())
+        doc["records"][1]["file_size_bytes"] = file_size
+        data.write_text(json.dumps(doc))
+    path.write_text(json.dumps({**params, "codec": "hevc"}))
+    assert main(["predict", "--dataset", str(data), "--params", str(path)]) == 2
+    assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
+
+
+def test_csv_cell_over_the_field_limit_exits_2_with_the_row(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
+    rows = list(csv.reader(data.open(encoding="utf-8")))
+    rows[2][0] = "x" * 200_000  # the csv module reads fields of up to 131072 characters
+
+    def fit():
+        with data.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        return main(["fit", "--dataset", str(data)])
+
+    assert fit() == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: row 3: field larger than field limit (131072)\n"
+    rows[1][rows[0].index("energy_joules")] = "0"  # a bad row before it is reported first
+    assert fit() == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: row 2: non-finite or nonpositive energy: 0.0\n"
+
+
+def test_each_warning_is_one_line_on_stderr(tmp_path):
+    # 8 training rows for 11 features: every fold of a 3-fold crossval is rank-deficient
+    fs = build_feature_set(Codec.H263)
+    rng = np.random.default_rng(2)  # each fold zeroes other features: no message repeats
+    records = [
+        BitstreamRecord(f"r{i}", Codec.H263, FeatureVector(fs, [1.0, *rng.uniform(10, 1e5, 10)]),
+                        energy_joules=1.0 + i)
+        for i in range(12)
+    ]
+    data = tmp_path / "data.csv"
+    export_dataset(Dataset(records), data)
+    env = dict(os.environ, PYTHONPATH=str(Path(decegy.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    argv = [sys.executable, "-m", "decegy", "crossval", "--dataset", str(data), "--k", "3"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    lines = done.stderr.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("warning: rank-deficient system: zeroed ") for line in lines)
 
 
 def test_category_sum_past_the_float_range_exits_2(tmp_path, capsys):

@@ -5,8 +5,9 @@ datasets (CSV or JSON), parameter files of the three models, or random decode
 traces, with one input file mutated by a byte or CSV-cell edit (delete,
 duplicate, flip, truncate, swap).  ``main`` must return 0-3 without raising;
 a failing run ends stderr with one ``error:``, ``fit error:`` or
-``usage error:`` line, and a successful ``predict`` or ``analyze`` writes one
-row per input stream with its id.
+``usage error:`` line, which names a mutated dataset or parameter file exactly
+when that file cannot be read alone, and a successful ``predict`` or
+``analyze`` writes one row per input stream with its id.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from hypothesis import strategies as st  # noqa: E402
 from decegy import (  # noqa: E402
     Codec,
     Coefficient,
+    DecegyError,
     FrameStart,
     HL1Params,
     HL2Params,
@@ -39,6 +41,7 @@ from decegy import (  # noqa: E402
     TransformBlock,
     default_specific_energies,
     load_dataset,
+    load_params,
     synth_dataset,
 )
 from decegy.cli import main  # noqa: E402
@@ -150,7 +153,7 @@ def runs(draw):
     byte = draw(st.integers(0, 255))
     by_cell = target.endswith(".csv") and draw(st.booleans())
     files[target] = (_mutate_cells if by_cell else _mutate_bytes)(files[target], op, i, j, byte)
-    return argv, files
+    return argv, files, target
 
 
 def _run(argv, files, workdir: Path):
@@ -166,6 +169,18 @@ def _run(argv, files, workdir: Path):
     return rc, out.getvalue(), err.getvalue()
 
 
+def _unreadable(path: Path, require_energy: bool) -> bool:
+    """Whether loading a dataset or parameter file alone fails."""
+    try:
+        if path.name.startswith("data."):
+            load_dataset(path, require_energy=require_energy)
+        else:
+            load_params(path)
+    except DecegyError:
+        return True
+    return False
+
+
 def _ids_in(csv_path: Path) -> list[str]:
     rows = list(csv.reader(csv_path.open(encoding="utf-8", newline="")))
     return [row[0] for row in rows[1:]]
@@ -174,13 +189,18 @@ def _ids_in(csv_path: Path) -> list[str]:
 @settings(max_examples=200)
 @given(runs())
 def test_mutated_inputs_end_in_an_exit_code(run):
-    argv, files = run
+    argv, files, target = run
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         rc, _, err = _run(argv, files, workdir)
         assert rc in (0, 1, 2, 3)
         if rc:
-            assert err.splitlines()[-1].startswith(("error:", "fit error:", "usage error:"))
+            last = err.splitlines()[-1]
+            assert last.startswith(("error:", "fit error:", "usage error:"))
+            if target != "trace.jsonl":
+                path = workdir / target
+                named = last.startswith(f"error: {path}: ")
+                assert named == _unreadable(path, require_energy=argv[0] != "predict")
         elif argv[0] == "predict":
             dataset = load_dataset(workdir / argv[2], require_energy=False)
             assert _ids_in(workdir / "out.csv") == [rec.stream_id for rec in dataset]

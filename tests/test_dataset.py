@@ -133,6 +133,19 @@ def test_duplicate_stream_ids_rejected():
         dataset_from_csv(text)
 
 
+def test_csv_of_many_rows_round_trips_and_numbers_a_late_bad_row():
+    dataset = synth_dataset(SynthSpec(Codec.H263, 2500, seed=4))  # rows are read in chunks
+    text = dataset_to_csv(dataset)
+    assert dataset_from_csv(text) == dataset
+    lines = text.splitlines()
+    lines[2400] = lines[2400].replace(",h263,", ",vp9,")  # line 2401, the header is line 1
+    with pytest.raises(DataValidationError, match="^row 2401: mixed codecs: h263 and vp9$"):
+        dataset_from_csv("\n".join(lines))
+    lines[2400] = lines[1]
+    with pytest.raises(DataValidationError, match="^duplicate stream_id 'synth-h263-0000'$"):
+        dataset_from_csv("\n".join(lines))
+
+
 def test_mixed_codecs_rejected():
     row2 = _hevc_row("b").replace(",hevc,", ",vp9,")
     text = "\n".join([HEVC_HEADER, _hevc_row("a"), row2])
