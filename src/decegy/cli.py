@@ -9,8 +9,6 @@ variable sets the log level.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import os
 import sys
@@ -93,18 +91,12 @@ def cmd_fit(args) -> None:
 def cmd_predict(args) -> None:
     dataset = load_dataset(args.dataset, require_energy=False)
     kind, codec, params = load_params(args.params)
-    if len(dataset) and codec is not dataset.codec:
+    if codec is not dataset.codec:
         raise DataValidationError(
             f"codec mismatch: dataset is {dataset.codec.value}, params are {codec.value}"
         )
     estimates = MODELS[kind].predict(params, dataset, range(len(dataset)))
-    header, *rows = csv.reader(io.StringIO(dataset_to_csv(dataset)))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header + ["E_hat"])
-    for row, estimate in zip(rows, estimates, strict=True):
-        writer.writerow(row + [repr(float(estimate))])
-    _emit(out.getvalue(), args.out)
+    _emit(dataset_to_csv(dataset, last_columns={"E_hat": estimates}), args.out)
     if args.out:
         print(f"predicted {len(estimates)} stream(s) with the {kind} model -> {args.out}")
 
@@ -143,8 +135,6 @@ def cmd_report(args) -> None:
         missing = set(wanted) - {row.stream_id for row in rows}
         if missing:
             raise DataValidationError(f"unknown stream id(s): {', '.join(sorted(missing))}")
-    if not rows:
-        raise DataValidationError("no streams selected")
     _emit(breakdown_csv(rows), args.out)
     if args.svg:
         Path(args.svg).write_text(breakdown_svg(rows), encoding="utf-8", newline="")

@@ -262,24 +262,18 @@ class Dataset:
 # CSV / JSON serialization
 
 
-def _detect_format(path, format: str | None) -> str:
-    if format is not None:
-        if format not in ("csv", "json"):
-            raise ValueError(f"unknown format {format!r}")
-        return format
-    return "json" if str(path).endswith(".json") else "csv"
+def _is_json(path) -> bool:
+    """Whether a dataset file is JSON, which its suffix decides; any other file is CSV."""
+    return str(path).endswith(".json")
 
 
-def export_dataset(dataset: Dataset, path, format: str | None = None) -> None:
+def export_dataset(dataset: Dataset, path) -> None:
     """Write a dataset; loading the file back reproduces it exactly.
 
     Counts and energies are written with full precision so the round trip is
-    bitwise.  The format is taken from the file suffix unless given.
+    bitwise.  The format is taken from the file suffix.
     """
-    if not len(dataset):
-        raise DataValidationError("empty dataset")
-    fmt = _detect_format(path, format)
-    text = dataset_to_json(dataset) if fmt == "json" else dataset_to_csv(dataset)
+    text = dataset_to_json(dataset) if _is_json(path) else dataset_to_csv(dataset)
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
@@ -291,23 +285,32 @@ def _rows(dataset: Dataset) -> Iterator[tuple]:
     return zip(dataset.ids, zip(*numbers), map(np.ndarray.tolist, dataset.counts), dataset.tags)
 
 
-def dataset_to_csv(dataset: Dataset) -> str:
-    if not len(dataset):
-        raise DataValidationError("empty dataset")
-    tag_keys = sorted({key for tags in dataset.tags for key in tags})
+def csv_text(rows: Iterable[list]) -> str:
+    """CSV text of rows, the header first: LF line ends, a cell quoted only when it must be."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(BASE_COLUMNS) + list(dataset.feature_set.names) + tag_keys)
-    for stream_id, numbers, counts, tags in _rows(dataset):
-        numbers = ["" if value is None else repr(value) for value in numbers]
-        row = [stream_id, dataset.codec.value, *numbers, *map(repr, counts)]
-        writer.writerow(row + [tags.get(key, "") for key in tag_keys])
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
+def dataset_to_csv(
+    dataset: Dataset, last_columns: Mapping[str, Iterable[float]] = MappingProxyType({})
+) -> str:
+    """The dataset as CSV text; ``last_columns`` maps the names of number columns to
+    append, such as estimates, to their values, one per row."""
+    tag_keys = sorted({key for tags in dataset.tags for key in tags})
+
+    def rows() -> Iterator[list[str]]:
+        yield [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]
+        with_last = zip(_rows(dataset), *last_columns.values(), strict=True)
+        for (stream_id, numbers, counts, tags), *last in with_last:
+            numbers = ["" if value is None else repr(value) for value in numbers]
+            row = [stream_id, dataset.codec.value, *numbers, *map(repr, counts)]
+            yield row + [tags.get(key, "") for key in tag_keys] + [repr(float(v)) for v in last]
+
+    return csv_text(rows())
+
+
 def dataset_to_json(dataset: Dataset) -> str:
-    if not len(dataset):
-        raise DataValidationError("empty dataset")
     names = dataset.feature_set.names
     records = [
         {
@@ -322,19 +325,20 @@ def dataset_to_json(dataset: Dataset) -> str:
     return json.dumps({"codec": dataset.codec.value, "records": records}, indent=2) + "\n"
 
 
-def load_dataset(path, format: str | None = None, require_energy: bool = True) -> Dataset:
-    """Load and validate a dataset file.
+def load_dataset(path, require_energy: bool = True) -> Dataset:
+    """Load and validate a dataset file, JSON or CSV by its suffix.
 
     Every record is validated (vector invariants, positive energy); failures
-    name the file and the offending row.  ``require_energy=False`` admits rows
-    whose energy cell is empty (prediction inputs).
+    name the file and the offending row, and a file without rows is an error.
+    ``require_energy=False`` admits rows whose energy cell is empty
+    (prediction inputs).
     """
-    fmt = _detect_format(path, format)
     with about_file(path):
-        text = read_text(path)
-        if fmt == "json":
-            return dataset_from_json(text, require_energy=require_energy)
-        return dataset_from_csv(text, require_energy=require_energy)
+        read = dataset_from_json if _is_json(path) else dataset_from_csv
+        dataset = read(read_text(path), require_energy=require_energy)
+        if not len(dataset):
+            raise DataValidationError("empty dataset")
+        return dataset
 
 
 def _load(build: Callable[[slice], Dataset], count: int, first_row: int, error=None) -> Dataset:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, csv_text
 from .errors import DataValidationError, FitError
 from .fitting import FitDiagnostics, feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls
 from .models import (
@@ -271,12 +271,11 @@ def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[Bre
 
 
 def breakdown_csv(rows: list[BreakdownRow]) -> str:
-    lines = ["stream_id,E_dec,E_hat," + ",".join(c.value for c in _CATEGORY_ORDER)]
+    lines = [["stream_id", "E_dec", "E_hat", *(c.value for c in _CATEGORY_ORDER)]]
     for row in rows:
         cells = [row.stream_id, repr(row.measured_joules), repr(row.estimated_joules)]
-        cells += [repr(row.by_category[c]) for c in _CATEGORY_ORDER]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        lines.append(cells + [repr(row.by_category[c]) for c in _CATEGORY_ORDER])
+    return csv_text(lines)
 
 
 _CATEGORY_COLORS = {

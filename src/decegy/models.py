@@ -211,11 +211,9 @@ def category_breakdown(
     such features); the values sum to :func:`predict_feature_model`.
     """
     _require_same_set(energies, vector)
-    terms: dict[Category, list[float]] = {cat: [] for cat in Category}
-    products = energies.values * vector.counts
-    for i, fid in enumerate(energies.feature_set):
-        terms[fid.category].append(products[i])
-    return {cat: _fsum(parts) for cat, parts in terms.items()}
+    products = (energies.values * vector.counts).tolist()
+    columns = energies.feature_set.category_columns.items()
+    return {cat: _fsum([products[i] for i in indices]) for cat, indices in columns}
 
 
 def predict_hl1(params: HL1Params, info: HighLevelInfo) -> float:

@@ -177,28 +177,9 @@ class FeatureId:
 
     @classmethod
     def from_name(cls, codec: Codec, name: str) -> "FeatureId":
-        """Parse a canonical feature name back into a FeatureId."""
-        text = name.strip().lower()
-        entropy = None
-        for mode in EntropyMode:
-            suffix = "_" + mode.value
-            if text.endswith(suffix):
-                entropy = mode
-                text = text[: -len(suffix)]
-                break
-        digits = ""
-        while text and text[-1].isdigit():
-            digits = text[-1] + digits
-            text = text[:-1]
-        if text == "e" and digits == "0":
-            # "e0" ends in a digit but is not a sized kind
-            text, digits = "e0", ""
-        try:
-            kind = Kind(text)
-        except ValueError:
-            raise ValueError(f"unknown feature name {name!r}") from None
-        size = int(digits) if digits else None
-        return cls(codec, kind, size, entropy)
+        """The feature of ``codec``'s set with this canonical name; KeyError if none."""
+        fs = build_feature_set(codec)
+        return fs.features[fs.index_of(name.strip().lower())]
 
 
 def feature_category(feature: FeatureId) -> Category:
@@ -215,6 +196,7 @@ class FeatureSet:
 
     def __post_init__(self):
         index: dict = {}
+        columns: dict[Category, list[int]] = {cat: [] for cat in Category}
         for i, fid in enumerate(self.features):
             if fid.codec is not self.codec:
                 raise ValueError(f"feature {fid.name} belongs to {fid.codec.value}")
@@ -222,8 +204,10 @@ class FeatureSet:
                 raise ValueError(f"duplicate feature {fid.name}")
             index[fid] = i
             index[fid.name] = i
+            columns[_KIND_CATEGORY[fid.kind]].append(i)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_names", tuple(fid.name for fid in self.features))
+        object.__setattr__(self, "_category_columns", {c: tuple(i) for c, i in columns.items()})
 
     def __len__(self) -> int:
         return len(self.features)
@@ -234,6 +218,11 @@ class FeatureSet:
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
+
+    @property
+    def category_columns(self) -> dict[Category, tuple[int, ...]]:
+        """Per category, in :class:`Category` order, the indices of its features (maybe none)."""
+        return self._category_columns
 
     def index_of(self, feature: FeatureId | str) -> int:
         """Index of a feature (by id or canonical name) in the set."""

@@ -423,6 +423,20 @@ def test_report_four_codecs_renders_paired_bars(tmp_path):
     assert svg.count('class="bar-measured"') == 4
 
 
+def test_report_csv_reads_back_one_row_per_stream_with_the_exact_ids(tmp_path):
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 3, seed=3))
+    ids = ["clip,qp32", 'say "hi"', "two\nlines"]
+    renamed = Dataset(tuple(replace(rec, stream_id=i) for rec, i in zip(dataset, ids)))
+    data, params, out = tmp_path / "data.csv", tmp_path / "true.json", tmp_path / "b.csv"
+    export_dataset(renamed, data)
+    save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, params)
+    assert main(["report", "--dataset", str(data), "--params", str(params), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert [row[0] for row in rows] == ids
+    assert all(len(row) == len(header) == 9 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # synth + misc
 
@@ -514,6 +528,23 @@ def _hevc_files(tmp_path, count=3):
     export_dataset(synth_dataset(SynthSpec(Codec.HEVC, count, seed=1)), data)
     save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, params)
     return data, params
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+@pytest.mark.parametrize("command", ["fit", "crossval", "predict", "report"])
+def test_dataset_file_without_rows_exits_2_and_names_the_file(tmp_path, capsys, command, suffix):
+    data, params = _hevc_files(tmp_path)
+    empty = tmp_path / f"empty.{suffix}"
+    if suffix == "csv":
+        export_dataset(load_dataset(data), empty)
+        empty.write_text(empty.read_text().splitlines()[0] + "\n")
+    else:
+        empty.write_text(json.dumps({"codec": "hevc", "records": []}))
+    argv = [command, "--dataset", str(empty)]
+    if command in ("predict", "report"):
+        argv += ["--params", str(params)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: empty dataset\n"
 
 
 def test_repeated_csv_column_exits_2(tmp_path, capsys):

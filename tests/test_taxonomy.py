@@ -121,6 +121,16 @@ def test_feature_id_name_roundtrip():
             assert FeatureId.from_name(codec, fid.name) == fid
 
 
+@pytest.mark.parametrize(
+    "codec, name",
+    [(Codec.HEVC, "inter4"), (Codec.VP9, "obmc"), (Codec.H263, "sao"), (Codec.HEVC, "coeff_cabac"),
+     (Codec.H264, "coeff"), (Codec.HEVC, "inter128"), (Codec.VP9, "e1"), (Codec.VP9, "")],
+)
+def test_feature_name_outside_the_codec_set_is_rejected(codec, name):
+    with pytest.raises(KeyError, match=f"not in the {codec.value} feature set"):
+        FeatureId.from_name(codec, name)
+
+
 def test_feature_id_invariants():
     with pytest.raises(ValueError):
         FeatureId(Codec.HEVC, Kind.PEL, block_size=16)
