@@ -118,8 +118,7 @@ def cmd_crossval(args) -> None:
 def cmd_report(args) -> None:
     if len(args.dataset) != len(args.params):
         raise _UsageError("--dataset and --params must be given the same number of times")
-    wanted = [s for chunk in (args.streams or []) for s in chunk.split(",") if s]
-    rows = []
+    loaded = []
     for ds_path, params_path in zip(args.dataset, args.params):
         dataset = load_dataset(ds_path)
         _, codec, params = load_params(params_path)
@@ -129,10 +128,16 @@ def cmd_report(args) -> None:
             raise DataValidationError(
                 f"codec mismatch: dataset is {dataset.codec.value}, params are {codec.value}"
             )
+        loaded.append((dataset, params))
+    known = {stream_id for dataset, _ in loaded for stream_id in dataset.ids}
+    # a value that names a loaded id whole selects it; any other is split on commas
+    wanted = {s for v in args.streams or [] for s in ([v] if v in known else v.split(",")) if s}
+    rows = []
+    for dataset, params in loaded:
         selected = [i for i, stream_id in enumerate(dataset.ids) if stream_id in wanted]
         rows.extend(breakdown_report(dataset, params, selected if wanted else None))
     if wanted:
-        missing = set(wanted) - {row.stream_id for row in rows}
+        missing = wanted - {row.stream_id for row in rows}
         if missing:
             raise DataValidationError(f"unknown stream id(s): {', '.join(sorted(missing))}")
     _emit(breakdown_csv(rows), args.out)
@@ -208,7 +213,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="per-category energy breakdown")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--params", action="append", required=True)
-    p.add_argument("--streams", action="append", help="comma-separated stream ids")
+    p.add_argument("--streams", action="append", help="comma-separated ids, or one whole id")
     p.add_argument("--out", help="breakdown CSV path (default: stdout)")
     p.add_argument("--svg", help="stacked-bar SVG output path")
     p.set_defaults(func=cmd_report)

@@ -242,7 +242,11 @@ class BreakdownRow:
     stream_id: str
     measured_joules: float
     estimated_joules: float
-    by_category: dict[Category, float]
+    category_joules: tuple[float, ...]  # in Category order
+
+    @property
+    def by_category(self) -> dict[Category, float]:
+        return dict(zip(_CATEGORY_ORDER, self.category_joules))
 
 
 def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[BreakdownRow]:
@@ -264,7 +268,7 @@ def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[Bre
                 stream_id=dataset.ids[i],
                 measured_joules=measured,
                 estimated_joules=predict_feature_model(energies, vector),
-                by_category=category_breakdown(energies, vector),
+                category_joules=tuple(category_breakdown(energies, vector).values()),
             )
         )
     return report
@@ -274,7 +278,7 @@ def breakdown_csv(rows: list[BreakdownRow]) -> str:
     lines = [["stream_id", "E_dec", "E_hat", *(c.value for c in _CATEGORY_ORDER)]]
     for row in rows:
         cells = [row.stream_id, repr(row.measured_joules), repr(row.estimated_joules)]
-        lines.append(cells + [repr(row.by_category[c]) for c in _CATEGORY_ORDER])
+        lines.append(cells + [repr(value) for value in row.category_joules])
     return csv_text(lines)
 
 
@@ -287,6 +291,7 @@ _CATEGORY_COLORS = {
     Category.SAO: "#d9cb97",
 }
 _MEASURED_COLOR = "#36415c"
+_SEGMENTS = tuple((c.value, _CATEGORY_COLORS[c]) for c in _CATEGORY_ORDER)  # label, color
 
 
 def _nice_ticks(maximum: float, count: int = 5) -> list[float]:
@@ -330,10 +335,7 @@ def breakdown_svg(rows: list[BreakdownRow], title: str = "Decoding energy by cat
     ]
     # legend
     lx = left
-    legend = [("E_dec", _MEASURED_COLOR)] + [
-        (c.value, _CATEGORY_COLORS[c]) for c in _CATEGORY_ORDER
-    ]
-    for label, color in legend:
+    for label, color in (("E_dec", _MEASURED_COLOR), *_SEGMENTS):
         parts.append(f'<rect x="{lx}" y="30" width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{lx + 14}" y="39">{label}</text>')
         lx += 14 + 7 * len(label) + 18
@@ -365,14 +367,13 @@ def breakdown_svg(rows: list[BreakdownRow], title: str = "Decoding energy by cat
         )
         seg_x = float(left)
         seg_y = y + bar_h + pair_gap
-        for cat in _CATEGORY_ORDER:
-            value = row.by_category[cat]
+        for (label, color), value in zip(_SEGMENTS, row.category_joules):
             if value <= 0:
                 continue
             seg_w = plot_w * value / xmax
             parts.append(
-                f'<rect class="seg-{cat.value}" x="{seg_x:.2f}" y="{seg_y}" '
-                f'width="{seg_w:.2f}" height="{bar_h}" fill="{_CATEGORY_COLORS[cat]}"/>'
+                f'<rect class="seg-{label}" x="{seg_x:.2f}" y="{seg_y}" '
+                f'width="{seg_w:.2f}" height="{bar_h}" fill="{color}"/>'
             )
             seg_x += seg_w
         y += group_h + group_gap

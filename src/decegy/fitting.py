@@ -10,8 +10,8 @@ positive through exp-reparameterization.
 
 All solvers are deterministic: identical inputs give bit-identical outputs.
 
-``scipy.linalg`` is imported inside the solvers that call it, so only the
-fitting commands (``fit`` and ``crossval``) pay for loading scipy.
+The solvers need numpy alone (LAPACK's QR and gelsd through ``numpy.linalg``),
+so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ class LinearSystem:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
+        # contiguous copies of strided views, which BLAS would round differently
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=float)
+        self.targets = np.ascontiguousarray(self.targets, dtype=float)
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
         m, k = self.matrix.shape
@@ -91,6 +92,39 @@ class FitDiagnostics:
         return out
 
 
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution by SVD, cutting singular values below eps * max."""
+    return np.linalg.lstsq(A, b, rcond=np.finfo(float).eps)[0]
+
+
+def _pivoted_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economic QR with column pivoting, ``A[:, piv] == Q @ R``: numpy's QR of A, then
+    Householder steps on its small triangle, whose column norms are A's, each taking
+    the column of largest remaining norm first."""
+    Q, R = np.linalg.qr(A)
+    Qs, piv = np.eye(R.shape[0]), np.arange(R.shape[1])
+    for j in range(R.shape[0]):
+        p = j + int(np.argmax(np.linalg.norm(R[j:, j:], axis=0)))
+        R[:, [j, p]], piv[[j, p]] = R[:, [p, j]], piv[[p, j]]
+        v = R[j:, j].copy()
+        v[0] += math.copysign(np.linalg.norm(v), v[0])
+        vv = float(v @ v)
+        if vv > 0.0:
+            R[j:, j:] -= np.outer(v, (2.0 / vv) * (v @ R[j:, j:]))
+            Qs[:, j:] -= np.outer(Qs[:, j:] @ v, (2.0 / vv) * v)
+            R[j + 1 :, j] = 0.0
+    return Q @ Qs, R, piv
+
+
+def _back_substitute(R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``R @ x == b`` for a non-singular upper triangular R."""
+    x = np.array(b, dtype=float)
+    for j in range(x.size - 1, -1, -1):
+        x[j] /= R[j, j]
+        x[:j] -= x[j] * R[:j, j]
+    return x
+
+
 def _nnls_active_set(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lawson-Hanson non-negative least squares.
 
@@ -98,8 +132,6 @@ def _nnls_active_set(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the KKT multipliers: w <= 0 (up to tolerance) on the clamped coordinates,
     ~0 on the free ones.
     """
-    import scipy.linalg
-
     m, n = A.shape
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -113,7 +145,7 @@ def _nnls_active_set(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
         passive[j] = True
         while True:
             cols = np.flatnonzero(passive)
-            z, *_ = scipy.linalg.lstsq(A[:, cols], y, lapack_driver="gelsd")
+            z = _lstsq(A[:, cols], y)
             if np.all(z > 0):
                 x = np.zeros(n)
                 x[cols] = z
@@ -145,8 +177,6 @@ def fit_linear_ls(
     the numerical rank get coefficient 0 and a CollinearityWarning.  With
     ``nonneg`` an active-set pass keeps all coefficients >= 0 at a KKT point.
     """
-    import scipy.linalg
-
     A, y = system.matrix, system.targets
     m, k = A.shape
     scale = np.max(np.abs(A), axis=0)
@@ -175,19 +205,18 @@ def fit_linear_ls(
     else:
         active = np.flatnonzero(~zero_cols)
         if active.size:
-            Q, R, piv = scipy.linalg.qr(As[:, active], mode="economic", pivoting=True)
+            Q, R, piv = _pivoted_qr(As[:, active])
             diag = np.abs(np.diag(R))
             threshold = max(m, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
             rank = int(np.sum(diag > threshold)) if diag.size else 0
             diagnostics.rank = rank
             if rank > 0:
                 qty = Q.T @ y
-                z = scipy.linalg.solve_triangular(R[:rank, :rank], qty[:rank], check_finite=False)
+                z = _back_substitute(R[:rank, :rank], qty[:rank])
                 coeffs_scaled[active[piv[:rank]]] = z
                 if rank < active.size:
                     dropped = [system.labels[active[j]] for j in piv[rank:]]
-                if diag.size and diag[rank - 1] > 0:
-                    diagnostics.condition = float(diag[0] / diag[rank - 1])
+                diagnostics.condition = float(diag[0] / diag[rank - 1])
             else:
                 dropped = [system.labels[j] for j in active]
         dropped += [system.labels[j] for j in np.flatnonzero(zero_cols)]
@@ -202,10 +231,12 @@ def fit_linear_ls(
         diagnostics.dropped = tuple(dropped)
 
     coefficients = coeffs_scaled / scale_safe
-    if not np.all(np.isfinite(coefficients)):
-        raise FitError("coefficients overflow the float range")
-    residual = A @ coefficients - y
-    diagnostics.residual_norm = float(np.linalg.norm(residual))
+    with np.errstate(all="ignore"):  # infinite coefficients give a NaN residual
+        residual = A @ coefficients - y
+    norm = float(np.linalg.norm(residual))  # its sum of squares overflows past about 1e154
+    diagnostics.residual_norm = norm if norm < math.inf else math.hypot(*residual)
+    if not (np.all(np.isfinite(coefficients)) and math.isfinite(diagnostics.residual_norm)):
+        raise FitError("coefficients overflow the float range")  # or the fit's residual does
     return coefficients, diagnostics
 
 
@@ -230,9 +261,7 @@ class TrustRegionOptions:
 
 def _dogleg_step(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     """Dogleg minimizer of the Gauss-Newton model within the radius."""
-    import scipy.linalg
-
-    p_gn, *_ = scipy.linalg.lstsq(J, -r, lapack_driver="gelsd")
+    p_gn = _lstsq(J, -r)
     if np.linalg.norm(p_gn) <= radius:
         return p_gn
     Jg = J @ g
@@ -428,14 +457,12 @@ def fit_hl1(
         )
         return J * chain / e_scale
 
-    import scipy.linalg
-
     best: tuple[float, np.ndarray, FitDiagnostics] | None = None
     for gamma0 in _HL1_STARTS:
         # preliminary linear fit of (base, per-pixel, coeff) at fixed exponent
         xg0 = x ** gamma0
         design = np.column_stack([np.ones_like(pixels), pixels, pixels * xg0])
-        prelim, *_ = scipy.linalg.lstsq(design, energies, lapack_driver="gelsd")
+        prelim = _lstsq(design, energies)
         beta_floor = 1e-12 * e_scale / float(np.mean(pixels * xg0))
         beta0 = max(float(prelim[2]), beta_floor)
         theta0 = np.array(

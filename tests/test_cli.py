@@ -437,6 +437,26 @@ def test_report_csv_reads_back_one_row_per_stream_with_the_exact_ids(tmp_path):
     assert all(len(row) == len(header) == 9 for row in rows)
 
 
+def test_report_streams_value_that_is_a_whole_id_selects_that_id(tmp_path):
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 4, seed=3))
+    ids = ["clip,qp32", "clip", "qp32", "other"]
+    renamed = Dataset(tuple(replace(rec, stream_id=i) for rec, i in zip(dataset, ids)))
+    data, params, out = tmp_path / "data.csv", tmp_path / "true.json", tmp_path / "b.csv"
+    export_dataset(renamed, data)
+    save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, params)
+    base = ["report", "--dataset", str(data), "--params", str(params), "--out", str(out)]
+
+    def reported(*values):
+        streams = [arg for value in values for arg in ("--streams", value)]
+        assert main(base + streams) == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            return [row[0] for row in list(csv.reader(handle))[1:]]
+
+    assert reported("clip,qp32") == ["clip,qp32"]
+    assert reported("other,clip") == ["clip", "other"]  # not an id: a list, as before
+    assert reported("clip,qp32", "qp32,other") == ["clip,qp32", "qp32", "other"]
+
+
 # ---------------------------------------------------------------------------
 # synth + misc
 
@@ -777,9 +797,19 @@ def _h263_with_energies(path, energies, seed):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_hl2_fit_with_non_finite_coefficients_exits_3(tmp_path, capsys):
     data = tmp_path / "data.csv"
-    _h263_with_energies(data, 10.0 ** np.random.default_rng(4).uniform(303, 308.2, 12), seed=4)
+    # energies of 1e308 and up: Q'y then exceeds the float range, whatever the summation order
+    _h263_with_energies(data, 10.0 ** np.random.default_rng(4).uniform(308, 308.2, 12), seed=4)
     assert main(["fit", "--dataset", str(data), "--model", "hl2"]) == 3
     assert capsys.readouterr().err == "fit error: coefficients overflow the float range\n"
+
+
+def test_fit_residual_norm_past_the_range_of_its_squares_is_finite(tmp_path):
+    data, out = tmp_path / "data.csv", tmp_path / "params.json"
+    _h263_with_energies(data, 10.0 ** np.random.default_rng(4).uniform(200, 202, 12), seed=4)
+    for model in ("feature", "hl2"):
+        assert main(["fit", "--dataset", str(data), "--model", model, "--out", str(out)]) == 0
+        residual_norm = json.loads(out.read_text())["diagnostics"]["residual_norm"]
+        assert 1e200 < residual_norm < 1e204
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from decegy import (
     hl1_residuals_jacobian,
     synth_dataset,
 )
+from decegy.models import HighLevelColumns
 from util import hl1_records, hl2_records
 
 TRUE_HL1 = HL1Params(base_joules=0.4, per_pixel_joules=2.1e-8, rate_coeff=1.3e-7, rate_power=0.7)
@@ -170,6 +172,35 @@ def test_fits_are_deterministic():
     a, _ = fit_linear_ls(system)
     b, _ = fit_linear_ls(system)
     assert np.array_equal(a, b)
+
+
+def _values(params) -> bytes:
+    return np.array(params if isinstance(params, np.ndarray) else astuple(params)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["feature", "hl1", "hl2"])
+def test_fits_of_strided_views_equal_fits_of_contiguous_copies(kind):
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 10, noise_sigma=0.05, seed=0))
+    if kind == "feature":
+        counts = np.repeat(dataset.counts, 2, axis=1)[:, ::2]
+        columns = (counts, np.repeat(dataset.energies[:, None], 5, axis=1)[:, 0])
+
+        def fit(*columns):
+            return fit_linear_ls(LinearSystem(*columns, dataset.feature_set.names))
+
+    else:
+        fit_kind = fit_hl1 if kind == "hl1" else fit_hl2
+        # (HighLevelInfo, energy) pairs become views into one array of rows of five
+        columns = HighLevelColumns.of([(rec.highlevel, rec.energy_joules) for rec in dataset])
+
+        def fit(*columns):
+            return fit_kind(HighLevelColumns(*columns))
+
+    assert columns[-1].strides == (40,)
+    params, diagnostics = fit(*columns)
+    params_copy, diagnostics_copy = fit(*(np.ascontiguousarray(c) for c in columns))
+    assert _values(params) == _values(params_copy)
+    assert diagnostics.as_dict() == diagnostics_copy.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Modules each command loads, each run in a fresh interpreter.
 
-Only the fitting commands need scipy; the others, and ``--help``, must start
-without it and without the ``xml.sax``/``urllib.request`` chain.
+No command, and not ``--help``, loads scipy or the ``xml.sax``/``urllib.request``
+chain; the fitting commands solve with numpy alone, so they also run where
+scipy cannot be imported.
 """
 
 import json
@@ -68,13 +69,35 @@ def inputs(tmp_path_factory):
         ["synth", "--codec", "vp9", "--count", "5", "--out", "s.csv"],
         ["predict", "--dataset", "d.csv", "--params", "p.json", "--out", "e.csv"],
         ["report", "--dataset", "d.csv", "--params", "p.json", "--svg", "r.svg", "--out", "r.csv"],
+        ["fit", "--dataset", "d.csv", "--out", "f.json"],
+        ["crossval", "--dataset", "d.csv", "--k", "3", "--out", "c.json"],
     ],
     ids=lambda args: args[0].lstrip("-"),
 )
-def test_non_fitting_commands_start_without_scipy(inputs, args):
+def test_commands_start_without_scipy(inputs, args):
     modules = _loaded_modules(args, inputs)
     assert not [m for m in modules if m in HEAVY or m.startswith(tuple(h + "." for h in HEAVY))]
 
 
-def test_fit_loads_scipy_at_its_first_solve(inputs):
-    assert "scipy.linalg" in _loaded_modules(["fit", "--dataset", "d.csv"], inputs)
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from decegy.cli import main
+for command in ("fit", "crossval"):
+    for model in (["feature"], ["feature", "--nonneg"], ["hl1"], ["hl2"]):
+        argv = [command, "--dataset", "d.csv", "--model", *model, "--out", "o.json"]
+        if command == "crossval":
+            argv += ["--k", "3"]
+        print(" ".join(argv), main(argv))
+"""
+
+
+def test_fit_and_crossval_run_every_model_where_scipy_cannot_be_imported(inputs):
+    env = dict(os.environ, PYTHONPATH=str(Path(decegy.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        cwd=inputs, env=env, capture_output=True, text=True, check=True,
+    )
+    runs = [line for line in done.stdout.splitlines() if line.startswith(("fit ", "crossval "))]
+    assert len(runs) == 8, done.stdout + done.stderr
+    assert all(line.endswith(" 0") for line in runs), done.stdout + done.stderr
