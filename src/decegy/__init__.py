@@ -5,89 +5,38 @@ decode-trace analysis into feature vectors, three energy predictors (the
 feature-based linear model and two high-level baselines), least-squares and
 trust-region training, and k-fold cross-validation with the mean relative
 error metric.
+
+Each public name loads its module on first use, so ``decegy analyze`` needs no numpy.
 """
 
-from .dataset import (
-    BitstreamRecord,
-    Dataset,
-    SynthSpec,
-    default_count_ranges,
-    default_specific_energies,
-    export_dataset,
-    load_dataset,
-    synth_dataset,
-)
-from .errors import (
-    DataValidationError,
-    DecegyError,
-    FitError,
-    IllegalEventError,
-    TraceParseError,
-)
-from .evaluation import (
-    BreakdownRow,
-    CVReport,
-    FoldPartition,
-    breakdown_csv,
-    breakdown_report,
-    breakdown_svg,
-    cross_validate,
-    make_folds,
-    mean_relative_error,
-)
-from .fitting import (
-    CollinearityWarning,
-    FitDiagnostics,
-    LinearSystem,
-    TrustRegionOptions,
-    feature_linear_system,
-    fit_hl1,
-    fit_hl2,
-    fit_linear_ls,
-    fit_trust_region,
-    hl1_residuals_jacobian,
-)
-from .models import (
-    HL1Params,
-    HL2Params,
-    HighLevelInfo,
-    SpecificEnergies,
-    category_breakdown,
-    load_params,
-    params_from_json,
-    params_to_json,
-    predict_feature_model,
-    predict_hl1,
-    predict_hl2,
-    save_params,
-)
-from .taxonomy import (
-    BLOCK_SIZES,
-    Category,
-    Codec,
-    EntropyMode,
-    FeatureId,
-    FeatureSet,
-    FeatureVector,
-    Kind,
-    build_feature_set,
-    counted_sizes,
-    feature_category,
-    validate_vector,
-)
-from .trace import (
-    Coefficient,
-    DecodeTrace,
-    FrameStart,
-    InterBlock,
-    IntraBlock,
-    SaoBlock,
-    TransformBlock,
-    analyze,
-    coeff_value_contribution,
-    map_inter_block,
-    parse_trace,
-    pel_and_frac_counts,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "dataset": "BitstreamRecord Dataset SynthSpec default_count_ranges default_specific_energies"
+    " export_dataset load_dataset synth_dataset",
+    "errors": "DataValidationError DecegyError FitError IllegalEventError TraceParseError",
+    "evaluation": "BreakdownRow CVReport FoldPartition breakdown_csv breakdown_report"
+    " breakdown_svg cross_validate make_folds mean_relative_error",
+    "fitting": "CollinearityWarning FitDiagnostics LinearSystem TrustRegionOptions"
+    " feature_linear_system fit_hl1 fit_hl2 fit_linear_ls fit_trust_region hl1_residuals_jacobian",
+    "models": "HL1Params HL2Params HighLevelInfo SpecificEnergies category_breakdown load_params"
+    " params_from_json params_to_json predict_feature_model predict_hl1 predict_hl2 save_params",
+    "taxonomy": "BLOCK_SIZES Category Codec EntropyMode FeatureId FeatureSet FeatureVector Kind"
+    " build_feature_set counted_sizes feature_category validate_vector",
+    "trace": "Coefficient DecodeTrace FrameStart InterBlock IntraBlock SaoBlock TransformBlock"
+    " analyze coeff_value_contribution map_inter_block parse_trace pel_and_frac_counts",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,29 +13,42 @@ import logging
 import os
 import sys
 import warnings
+from importlib import import_module
 from pathlib import Path
 
-from .dataset import (
-    BitstreamRecord,
-    Dataset,
-    SynthSpec,
-    dataset_to_csv,
-    default_specific_energies,
-    export_dataset,
-    load_dataset,
-    synth_dataset,
-)
 from .errors import DataValidationError, DecegyError, FitError, about_file
-from .evaluation import MODELS, breakdown_csv, breakdown_report, breakdown_svg, cross_validate
-from .models import SpecificEnergies, load_params, params_to_json
-from .taxonomy import Codec
+from .schema import BASE_COLUMNS, check_record, csv_row, csv_text
+from .taxonomy import Codec, build_feature_set
 from .trace import analyze, parse_trace
 
-# Not called here: bench/spans.py wraps these names as attributes of this module.
-from .fitting import feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls  # noqa: F401
-from .models import predict_feature_model, predict_hl1, predict_hl2  # noqa: F401
-
 log = logging.getLogger("decegy")
+
+# Names of the numpy-backed modules, bound here by the commands that call them or on
+# attribute access (bench/spans.py wraps them so); a name bound already is kept.
+_LAZY = {
+    "dataset": ("SynthSpec", "dataset_to_csv", "default_specific_energies", "export_dataset",
+                "load_dataset", "synth_dataset"),
+    "evaluation": ("MODELS", "breakdown_csv", "breakdown_report", "breakdown_svg",
+                   "cross_validate"),
+    "models": ("SpecificEnergies", "load_params", "params_to_json", "predict_feature_model",
+               "predict_hl1", "predict_hl2"),
+    "fitting": ("feature_linear_system", "fit_hl1", "fit_hl2", "fit_linear_ls"),
+}
+_MODEL_KINDS = ("feature", "hl1", "hl2")  # the keys of evaluation.MODELS, the default first
+
+
+def _bind(*modules: str) -> None:
+    for module in modules:
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(import_module(f".{module}", __package__), name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -49,27 +62,33 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_analyze(args) -> None:
     codec_flag = Codec.from_name(args.codec) if args.codec else None
-    records = []
+    codec, rows, first_in, repeated = None, [], {}, None
     for path in args.traces:
         with about_file(path):
             with open(path, encoding="utf-8", errors="surrogateescape") as handle:
                 trace = parse_trace(handle, codec=codec_flag, stream_id=None)
             vector = analyze(trace)
             stream_id = trace.stream_id or Path(path).stem
-            frames = int(vector["frame"]) or None
-            record = BitstreamRecord(stream_id, trace.codec, vector, frames=frames)
-        if records and trace.codec is not records[0].codec:
+            metadata = (None, None, int(vector["frame"]) or None, None, None)
+            check_record(stream_id, trace.codec, vector, metadata, None, {})
+        if codec is not None and trace.codec is not codec:
             raise DataValidationError(
-                f"mixed codecs: {records[0].codec.value} and {trace.codec.value} ({path})"
+                f"mixed codecs: {codec.value} and {trace.codec.value} ({path})"
             )
-        records.append(record)
-    dataset = Dataset(tuple(records))
-    _emit(dataset_to_csv(dataset), args.out)
+        codec = trace.codec
+        if stream_id in first_in and repeated is None:
+            repeated = f"{path}: duplicate stream_id {stream_id!r} (first in {first_in[stream_id]})"
+        first_in.setdefault(stream_id, path)
+        rows.append(csv_row(stream_id, codec, (*metadata, None), vector.tolist()))
+    if repeated:  # found once every trace has been read, as a dataset would find it
+        raise DataValidationError(repeated)
+    _emit(csv_text([[*BASE_COLUMNS, *build_feature_set(codec).names], *rows]), args.out)
     if args.out:
-        print(f"analyzed {len(dataset)} trace(s) [{dataset.codec.value}] -> {args.out}")
+        print(f"analyzed {len(rows)} trace(s) [{codec.value}] -> {args.out}")
 
 
 def cmd_fit(args) -> None:
+    _bind("dataset", "evaluation", "models")
     dataset = load_dataset(args.dataset)
     codec = dataset.codec
     every_row = range(len(dataset))
@@ -89,6 +108,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    _bind("dataset", "evaluation", "models")
     dataset = load_dataset(args.dataset, require_energy=False)
     kind, codec, params = load_params(args.params)
     if codec is not dataset.codec:
@@ -102,6 +122,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_crossval(args) -> None:
+    _bind("dataset", "evaluation")
     dataset = load_dataset(args.dataset)
     fit_options = {"nonneg": args.nonneg} if args.nonneg else {}
     report = cross_validate(
@@ -116,6 +137,7 @@ def cmd_crossval(args) -> None:
 
 
 def cmd_report(args) -> None:
+    _bind("dataset", "evaluation", "models")
     if len(args.dataset) != len(args.params):
         raise _UsageError("--dataset and --params must be given the same number of times")
     loaded = []
@@ -148,6 +170,7 @@ def cmd_report(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    _bind("dataset", "models")
     codec = Codec.from_name(args.codec)
     if args.params:
         _, params_codec, params = load_params(args.params)
@@ -179,7 +202,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="decegy", description=__doc__.splitlines()[0])
-    kinds = tuple(MODELS)  # the feature model comes first and is the default
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="count features in decode traces")
@@ -190,7 +212,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit model parameters to a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", choices=kinds, default=kinds[0])
+    p.add_argument("--model", choices=_MODEL_KINDS, default=_MODEL_KINDS[0])
     p.add_argument("--nonneg", action="store_true", help="constrain specific energies >= 0")
     p.add_argument("--out", help="parameter JSON output path")
     p.set_defaults(func=cmd_fit)
@@ -203,7 +225,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("crossval", help="k-fold cross-validation")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", choices=kinds, default=kinds[0])
+    p.add_argument("--model", choices=_MODEL_KINDS, default=_MODEL_KINDS[0])
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--nonneg", action="store_true")

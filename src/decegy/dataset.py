@@ -36,7 +36,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -46,11 +45,9 @@ import numpy as np
 from .errors import DataValidationError, about_file, json_feature_values, json_number
 from .errors import read_json, read_text
 from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, predict_feature_model
-from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set, validate_vector
-
-#: Integer stream metadata, all five needed by the high-level models.
-METADATA_COLUMNS = ("width", "height", "frames", "file_size_bytes", "intra_frames")
-BASE_COLUMNS = ("stream_id", "codec", *METADATA_COLUMNS, "energy_joules")
+from .schema import BASE_COLUMNS, METADATA_COLUMNS, check_record, csv_row, csv_text
+from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set
+from .taxonomy import validate_vector  # noqa: F401  bench/spans.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -74,35 +71,9 @@ class BitstreamRecord:
     tags: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.stream_id:
-            raise DataValidationError("empty stream_id")
-        for text in (self.stream_id, *self.tags, *map(str, self.tags.values())):
-            if text.encode("utf-8", "replace").decode("utf-8") != text:  # lone surrogates
-                raise DataValidationError(f"not valid Unicode: {text!r}")
-        if self.features.feature_set.codec is not self.codec:
-            raise DataValidationError(
-                f"feature vector is for {self.features.feature_set.codec.value}, "
-                f"record says {self.codec.value}"
-            )
-        violations = validate_vector(self.features.feature_set, self.features)
-        if violations:
-            raise DataValidationError("; ".join(violations))
-        energy = self.energy_joules
-        if energy is not None and not (math.isfinite(energy) and energy > 0):
-            raise DataValidationError(f"non-finite or nonpositive energy: {energy}")
-        for name in METADATA_COLUMNS:
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise DataValidationError(f"{name} must be an integer, got {value!r}")
-            if value is not None and value > 2**53:  # the models compute with floats
-                raise DataValidationError(f"{name} must be at most 2**53")
-            if value is not None and value <= 0 and name != "intra_frames":
-                raise DataValidationError(f"{name} must be positive, got {value}")
-        if self.intra_frames is not None:
-            if self.intra_frames < 0:
-                raise DataValidationError("intra_frames must be >= 0")
-            if self.frames is not None and self.intra_frames > self.frames:
-                raise DataValidationError("intra_frames exceeds frames")
+        metadata = [getattr(self, name) for name in METADATA_COLUMNS]
+        check_record(self.stream_id, self.codec, self.features, metadata, self.energy_joules,
+                     self.tags)
         object.__setattr__(self, "tags", MappingProxyType(dict(self.tags)))
 
     @property
@@ -285,13 +256,6 @@ def _rows(dataset: Dataset) -> Iterator[tuple]:
     return zip(dataset.ids, zip(*numbers), map(np.ndarray.tolist, dataset.counts), dataset.tags)
 
 
-def csv_text(rows: Iterable[list]) -> str:
-    """CSV text of rows, the header first: LF line ends, a cell quoted only when it must be."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
-
-
 def dataset_to_csv(
     dataset: Dataset, last_columns: Mapping[str, Iterable[float]] = MappingProxyType({})
 ) -> str:
@@ -303,9 +267,8 @@ def dataset_to_csv(
         yield [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]
         with_last = zip(_rows(dataset), *last_columns.values(), strict=True)
         for (stream_id, numbers, counts, tags), *last in with_last:
-            numbers = ["" if value is None else repr(value) for value in numbers]
-            row = [stream_id, dataset.codec.value, *numbers, *map(repr, counts)]
-            yield row + [tags.get(key, "") for key in tag_keys] + [repr(float(v)) for v in last]
+            cells = [tags.get(key, "") for key in tag_keys]
+            yield csv_row(stream_id, dataset.codec, numbers, counts, cells, last)
 
     return csv_text(rows())
 

@@ -31,12 +31,13 @@ from .models import (
     HL2Params,
     ModelParams,
     SpecificEnergies,
-    category_breakdown,
+    category_sums,
     params_to_dict,
     predict_feature_model,
     predict_hl1,
     predict_hl2,
 )
+from .models import category_breakdown  # noqa: F401  bench/spans.py wraps it here
 
 
 def _fit_feature(dataset: Dataset, rows, nonneg: bool) -> tuple[SpecificEnergies, FitDiagnostics]:
@@ -268,7 +269,7 @@ def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[Bre
                 stream_id=dataset.ids[i],
                 measured_joules=measured,
                 estimated_joules=predict_feature_model(energies, vector),
-                category_joules=tuple(category_breakdown(energies, vector).values()),
+                category_joules=category_sums(energies, vector),
             )
         )
     return report

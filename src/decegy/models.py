@@ -210,10 +210,15 @@ def category_breakdown(
     All six categories are present in the result (zero when the codec has no
     such features); the values sum to :func:`predict_feature_model`.
     """
+    return dict(zip(Category, category_sums(energies, vector)))
+
+
+def category_sums(energies: SpecificEnergies, vector: FeatureVector) -> tuple[float, ...]:
+    """The values of :func:`category_breakdown`, in :class:`Category` order."""
     _require_same_set(energies, vector)
     products = (energies.values * vector.counts).tolist()
-    columns = energies.feature_set.category_columns.items()
-    return {cat: _fsum([products[i] for i in indices]) for cat, indices in columns}
+    columns = energies.feature_set.category_columns.values()
+    return tuple(_fsum([products[i] for i in indices]) for indices in columns)
 
 
 def predict_hl1(params: HL1Params, info: HighLevelInfo) -> float:

@@ -20,12 +20,11 @@ Feature identifiers serialize as lowercase names such as ``e0``, ``frame``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator
-
-import numpy as np
 
 from .errors import DataValidationError
 
@@ -283,42 +282,61 @@ class FeatureVector:
     produces 0.5 increments) and non-negative; the e0 count is 1 for any
     analyzed bitstream.  Construction is lenient -- use
     :func:`validate_vector` to collect invariant violations as data.
+
+    Counts given as a list or tuple stay Python floats until the read-only
+    float64 array :attr:`counts` is first read, so that numpy is not needed.
     """
 
-    __slots__ = ("feature_set", "counts")
+    __slots__ = ("feature_set", "_floats", "_array")
 
     def __init__(self, feature_set: FeatureSet, counts):
         self.feature_set = feature_set
-        arr = np.array(counts, dtype=float)
-        arr.setflags(write=False)
-        self.counts = arr
+        listed = isinstance(counts, (list, tuple))
+        self._floats = tuple(map(float, counts)) if listed else None
+        self._array = None if listed else _read_only(counts)
+
+    @property
+    def counts(self):
+        if self._array is None:
+            self._array = _read_only(self._floats)
+        return self._array
 
     @classmethod
     def from_dict(cls, feature_set: FeatureSet, mapping, default: float = 0.0):
         """Build from a name -> count mapping; unknown names are rejected."""
-        counts = np.full(len(feature_set), default, dtype=float)
+        counts = [default] * len(feature_set)
         for name, value in mapping.items():
             counts[feature_set.index_of(name)] = float(value)
         return cls(feature_set, counts)
 
+    def tolist(self) -> list[float]:
+        """The counts as Python floats."""
+        return self._array.tolist() if self._floats is None else list(self._floats)
+
     def __getitem__(self, feature: FeatureId | str) -> float:
-        return float(self.counts[self.feature_set.index_of(feature)])
+        return self.tolist()[self.feature_set.index_of(feature)]
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeatureVector):
             return NotImplemented
-        return self.feature_set == other.feature_set and np.array_equal(
-            self.counts, other.counts
-        )
+        return self.feature_set == other.feature_set and self.tolist() == other.tolist()
 
     def __repr__(self) -> str:
         return f"FeatureVector({self.feature_set.codec.value}, {self.counts!r})"
 
     def as_dict(self) -> dict[str, float]:
-        return {name: float(c) for name, c in zip(self.feature_set.names, self.counts)}
+        return dict(zip(self.feature_set.names, self.tolist()))
+
+
+def _read_only(counts):
+    import numpy as np
+
+    array = np.array(counts, dtype=float)
+    array.setflags(write=False)
+    return array
 
 
 def validate_vector(feature_set: FeatureSet, vector: FeatureVector) -> list[str]:
@@ -332,20 +350,19 @@ def validate_vector(feature_set: FeatureSet, vector: FeatureVector) -> list[str]
             f"feature set mismatch: vector is for {vector.feature_set.codec.value}, "
             f"expected {feature_set.codec.value}"
         )
+    counts = vector.tolist()
     n_expected = len(feature_set)
-    if len(vector.counts) != n_expected:
-        violations.append(
-            f"length mismatch: expected {n_expected}, got {len(vector.counts)}"
-        )
-    aligned = len(vector.counts) == n_expected
-    for i, value in enumerate(vector.counts):
+    if len(counts) != n_expected:
+        violations.append(f"length mismatch: expected {n_expected}, got {len(counts)}")
+    aligned = len(counts) == n_expected
+    for i, value in enumerate(counts):
         label = feature_set.names[i] if aligned else f"index {i}"
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             violations.append(f"non-finite count: {label} = {value}")
         elif value < 0:
             violations.append(f"negative count: {label} = {value}")
     if aligned:
-        e0 = vector.counts[feature_set.index_of("e0")]
-        if np.isfinite(e0) and e0 != 1.0:
+        e0 = counts[feature_set.index_of("e0")]
+        if math.isfinite(e0) and e0 != 1.0:
             violations.append(f"e0 must be 1, got {e0}")
     return violations

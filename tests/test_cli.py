@@ -104,6 +104,27 @@ def test_analyze_duplicate_stream_ids_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_duplicate_stream_id_names_the_repeating_and_the_first_file(tmp_path, capsys):
+    paths = [tmp_path / d / "t.jsonl" for d in ("a", "b", "c")]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text('{"event": "frame_start"}\n', encoding="utf-8")
+    assert main(["analyze", *map(str, paths), "--codec", "hevc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {paths[1]}: duplicate stream_id 't' (first in {paths[0]})\n"
+
+
+def test_analyze_reports_a_bad_trace_before_an_earlier_duplicate_id(tmp_path, capsys):
+    a, b, bad = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "bad.jsonl"
+    _write_trace(a, stream_id="x")
+    _write_trace(b, stream_id="x")
+    bad.write_text('{"codec": "hevc"}\n{"event": "teleport"}\n', encoding="utf-8")
+    assert main(["analyze", str(a), str(b), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: ") and "duplicate" not in err
+
+
 def test_analyze_parse_error_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(

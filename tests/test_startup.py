@@ -2,9 +2,13 @@
 
 No command, and not ``--help``, loads scipy or the ``xml.sax``/``urllib.request``
 chain; the fitting commands solve with numpy alone, so they also run where
-scipy cannot be imported.
+scipy cannot be imported.  ``--help`` and ``analyze`` do not load numpy, through
+the console script's ``decegy.cli:main`` or ``python -m decegy``, and run where
+numpy cannot be imported.  The package serves its public names lazily.
 """
 
+import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import decegy
+from decegy import cli, evaluation
 from decegy import (
     Codec,
     SynthSpec,
@@ -37,12 +42,36 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def _loaded_modules(args, cwd) -> set[str]:
-    env = dict(os.environ, PYTHONPATH=str(Path(decegy.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", _PROBE, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, check=True,
-    )
+# the same through python -m decegy, which runs decegy/__main__.py
+_MODULE_PROBE = """
+import runpy
+import sys
+rc = 0
+try:
+    runpy.run_module("decegy", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    rc = exc.code
+print(rc)
+print(" ".join(sorted(sys.modules)))
+"""
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from decegy.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+_ENV = dict(os.environ, PYTHONPATH=str(Path(decegy.__file__).parents[1]))
+
+
+def _run(argv, cwd) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=cwd, env=_ENV, capture_output=True, text=True)
+
+
+def _loaded_modules(args, cwd, probe=_PROBE) -> set[str]:
+    done = _run([sys.executable, "-c", probe, *args], cwd)
+    assert done.returncode == 0, done.stderr
     rc, modules = done.stdout.splitlines()[-2:]
     assert rc == "0", done.stderr
     return set(modules.split())
@@ -58,6 +87,17 @@ def inputs(tmp_path_factory):
     )
     export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 12, seed=3)), root / "d.csv")
     save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, root / "p.json")
+    for codec in Codec:
+        events = [{"event": "frame_start"}, {"event": "intra", "w": 16, "h": 8},
+                  {"event": "inter", "w": 8, "h": 8, "bipred": True, "frac_h": True},
+                  {"event": "transform", "w": 8, "h": 8},
+                  {"event": "coeff", "value": -5, "bits": 7,
+                   **({"entropy": "cabac"} if codec is Codec.H264 else {})}]
+        events += [{"event": "sao"}] if codec is Codec.HEVC else []
+        lines = [{"codec": codec.value, "stream_id": f"s-{codec.value}"}, *events, *events]
+        (root / f"{codec.value}.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+        )
     return root
 
 
@@ -93,11 +133,120 @@ for command in ("fit", "crossval"):
 
 
 def test_fit_and_crossval_run_every_model_where_scipy_cannot_be_imported(inputs):
-    env = dict(os.environ, PYTHONPATH=str(Path(decegy.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY],
-        cwd=inputs, env=env, capture_output=True, text=True, check=True,
-    )
+    done = _run([sys.executable, "-c", _WITHOUT_SCIPY], inputs)
+    assert done.returncode == 0, done.stderr
     runs = [line for line in done.stdout.splitlines() if line.startswith(("fit ", "crossval "))]
     assert len(runs) == 8, done.stdout + done.stderr
     assert all(line.endswith(" 0") for line in runs), done.stdout + done.stderr
+
+
+_WITHOUT_NUMPY_COMMANDS = [["--help"], *(["analyze", f"{c.value}.jsonl"] for c in Codec)]
+
+
+@pytest.mark.parametrize("probe", [_PROBE, _MODULE_PROBE], ids=["console_script", "python_m"])
+@pytest.mark.parametrize(
+    "args", [["--help"], ["analyze", "t.jsonl", "--out", "a.csv"]], ids=["help", "analyze"]
+)
+def test_help_and_analyze_start_without_numpy(inputs, args, probe):
+    assert "numpy" not in _loaded_modules(args, inputs, probe)
+
+
+@pytest.mark.parametrize("args", _WITHOUT_NUMPY_COMMANDS, ids=lambda args: " ".join(args))
+def test_help_and_analyze_run_where_numpy_cannot_be_imported(inputs, args):
+    blocked = _run([sys.executable, "-c", _WITHOUT_NUMPY, *args], inputs)
+    normal = _run([sys.executable, "-m", "decegy", *args], inputs)
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    assert blocked.stdout == normal.stdout
+    assert normal.returncode == 0 and normal.stderr == ""
+    assert blocked.stdout.startswith("usage: decegy" if args == ["--help"] else "stream_id,")
+
+
+#: Every name decegy/__init__.py imported from its modules when it loaded them all at once.
+OLD_EXPORTS = {
+    "dataset": ("BitstreamRecord", "Dataset", "SynthSpec", "default_count_ranges",
+                "default_specific_energies", "export_dataset", "load_dataset", "synth_dataset"),
+    "errors": ("DataValidationError", "DecegyError", "FitError", "IllegalEventError",
+               "TraceParseError"),
+    "evaluation": ("BreakdownRow", "CVReport", "FoldPartition", "breakdown_csv",
+                   "breakdown_report", "breakdown_svg", "cross_validate", "make_folds",
+                   "mean_relative_error"),
+    "fitting": ("CollinearityWarning", "FitDiagnostics", "LinearSystem", "TrustRegionOptions",
+                "feature_linear_system", "fit_hl1", "fit_hl2", "fit_linear_ls",
+                "fit_trust_region", "hl1_residuals_jacobian"),
+    "models": ("HL1Params", "HL2Params", "HighLevelInfo", "SpecificEnergies",
+               "category_breakdown", "load_params", "params_from_json", "params_to_json",
+               "predict_feature_model", "predict_hl1", "predict_hl2", "save_params"),
+    "taxonomy": ("BLOCK_SIZES", "Category", "Codec", "EntropyMode", "FeatureId", "FeatureSet",
+                 "FeatureVector", "Kind", "build_feature_set", "counted_sizes",
+                 "feature_category", "validate_vector"),
+    "trace": ("Coefficient", "DecodeTrace", "FrameStart", "InterBlock", "IntraBlock",
+              "SaoBlock", "TransformBlock", "analyze", "coeff_value_contribution",
+              "map_inter_block", "parse_trace", "pel_and_frac_counts"),
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in OLD_EXPORTS.items() for n in names],
+    ids=lambda value: value,
+)
+def test_every_old_public_name_imports_from_the_package(module, name):
+    namespace = {}
+    exec(f"from decegy import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"decegy.{module}"), name)
+
+
+def test_all_lists_exactly_the_old_public_names():
+    expected = [name for names in OLD_EXPORTS.values() for name in names]
+    assert sorted(decegy.__all__) == sorted(expected)
+    assert len(set(decegy.__all__)) == len(decegy.__all__)
+    assert set(decegy.__all__) <= set(dir(decegy))
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        decegy.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name  # noqa: B018
+
+
+def test_model_choices_are_the_model_table_keys():
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for command in ("fit", "crossval"):
+        model = next(a for a in commands.choices[command]._actions if a.dest == "model")
+        assert tuple(model.choices) == tuple(evaluation.MODELS)
+        assert model.default == next(iter(evaluation.MODELS))
+
+
+_WRAPPED_BEFORE_FIRST_USE = """
+import decegy.cli as cli
+calls = []
+original = cli.load_dataset  # binds the dataset names in the module
+cli.load_dataset = lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+print(cli.main(["fit", "--dataset", "d.csv", "--out", "f.json"]), len(calls))
+"""
+
+
+def test_a_wrapper_on_a_lazily_bound_cli_name_stays_bound_and_sees_the_call(inputs):
+    done = _run([sys.executable, "-c", _WRAPPED_BEFORE_FIRST_USE], inputs)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1"
+
+
+#: The names of decegy.cli that bench/spans.py wraps, by the module they come from.
+SPAN_NAMES = {
+    "trace": ("parse_trace", "analyze"),
+    "dataset": ("load_dataset", "synth_dataset", "export_dataset", "dataset_to_csv"),
+    "fitting": ("feature_linear_system", "fit_linear_ls", "fit_hl1", "fit_hl2"),
+    "models": ("predict_feature_model", "predict_hl1", "predict_hl2"),
+    "evaluation": ("cross_validate", "breakdown_report", "breakdown_csv", "breakdown_svg",
+                   "MODELS"),
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in SPAN_NAMES.items() for n in names],
+    ids=lambda value: value,
+)
+def test_cli_serves_each_name_the_span_tracer_wraps(module, name):
+    assert getattr(cli, name) is getattr(importlib.import_module(f"decegy.{module}"), name)

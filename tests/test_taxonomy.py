@@ -1,6 +1,7 @@
 """Feature taxonomy: set contents, ordering, categories, vector validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -183,3 +184,34 @@ def test_feature_set_json_export():
     assert doc["codec"] == "hevc"
     assert doc["features"][0] == "e0"
     assert len(doc["features"]) == 19
+
+
+@pytest.mark.parametrize("make", [list, tuple, np.array], ids=["list", "tuple", "array"])
+def test_validate_vector_reports_non_finite_counts(make):
+    fs = build_feature_set(Codec.HEVC)
+    counts = [1.0] + [0.0] * 18
+    counts[fs.index_of("pel")], counts[fs.index_of("val")] = math.inf, math.nan
+    assert validate_vector(fs, FeatureVector(fs, make(counts))) == [
+        "non-finite count: pel = inf",
+        "non-finite count: val = nan",
+    ]
+
+
+@pytest.mark.parametrize("make", [list, tuple, np.array], ids=["list", "tuple", "array"])
+def test_vector_counts_are_one_read_only_float64_array_whatever_the_input(make):
+    fs = build_feature_set(Codec.H264)
+    values = [1, 2.5, *range(12)]
+    vector = FeatureVector(fs, make(values))
+    assert vector.counts is vector.counts
+    assert vector.counts.dtype == np.float64 and not vector.counts.flags.writeable
+    assert vector.counts.tolist() == vector.tolist() == [float(v) for v in values]
+    assert all(type(c) is float for c in vector.tolist()) and vector["frame"] == 2.5
+    assert vector == FeatureVector(fs, np.array(values, dtype=float)) and len(vector) == 14
+
+
+def test_vector_keeps_its_counts_when_the_input_changes_later():
+    fs = build_feature_set(Codec.H263)
+    for values in ([1.0] * 11, np.ones(11)):
+        vector = FeatureVector(fs, values)
+        values[3] = 7.0
+        assert vector.tolist() == [1.0] * 11
