@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import DataValidationError, DecegyError, FitError, about_file
 from .schema import BASE_COLUMNS, check_record, csv_row, csv_text
 from .taxonomy import Codec, build_feature_set
-from .trace import analyze, parse_trace
+from .trace import analyze, analyze_lines, parse_trace
 
 log = logging.getLogger("decegy")
 
@@ -65,17 +65,15 @@ def cmd_analyze(args) -> None:
     codec, rows, first_in, repeated = None, [], {}, None
     for path in args.traces:
         with about_file(path):
-            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-                trace = parse_trace(handle, codec=codec_flag, stream_id=None)
-            vector = analyze(trace)
-            stream_id = trace.stream_id or Path(path).stem
+            stream_id, trace_codec, vector = _analyze_file(path, codec_flag)
+            stream_id = stream_id or Path(path).stem
             metadata = (None, None, int(vector["frame"]) or None, None, None)
-            check_record(stream_id, trace.codec, vector, metadata, None, {})
-        if codec is not None and trace.codec is not codec:
+            check_record(stream_id, trace_codec, vector, metadata, None, {})
+        if codec is not None and trace_codec is not codec:
             raise DataValidationError(
-                f"mixed codecs: {codec.value} and {trace.codec.value} ({path})"
+                f"mixed codecs: {codec.value} and {trace_codec.value} ({path})"
             )
-        codec = trace.codec
+        codec = trace_codec
         if stream_id in first_in and repeated is None:
             repeated = f"{path}: duplicate stream_id {stream_id!r} (first in {first_in[stream_id]})"
         first_in.setdefault(stream_id, path)
@@ -85,6 +83,20 @@ def cmd_analyze(args) -> None:
     _emit(csv_text([[*BASE_COLUMNS, *build_feature_set(codec).names], *rows]), args.out)
     if args.out:
         print(f"analyzed {len(rows)} trace(s) [{codec.value}] -> {args.out}")
+
+
+def _analyze_file(path: str, codec: Codec | None):
+    """A trace file's stream id, codec and vector; a trace that counting each distinct
+    line once rejects is read again line by line, for the message and the line number."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        source = handle if handle.seekable() else list(handle)  # a pipe can be read once
+        try:
+            return analyze_lines(source, codec)
+        except DecegyError:
+            if source is handle:
+                handle.seek(0)
+            trace = parse_trace(source, codec=codec)
+    return trace.stream_id, trace.codec, analyze(trace)
 
 
 def cmd_fit(args) -> None:
@@ -128,6 +140,8 @@ def cmd_crossval(args) -> None:
     report = cross_validate(
         dataset, args.model, k=args.k, seed=args.seed, fit_options=fit_options
     )
+    if len(report.failed_folds) == report.k:  # no error to pool
+        raise FitError("every fold failed")
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"model      eps_mean   (k={report.k}, seed={report.seed}, M={len(dataset)})")

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 from collections import Counter
@@ -43,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DataValidationError, about_file, json_feature_values, json_number
-from .errors import read_json, read_text
+from .errors import json_text, read_json, read_text
 from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, predict_feature_model
 from .schema import BASE_COLUMNS, METADATA_COLUMNS, check_record, csv_row, csv_text
 from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set
@@ -285,7 +284,7 @@ def dataset_to_json(dataset: Dataset) -> str:
         }
         for stream_id, numbers, counts, tags in _rows(dataset)
     ]
-    return json.dumps({"codec": dataset.codec.value, "records": records}, indent=2) + "\n"
+    return json_text({"codec": dataset.codec.value, "records": records}, 2) + "\n"
 
 
 def load_dataset(path, require_energy: bool = True) -> Dataset:
@@ -518,6 +517,11 @@ def default_count_ranges(codec: Codec) -> dict[str, tuple[float, float]]:
     return {name: _DEFAULTS[name][1] for name in names if _DEFAULTS[name][1] is not None}
 
 
+#: Most records ``synth_dataset`` makes: a count beyond it is an error before anything
+#: is allocated (a million HEVC rows need about 1.3 GB of memory on their way to a file).
+MAX_SYNTH_COUNT = 1_000_000
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a synthetic dataset with known ground truth.
@@ -538,6 +542,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.count < 1:
             raise DataValidationError("count must be >= 1")
+        if self.count > MAX_SYNTH_COUNT:
+            raise DataValidationError(f"count must be <= {MAX_SYNTH_COUNT}, got {self.count}")
         if not self.noise_sigma >= 0:
             raise DataValidationError("noise_sigma must be >= 0")
         if self.seed < 0:

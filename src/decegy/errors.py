@@ -70,6 +70,15 @@ def read_json(text: str):
     raise DataValidationError(message)
 
 
+def json_text(doc, indent: int | None = None) -> str:
+    """``doc`` as strict JSON text: a NaN or an infinity, which JSON lacks, is a
+    DataValidationError instead of a bare ``NaN`` or ``Infinity``."""
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError:
+        raise DataValidationError("a non-finite number cannot be written as JSON") from None
+
+
 def json_number(name: str, value, integer: bool = False) -> float | int:
     """A JSON number as a float, or unchanged when ``integer``; bools are not numbers."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):

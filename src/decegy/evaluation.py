@@ -14,7 +14,6 @@ bar above one stacked estimated bar per stream.
 from __future__ import annotations
 
 import html
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import Dataset, csv_text
-from .errors import DataValidationError, FitError
+from .errors import DataValidationError, FitError, json_text
 from .fitting import FitDiagnostics, feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls
 from .models import (
     Category,
@@ -169,7 +168,7 @@ class CVReport:
             "fold_params": self.fold_params,
             "per_stream": self.per_stream,
         }
-        return json.dumps(doc, indent=indent)
+        return json_text(doc, indent)
 
 
 def cross_validate(

@@ -14,7 +14,6 @@ File sizes are in bytes and energies in joules throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataValidationError, about_file, json_feature_values, json_number
-from .errors import read_json, read_text
+from .errors import json_text, read_json, read_text
 from .taxonomy import Category, Codec, FeatureSet, FeatureVector, build_feature_set
 
 
@@ -273,7 +272,7 @@ def params_to_json(params, codec: Codec, indent: int | None = 2, extra: dict | N
     doc = {"model": kind, "codec": codec.value, **params_to_dict(params)}
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=indent)
+    return json_text(doc, indent)
 
 
 def params_from_json(text: str):

@@ -19,14 +19,13 @@ Feature identifiers serialize as lowercase names such as ``e0``, ``frame``,
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DataValidationError
+from .errors import DataValidationError, json_text
 
 
 class Codec(Enum):
@@ -239,9 +238,7 @@ class FeatureSet:
 
     def to_json(self, indent: int | None = None) -> str:
         """Export as ``{"codec": ..., "features": [...]}`` JSON."""
-        return json.dumps(
-            {"codec": self.codec.value, "features": list(self.names)}, indent=indent
-        )
+        return json_text({"codec": self.codec.value, "features": list(self.names)}, indent)
 
 
 @lru_cache(maxsize=None)

@@ -33,26 +33,29 @@ Counting rules applied by :func:`analyze`:
 * ``sao`` counts SAO-filtered 64x64 luma blocks (HEVC only); the trace
   producer is responsible for the geometry.
 
-The block rules live in one table per codec, built once, that maps each
-``(kind, w, h)`` to its feature and weight.  Every contribution except ``val``
-is a multiple of 0.5, so its float sums are exact in any order; ``val`` is
-summed with ``math.fsum``.
+The block rules live in one table per codec, built once.  One counting core
+takes a trace as ``(event, multiplicity)`` pairs and adds each contribution
+times its multiplicity.  Every contribution except ``val`` is a multiple of
+0.5, so these products and sums are exact in any order; ``val`` goes to
+``math.fsum`` as that many copies, the same multiset as one copy per event.
 
-An event depends only on the text of its line, and real traces repeat a few
-thousand distinct lines many times, so :func:`parse_trace` decodes each line
-through a memo (``functools.lru_cache`` of :data:`LINE_MEMO_SIZE` lines, shared
-by all calls): a repeated line costs one lookup and yields the same frozen
-event object.  Errors are raised without a line number inside the memo and
-get it from the caller, so their messages do not depend on the memo.
+An event depends only on its line's text, so a trace's vector depends only on
+the multiset of its lines.  :func:`analyze_lines` counts a file's lines, then
+decodes and counts each distinct line once.  Decoding goes through a memo
+(``functools.lru_cache`` of :data:`LINE_MEMO_SIZE` lines, shared by all calls
+and by :func:`parse_trace`), so a line repeated across files is decoded once
+too.  Errors are raised without a line number inside the memo;
+:func:`parse_trace` adds it, so its messages do not depend on the memo.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, islice, product, repeat, starmap
 from typing import Iterable, Union
 
 from .errors import DataValidationError, IllegalEventError, TraceParseError
@@ -67,7 +70,7 @@ from .taxonomy import (
     counted_sizes,
 )
 
-#: Distinct trace lines whose decoded events ``parse_trace`` keeps for reuse.
+#: Distinct trace lines whose decoded events are kept for reuse.
 LINE_MEMO_SIZE = 4096
 
 # Block edge lengths a codec can emit at all (before merging).
@@ -273,6 +276,7 @@ def parse_trace(
     events: list[DecodeEvent] = []
     header_codec: Codec | None = None
     header_id: str | None = None
+    header_line: int | None = None
     seen_content = False
     line_no = 0
     append, decode = events.append, _decode_line
@@ -290,6 +294,7 @@ def parse_trace(
                         header_codec = _parse_codec(obj["codec"])
                     if "stream_id" in obj:
                         header_id = str(obj["stream_id"])
+                    header_line = line_no
                     continue
             append(decode(line))
     except TraceParseError as exc:  # raised without a line number
@@ -298,7 +303,7 @@ def parse_trace(
         raise TraceParseError(
             f"codec mismatch: header says {header_codec.value}, "
             f"caller says {codec.value}",
-            line=1,
+            line=header_line,
         )
     resolved = header_codec or codec
     if resolved is None:
@@ -307,6 +312,21 @@ def parse_trace(
         return DecodeTrace(stream_id or header_id or "", resolved, tuple(events))
     except ValueError as exc:
         raise TraceParseError(str(exc)) from None
+
+
+def analyze_lines(source: Iterable[str], codec: Codec | None = None):
+    """``(stream_id or "", codec, vector)`` as :func:`parse_trace` then :func:`analyze` give
+    them, from each distinct line once.  What they reject raises a DecegyError here too,
+    but without their message or line number: run them for that."""
+    lines = Counter(source)  # by raw line: each distinct one is stripped once, below
+    first = list(islice((line for line in lines if line.strip()), 2))
+    if first and "event" in _load_object(first[0].strip()):
+        del first[1:]
+    elif first and lines.pop(first[0]) > 1:
+        raise TraceParseError("header line repeated")
+    head = parse_trace(first, codec)  # the header and the codec, and a frame_start first
+    events = ((_decode_line(text), m) for line, m in lines.items() if (text := line.strip()))
+    return head.stream_id, head.codec, _tally(head.codec, events)
 
 
 @lru_cache(maxsize=None)
@@ -377,29 +397,32 @@ def pel_and_frac_counts(block: InterBlock) -> tuple[float, float]:
     return pels, fracs
 
 
-def analyze(trace: DecodeTrace) -> FeatureVector:
-    """Count feature occurrences in a decode trace.
-
-    The sums are exact, so permuting block events leaves the vector
-    bit-identical (see the module docstring).
-    """
-    codec = trace.codec
+@lru_cache(maxsize=None)
+def _counting_table(codec: Codec):
+    """The feature set, blocks by index, (coeff, val) per entropy mode, sao or None."""
     fs = build_feature_set(codec)
     blocks = {k: (fs.index_of(fid), weight) for k, (fid, weight) in _block_table(codec).items()}
     modes = [(m, f"_{m.value}") for m in EntropyMode] if codec is Codec.H264 else [(None, "")]
-    residual = {m: (fs.index_of(f"coeff{x}"), fs.index_of(f"val{x}"), []) for m, x in modes}
-    sao = fs.index_of("sao") if codec is Codec.HEVC else None
+    residual = {m: (fs.index_of(f"coeff{x}"), fs.index_of(f"val{x}")) for m, x in modes}
+    return fs, blocks, residual, fs.index_of("sao") if codec is Codec.HEVC else None
+
+
+def _tally(codec: Codec, pairs: Iterable[tuple[DecodeEvent, int]]) -> FeatureVector:
+    """The counting core: the vector of a trace given as ``(event, multiplicity)`` pairs
+    (see the module docstring)."""
+    fs, blocks, residual, sao = _counting_table(codec)
     pel, frac, frame = fs.index_of("pel"), fs.index_of("frac"), fs.index_of("frame")
     counts = [0.0] * len(fs)
     counts[fs.index_of("e0")] = 1.0
-    for ev in trace.events:
+    vals = {mode: [] for mode in residual}
+    for ev, m in pairs:
         if isinstance(ev, FrameStart):
-            counts[frame] += 1.0
+            counts[frame] += m
             continue
         if isinstance(ev, InterBlock):
             pels, fracs = pel_and_frac_counts(ev)
-            counts[pel] += pels
-            counts[frac] += fracs
+            counts[pel] += pels * m
+            counts[frac] += fracs * m
             kind = Kind.OBMC if ev.obmc else Kind.INTER
         elif isinstance(ev, IntraBlock):
             kind = Kind.INTRA
@@ -412,24 +435,32 @@ def analyze(trace: DecodeTrace) -> FeatureVector:
                     if codec is Codec.H264
                     else f"entropy mode illegal for {codec.value} (h264 only)"
                 )
-            coeff, _, vals = residual[ev.entropy]
-            counts[coeff] += 1.0
-            vals.append(coeff_value_contribution(codec, ev.value, ev.coded_bits))
+            counts[residual[ev.entropy][0]] += m
+            vals[ev.entropy].append((coeff_value_contribution(codec, ev.value, ev.coded_bits), m))
             continue
         elif isinstance(ev, SaoBlock):
             if sao is None:
                 raise IllegalEventError(f"sao event illegal for {codec.value}")
-            counts[sao] += 1.0
+            counts[sao] += m
             continue
         else:
             raise IllegalEventError(f"unknown event type {type(ev).__name__}")
         entry = blocks.get((kind, ev.w, ev.h))
         if entry is None:
             raise _illegal_block(codec, kind, ev.w, ev.h)
-        counts[entry[0]] += entry[1]
-    for _, val, vals in residual.values():
-        try:
-            counts[val] = math.fsum(vals)
+        counts[entry[0]] += entry[1] * m
+    for mode, (_, val) in residual.items():
+        try:  # m copies of each value: the same multiset as one copy per event
+            counts[val] = math.fsum(chain.from_iterable(starmap(repeat, vals[mode])))
         except OverflowError:
             raise DataValidationError(f"{fs.names[val]} sums past the float range") from None
     return FeatureVector(fs, counts)
+
+
+def analyze(trace: DecodeTrace) -> FeatureVector:
+    """Count feature occurrences in a decode trace.
+
+    The sums are exact, so permuting block events leaves the vector
+    bit-identical (see the module docstring).
+    """
+    return _tally(trace.codec, Counter(trace.events).items())

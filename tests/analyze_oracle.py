@@ -1,11 +1,12 @@
 """The ``decegy analyze`` path that built a numpy ``Dataset``, kept as a test oracle.
 
-``analyze_csv`` makes one ``BitstreamRecord`` per trace, a ``Dataset`` of them and
-the CSV text of ``dataset_to_csv``, as ``cmd_analyze`` did before it wrote its rows
-without numpy.  One thing is new: the error of a repeated stream id names the file
-that repeats it and the file that had it first, as ``analyze`` now does.
-``test_analyze_oracle.py`` requires the command to print the same CSV text or the
-same error.
+``analyze_csv`` parses and counts each trace line by line with the reference
+implementations of ``trace_oracle``, then makes one ``BitstreamRecord`` per trace, a
+``Dataset`` of them and the CSV text of ``dataset_to_csv``, as ``cmd_analyze`` did
+before it wrote its rows without numpy and counted each distinct line once.  One
+thing is new: the error of a repeated stream id names the file that repeats it and
+the file that had it first, as ``analyze`` now does.  ``test_analyze_oracle.py``
+requires the command to print the same CSV text or the same error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from decegy.dataset import BitstreamRecord, Dataset, dataset_to_csv
 from decegy.errors import DataValidationError, about_file
 from decegy.taxonomy import Codec
-from decegy.trace import analyze, parse_trace
+from trace_oracle import analyze, parse_trace
 
 
 def analyze_csv(paths: list[str], codec: str | None = None) -> str:

@@ -1,9 +1,13 @@
-"""``decegy analyze`` against the path that built a numpy ``Dataset`` (``analyze_oracle``).
+"""``decegy analyze`` against the line-by-line path that built a numpy ``Dataset``.
 
-On random batches of trace files of all four codecs, with and without headers,
-with random stream ids (repeats, lone surrogates and CSV quoting among them) and
-events that are sometimes illegal, the command must print the oracle's CSV text
-byte for byte, or fail with exit 2 and the oracle's error message.
+``analyze_oracle`` parses and counts every line with ``trace_oracle``; the command
+counts each distinct line once.  On random batches of trace files of all four
+codecs, the command must print the oracle's CSV text byte for byte, or fail with
+exit 2 and the oracle's error message.  The files draw their lines from a small
+pool, so that lines repeat many times, and mix in blank lines, CRLF ends, a header
+text repeated later, a byte-order mark, non-ASCII text, random stream ids (repeats,
+lone surrogates and CSV quoting among them) and an illegal event first, in the
+middle or last.
 """
 
 import contextlib
@@ -50,20 +54,47 @@ def _event(draw, codec: Codec, legal: bool) -> dict:
     return event
 
 
+_NOTES = st.sampled_from(["", "caf\u00e9", "a\x85b\u2028c\x0cd", "\u00e9\t"])
+
+
 @st.composite
 def trace_files(draw, codec: Codec):
-    """One trace file, mostly of ``codec`` and legal: its file-name stem and its lines."""
+    """One trace file, mostly of ``codec`` and legal: its file-name stem and its text."""
     if draw(st.integers(0, 9)) == 9:
         codec = draw(st.sampled_from(list(Codec)))
-    legal = draw(st.integers(0, 9)) < 9
     header = {}
     if draw(st.booleans()):
         header["codec"] = codec.value
     if draw(st.booleans()):
         header["stream_id"] = draw(_IDS)
-    events = [{"event": "frame_start"}, *draw(st.lists(_event(codec, legal), max_size=12))]
-    lines = [header, *events] if header else events
-    return draw(st.sampled_from(["t", "u", "v", "s,1", 'q"'])), [json.dumps(x) for x in lines]
+    pool = draw(st.lists(_event(codec, True), min_size=1, max_size=5))
+    for event in pool:
+        if draw(st.integers(0, 4)) == 4:
+            event["note"] = draw(_NOTES)  # non-ASCII lines decode through json.loads
+    if codec is Codec.HEVC:  # log2 values of a few magnitudes, repeated many times
+        pool += [{"event": "coeff", "value": v, "bits": 1} for v in draw(st.sets(
+            st.integers(-300, 300).filter(bool), max_size=3))]
+    texts = [json.dumps(e, ensure_ascii=draw(st.booleans())) for e in pool]
+    lines = ['{"event": "frame_start"}', *draw(st.lists(st.sampled_from(texts), max_size=40))]
+    lines[1:1] = draw(st.lists(st.sampled_from(texts), max_size=3))
+    if draw(st.integers(0, 19)) == 19:  # a legal block event may come first
+        del lines[0]
+    spacer = st.sampled_from(["", "  ", "\t", " " + texts[0]])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(min(1, len(lines)), len(lines))), draw(spacer))
+    if draw(st.integers(0, 9)) == 9:  # an illegal event first, in the middle or last
+        where = draw(st.sampled_from([0, 1, len(lines) // 2, len(lines)]))
+        lines.insert(where, json.dumps(draw(_event(codec, False))))
+    if header:
+        lines.insert(0, json.dumps(header))
+        if draw(st.integers(0, 9)) == 9:  # the header text again, later
+            lines.insert(draw(st.integers(1, len(lines))), json.dumps(header))
+    lines[:0] = draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+    if draw(st.integers(0, 39)) == 39:
+        lines[0] = "\ufeff" + lines[0]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from(["t", "u", "v", "s,1", 'q"'])), text
 
 
 @st.composite
@@ -87,10 +118,10 @@ def test_analyze_prints_the_oracle_csv_or_its_error(batch):
     files, codec = batch
     with tempfile.TemporaryDirectory() as root:
         paths = []
-        for i, (stem, lines) in enumerate(files):
+        for i, (stem, text) in enumerate(files):
             path = Path(root, str(i), f"{stem}.jsonl")
             path.parent.mkdir()
-            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            path.write_text(text, encoding="utf-8", newline="")
             paths.append(str(path))
         flag = ["--codec", codec] if codec else []
         try:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,6 +161,32 @@ def test_analyze_non_utf8_trace_names_file_and_line(tmp_path, capsys):
     assert main(["analyze", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {bad}: line 3: not valid UTF-8: byte 0xff at column 16\n"
+
+
+def test_analyze_codec_mismatch_names_the_header_line(tmp_path, capsys):
+    trace = tmp_path / "h.jsonl"
+    trace.write_text('\n\n{"stream_id":"x","codec":"hevc"}\n{"event":"frame_start"}\n')
+    assert main(["analyze", str(trace), "--codec", "vp9"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {trace}: line 3: codec mismatch: header says hevc, caller says vp9\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("last", ['{"event":"sao"}', '{"event":"zap"}'], ids=["valid", "bad"])
+def test_analyze_reads_a_pipe_once(tmp_path, capsys, last):
+    fifo = tmp_path / "t.jsonl"
+    os.mkfifo(fifo)
+    text = '{"codec":"hevc"}\n{"event":"frame_start"}\n{"event":"sao"}\n' + last + "\n"
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    rc = main(["analyze", str(fifo)])
+    writer.join()
+    captured = capsys.readouterr()
+    if last == '{"event":"sao"}':
+        assert rc == 0 and captured.out.splitlines()[1].startswith("t,hevc,")
+        assert ",2.0" in captured.out  # both sao events
+    else:
+        assert rc == 2 and captured.err == f"error: {fifo}: line 4: unknown event name 'zap'\n"
 
 
 def test_analyze_is_idempotent(tmp_path):
@@ -348,6 +375,19 @@ def test_crossval_noiseless_prints_zero_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0.00%" in out
     assert "feature" in out
+
+
+def test_crossval_whose_every_fold_fails_exits_3_and_writes_nothing(tmp_path, capsys):
+    data, report = tmp_path / "t.csv", tmp_path / "r.json"
+    assert main(["synth", "--codec", "hevc", "--count", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="fold 0 failed"):
+        rc = main(["crossval", "--dataset", str(data), "--k", "3", "--model", "hl2",
+                   "--out", str(report)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "fit error: every fold failed\n"
+    assert "nan" not in captured.out and not report.exists()
 
 
 def test_crossval_feature_model_beats_hl2_on_feature_generated_data(tmp_path, capsys):
@@ -678,12 +718,14 @@ def test_non_utf8_dataset_gives_byte_and_offset(tmp_path, capsys, suffix):
     "argv, message",
     [(["synth", "--codec", "xyz"], "unknown codec 'xyz'; expected one of h263, h264, hevc, vp9"),
      (["synth", "--codec", "hevc", "--count", "0"], "count must be >= 1"),
+     (["synth", "--codec", "hevc", "--count", "1000000000000"],
+      "count must be <= 1000000, got 1000000000000"),
      (["synth", "--codec", "hevc", "--sigma", "nan"], "noise_sigma must be >= 0"),
      (["synth", "--codec", "hevc", "--seed", "-1"], "seed must be >= 0, got -1"),
      (["crossval", "--k", "1"], "k must be >= 2, got 1"),
      (["crossval", "--k", "4"], "dataset has 3 records, fewer than k=4"),
      (["crossval", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1")],
-    ids=["codec", "count", "sigma-nan", "synth-seed", "k-1", "k-above-m", "crossval-seed"],
+    ids=["codec", "count", "count-huge", "sigma-nan", "synth-seed", "k-1", "k-above-m", "crossval-seed"],
 )
 def test_bad_command_values_exit_2(tmp_path, capsys, argv, message):
     data, _ = _hevc_files(tmp_path)

@@ -22,6 +22,7 @@ from decegy import (
     synth_dataset,
 )
 from decegy.dataset import BitstreamRecord
+from decegy.errors import DataValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,8 @@ def test_cv_reports_failed_folds_instead_of_aborting():
     assert report.failed_folds == [0, 1, 2, 3]
     assert np.isnan(report.overall_error)
     assert report.fold_errors == [None] * 4
+    with pytest.raises(DataValidationError, match="non-finite number cannot be written as JSON"):
+        report.to_json()
 
 
 def test_cv_passes_trust_region_options_through():
@@ -276,8 +279,6 @@ def test_breakdown_svg_renders_two_bars_per_stream():
 
 
 def test_breakdown_requires_measured_energy():
-    from decegy.errors import DataValidationError
-
     dataset = synth_dataset(SynthSpec(Codec.HEVC, 1, seed=5))
     rec = dataset.records[0]
     bare = BitstreamRecord(

@@ -9,6 +9,7 @@ import pytest
 
 from decegy import (
     Category,
+    DataValidationError,
     Codec,
     FeatureVector,
     HL1Params,
@@ -294,3 +295,11 @@ def test_feature_params_file_must_cover_all_features():
     }
     with pytest.raises(ValueError, match="missing features"):
         params_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_json_refuses_a_non_finite_number(value):
+    params = _energies({"e0": 0.06})
+    with pytest.raises(DataValidationError, match="non-finite number"):
+        params_to_json(params, Codec.HEVC, extra={"diagnostics": {"condition": value}})
+    assert json.loads(params_to_json(params, Codec.HEVC, extra={"diagnostics": {}}))

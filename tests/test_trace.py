@@ -27,7 +27,8 @@ from decegy import (
     pel_and_frac_counts,
     validate_vector,
 )
-from decegy.trace import CODEC_DIMS
+from decegy.errors import DecegyError
+from decegy.trace import CODEC_DIMS, analyze_lines
 from util import random_trace, shuffle_within_frames
 
 
@@ -87,6 +88,12 @@ def test_parse_codec_conflict_between_header_and_caller():
         _parse('{"codec":"hevc"}\n', codec=Codec.VP9)
 
 
+def test_codec_mismatch_names_the_header_line():
+    with pytest.raises(TraceParseError) as excinfo:
+        _parse('\n  \n{"stream_id":"x","codec":"hevc"}\n{"event":"frame_start"}\n', codec=Codec.VP9)
+    assert str(excinfo.value) == "line 3: codec mismatch: header says hevc, caller says vp9"
+
+
 def test_parse_without_any_codec():
     with pytest.raises(TraceParseError, match="codec unknown"):
         _parse('{"event":"frame_start"}\n')
@@ -133,6 +140,37 @@ def test_equal_lines_share_one_event_and_the_memo_is_bounded():
     assert [ev.value for ev in trace.events[1:]] == list(range(1, LINE_MEMO_SIZE + 100))
     info = _decode_line.cache_info()
     assert info.maxsize == LINE_MEMO_SIZE and info.currsize == LINE_MEMO_SIZE
+
+
+def test_analyze_lines_counts_each_distinct_line_once():
+    from decegy.trace import _decode_line
+
+    _decode_line.cache_clear()
+    lines = ['{"codec":"hevc","stream_id":"s"}\r\n', "\n", '{"event":"frame_start"}\n']
+    lines += ['{"event":"coeff","value":3,"bits":1}\n', ' {"event":"coeff","value":3,"bits":1}'] * 500
+    stream_id, codec, vector = analyze_lines(iter(lines))
+    assert (stream_id, codec) == ("s", Codec.HEVC)
+    assert vector.tolist() == analyze(parse_trace(lines)).tolist()
+    assert vector["coeff"] == 1000.0 and vector["val"] == math.fsum([math.log2(3)] * 1000)
+    assert _decode_line.cache_info().misses == 2  # the two distinct event texts
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"codec":"hevc"}\n{"event":"frame_start"}\n{"codec":"hevc"}\n',
+     '{"codec":"hevc"}\n{"event":"frame_start"}\n {"codec":"hevc"}\n',
+     '{"codec":"hevc"}\n{"event":"sao"}\n{"event":"frame_start"}\n',
+     '{"codec":"vp9"}\n{"event":"frame_start"}\n{"event":"sao"}\n',
+     '{"codec":"h263"}\n{"event":"frame_start"}\n' + '{"event":"coeff","value":1,"bits":%d}\n' % 2**1023 * 2,
+     '{"event":"frame_start"}\n'],
+    ids=["header-repeated", "header-repeated-spaced", "block-first", "illegal", "val-overflow",
+         "no-codec"],
+)
+def test_analyze_lines_rejects_what_parse_trace_and_analyze_reject(text):
+    with pytest.raises(DecegyError):
+        analyze_lines(io.StringIO(text))
+    with pytest.raises(DecegyError):
+        analyze(_parse(text))
 
 
 # ---------------------------------------------------------------------------

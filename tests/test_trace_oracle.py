@@ -6,8 +6,10 @@ the same trace or raise the same exception with the same message, with a cold
 or a warm memo.  ``trace_oracle.analyze`` is the earlier per-event
 implementation of the counting rules.  On random traces for all four codecs,
 legal or not, the library must give the same vector bytes or raise the same
-exception with the same message, and its vectors must not depend on event
-order.
+exception with the same message, also on traces that repeat a few events many
+times, and its vectors must not depend on event order.  ``analyze_lines``, which
+counts each distinct line once, must give what ``parse_trace`` then ``analyze``
+give, or reject what they reject.
 """
 
 import pytest
@@ -32,8 +34,9 @@ from decegy import (  # noqa: E402
     map_inter_block,
     parse_trace,
 )
+from decegy.errors import DecegyError  # noqa: E402
 from decegy.taxonomy import BLOCK_SIZES  # noqa: E402
-from decegy.trace import CODEC_DIMS  # noqa: E402
+from decegy.trace import CODEC_DIMS, analyze_lines  # noqa: E402
 
 
 def _events(codec: Codec, legal: bool):
@@ -82,6 +85,15 @@ def _assert_same_as_oracle(trace: DecodeTrace) -> None:
     assert got.counts.tobytes() == expected.counts.tobytes()
 
 
+@st.composite
+def repeating_traces(draw, legal: bool):
+    """Traces that repeat a few events many times, as real traces do."""
+    codec = draw(st.sampled_from(list(Codec)))
+    pool = draw(st.lists(_events(codec, legal), min_size=1, max_size=6))
+    events = draw(st.lists(st.sampled_from(pool), max_size=120))
+    return DecodeTrace(f"r-{codec.value}", codec, (FrameStart(), *events))
+
+
 @given(traces(legal=True))
 def test_legal_traces_match_oracle_bytes(trace):
     _assert_same_as_oracle(trace)
@@ -89,6 +101,11 @@ def test_legal_traces_match_oracle_bytes(trace):
 
 @given(traces(legal=False))
 def test_any_trace_matches_oracle_bytes_or_error(trace):
+    _assert_same_as_oracle(trace)
+
+
+@given(st.booleans().flatmap(repeating_traces))
+def test_repeated_events_match_oracle_bytes_or_error(trace):
     _assert_same_as_oracle(trace)
 
 
@@ -221,3 +238,17 @@ def test_every_pool_line_matches_oracle_in_each_position(line):
             lines = [*prefix, line, line]
             expected = _outcome(trace_oracle.parse_trace, lines, codec, None)
             assert _outcome(parse_trace, lines, codec, None) == expected
+
+
+@settings(max_examples=200)
+@given(trace_lines(), st.sampled_from([None, *Codec]))
+def test_counting_distinct_lines_matches_parse_and_analyze(lines, codec):
+    try:
+        trace = parse_trace(lines, codec=codec)
+        expected = trace.stream_id, trace.codec, analyze(trace).counts.tobytes()
+    except DecegyError:
+        with pytest.raises(DecegyError):
+            analyze_lines(lines, codec)
+        return
+    stream_id, got_codec, vector = analyze_lines(lines, codec)
+    assert (stream_id, got_codec, vector.counts.tobytes()) == expected

@@ -126,6 +126,7 @@ def parse_trace(
     events: list[DecodeEvent] = []
     header_codec: Codec | None = None
     header_id: str | None = None
+    header_line: int | None = None
     seen_content = False
     line_no = 0
     for raw in source:
@@ -146,6 +147,7 @@ def parse_trace(
                 header_codec = _parse_codec(obj["codec"], line_no)
             if "stream_id" in obj:
                 header_id = str(obj["stream_id"])
+            header_line = line_no
             seen_content = True
             continue
         seen_content = True
@@ -154,7 +156,7 @@ def parse_trace(
         raise TraceParseError(
             f"codec mismatch: header says {header_codec.value}, "
             f"caller says {codec.value}",
-            line=1,
+            line=header_line,
         )
     resolved = header_codec or codec
     if resolved is None:
