@@ -6,7 +6,7 @@ feature-based linear model and two high-level baselines), least-squares and
 trust-region training, and k-fold cross-validation with the mean relative
 error metric.
 
-Each public name loads its module on first use, so ``decegy analyze`` needs no numpy.
+Names load their modules on first use: ``analyze``, ``predict`` and ``report`` need no numpy.
 """
 
 from importlib import import_module

@@ -2,15 +2,12 @@
 
 Human-readable summaries go to standard output; machine artifacts are written
 only to paths given via --out/--svg.  Exit codes: 0 success, 1 usage error,
-2 data or validation error, 3 numerical failure.  The DECEGY_LOG environment
-variable sets the log level.
+2 data or validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 import warnings
 from importlib import import_module
@@ -21,10 +18,9 @@ from .schema import BASE_COLUMNS, check_record, csv_row, csv_text
 from .taxonomy import Codec, build_feature_set
 from .trace import analyze, analyze_lines, parse_trace
 
-log = logging.getLogger("decegy")
-
-# Names of the numpy-backed modules, bound here by the commands that call them or on
-# attribute access (bench/spans.py wraps them so); a name bound already is kept.
+# Names of the other modules, bound here by the commands that call them or on attribute
+# access (bench/spans.py wraps them so); a name bound already is kept.  Of them, only
+# `fitting` and `synth_dataset` load numpy.
 _LAZY = {
     "dataset": ("SynthSpec", "dataset_to_csv", "default_specific_energies", "export_dataset",
                 "load_dataset", "synth_dataset"),
@@ -100,12 +96,11 @@ def _analyze_file(path: str, codec: Codec | None):
 
 
 def cmd_fit(args) -> None:
-    _bind("dataset", "evaluation", "models")
+    _bind("fitting", "dataset", "evaluation", "models")
     dataset = load_dataset(args.dataset)
-    codec = dataset.codec
     every_row = range(len(dataset))
     params, diagnostics = MODELS[args.model].fit(dataset, every_row, {"nonneg": args.nonneg})
-    doc = params_to_json(params, codec, extra={"diagnostics": diagnostics.as_dict()})
+    doc = params_to_json(params, dataset.codec, extra={"diagnostics": diagnostics.as_dict()})
     if args.out:
         Path(args.out).write_text(doc + "\n", encoding="utf-8")
     print(
@@ -134,7 +129,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_crossval(args) -> None:
-    _bind("dataset", "evaluation")
+    _bind("fitting", "dataset", "evaluation")
     dataset = load_dataset(args.dataset)
     fit_options = {"nonneg": args.nonneg} if args.nonneg else {}
     report = cross_validate(
@@ -267,14 +262,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("DECEGY_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
     format_warning = warnings.formatwarning  # one line per warning, without the source line
     warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     try:
         args = parser.parse_args(argv)
-        log.debug("running %s with %s", args.command, vars(args))
         args.func(args)
         return 0
     except _UsageError as exc:

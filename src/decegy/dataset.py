@@ -32,20 +32,21 @@ import csv
 import io
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, islice
+from operator import gt, iadd
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .errors import DataValidationError, about_file, json_feature_values, json_number
 from .errors import json_text, read_json, read_text
 from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, predict_feature_model
 from .schema import BASE_COLUMNS, METADATA_COLUMNS, check_record, csv_row, csv_text
-from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set
+from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set, float_array
 from .taxonomy import validate_vector  # noqa: F401  bench/spans.py wraps it here
 
 
@@ -78,21 +79,34 @@ class BitstreamRecord:
     @property
     def highlevel(self) -> HighLevelInfo | None:
         """High-level model input, or None while metadata is incomplete."""
-        needed = (self.width, self.height, self.frames, self.file_size_bytes, self.intra_frames)
-        if any(v is None for v in needed):
-            return None
-        return HighLevelInfo(
-            pixels_per_frame=float(self.width * self.height),
-            frames=self.frames,
-            file_size_bytes=float(self.file_size_bytes),
-            intra_rate=self.intra_frames / self.frames,
-        )
+        metadata = [getattr(self, name) for name in METADATA_COLUMNS]
+        return None if None in metadata else _highlevel(*metadata)
+
+
+_HIGHLEVEL_INPUTS = f"high-level metadata ({'/'.join(METADATA_COLUMNS)})"
+
+
+def _highlevel(width, height, frames, file_size_bytes, intra_frames) -> HighLevelInfo:
+    """The high-level model input of complete metadata, given as integers or their floats."""
+    return HighLevelInfo(
+        float(width * height), int(frames), float(file_size_bytes), intra_frames / frames
+    )
 
 
 def _record(codec: Codec, stream_id, counts, energy, metadata, tags) -> BitstreamRecord:
     """One row as a record, which runs the record check."""
     features = FeatureVector(build_feature_set(codec), counts)
     return BitstreamRecord(stream_id, codec, features, *metadata, energy, tags)
+
+
+def _flat(rows) -> array:
+    """Rows of floats as one array of doubles, in row order."""
+    return array("d", list(chain.from_iterable(rows)))
+
+
+def _doubles(values) -> array:
+    """Numbers as an array of doubles, NaN for None (an empty cell)."""
+    return array("d", [math.nan if v is None else v for v in values] if None in values else values)
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
@@ -105,25 +119,26 @@ class Dataset:
     order, ``energies`` the M energies and ``metadata`` the M x 5 matrix of
     :data:`METADATA_COLUMNS`, all float64 with NaN for an empty cell (the
     metadata integers are at most 2**53, so their floats are exact); ``ids``
-    and ``tags`` hold one stream id and one tag mapping per row.
+    and ``tags`` hold one stream id and one tag mapping per row.  Those matrices
+    are built with numpy on first read from columns kept as arrays of doubles.
 
     ``Dataset(records)`` builds one from records; the loaders and the
     generator fill the columns directly.  Records (``dataset[i]``, iteration,
     :attr:`records`) are built on demand.
     """
 
-    __slots__ = ("_codec", "ids", "counts", "energies", "metadata", "tags", "_index", "_highlevel")
+    __slots__ = ("_codec", "ids", "tags", "_index", "_counts", "_width", "_energies", "_metadata",
+                 "_arrays")
 
     def __init__(self, records: Iterable[BitstreamRecord] = ()):
         records = tuple(records)
-        for rec in records:
-            if rec.codec is not records[0].codec:
-                first = records[0].codec.value
-                raise DataValidationError(f"mixed codecs: {first} and {rec.codec.value}")
+        other = next((rec.codec for rec in records if rec.codec is not records[0].codec), None)
+        if other is not None:
+            raise DataValidationError(f"mixed codecs: {records[0].codec.value} and {other.value}")
         self._fill(
             records[0].codec if records else None,
             [rec.stream_id for rec in records],
-            [rec.features.counts for rec in records],
+            [rec.features.tolist() for rec in records],
             [rec.energy_joules for rec in records],
             [[getattr(rec, name) for rec in records] for name in METADATA_COLUMNS],
             [rec.tags for rec in records],
@@ -136,47 +151,62 @@ class Dataset:
         return dataset
 
     def _fill(self, codec, ids, counts, energies, metadata, tags) -> None:
-        """Check and keep M rows: ``counts`` M rows of floats, ``energies`` M floats or
-        None, ``metadata`` per metadata column M integers or None, ``tags`` M mappings.
+        """Check and keep M rows: ``counts`` M rows of floats, or all their floats in an
+        array of doubles, ``energies`` M floats or None, ``metadata`` per metadata column M
+        integers or None, ``tags`` M mappings.
 
         Each column is checked once; when a check fails, the record check runs
         from the first row and raises the first bad row's error."""
+        counts = counts if isinstance(counts, array) else _flat(counts)
         m = len(ids)
         fs = build_feature_set(codec) if m else None
-        matrix = np.asarray(counts, dtype=float).reshape(m, len(fs) if m else 0)
-        energy = np.array(energies, dtype=float)  # None reads as NaN
-        measured = energy[~np.isnan(energy)]
-        given = [[v for v in values if v is not None] for values in metadata]
+        width = len(fs) if m else 0
+        given = [v if None not in v else [x for x in v if x is not None] for v in metadata]
         lowest = [0 if name == "intra_frames" else 1 for name in METADATA_COLUMNS]
         texts = chain(ids, *tags, map(str, chain(*(t.values() for t in tags))))  # tag keys, values
         passed = (
             all(ids)
-            and bool(np.isfinite(matrix).all() and (matrix >= 0).all())
-            and (m == 0 or bool((matrix[:, fs.index_of("e0")] == 1).all()))
-            and measured.size == m - energies.count(None)  # no energy is NaN
-            and bool((measured > 0).all() and np.isfinite(measured).all())
+            # a finite sum holds no NaN or infinity, and then the least count is exact
+            and (math.isfinite(sum(counts)) or all(map(math.isfinite, counts)))
+            and min(counts, default=0.0) >= 0
+            and (m == 0 or counts[fs.index_of("e0")::width].count(1.0) == m)
+            and all(e is None or 0 < e < math.inf for e in energies)
             and all(not v or low <= min(v) and max(v) <= 2**53 for v, low in zip(given, lowest))
             and not _SURROGATE.search("".join(texts))
         )
-        if passed:  # the metadata are exact as floats now
-            meta = np.array(metadata, dtype=float).reshape(5, m).T.copy()
-            passed = not np.any(meta[:, 4] > meta[:, 2])  # intra_frames <= frames
+        if passed:  # the metadata are exact as doubles now
+            meta = [_doubles(values) for values in metadata]
+            passed = not any(map(gt, meta[4], meta[2]))  # intra_frames <= frames
         if not passed:
             for i in range(m):
-                _record(codec, ids[i], counts[i], energies[i], [v[i] for v in metadata], tags[i])
+                row = counts[i * width:(i + 1) * width].tolist()
+                _record(codec, ids[i], row, energies[i], [v[i] for v in metadata], tags[i])
             raise AssertionError("the column checks reject a row that the record check accepts")
         self._index = dict(zip(ids, range(m)))
         if len(self._index) < m:
             seen: set[str] = set()
             repeated = next(sid for sid in ids if sid in seen or seen.add(sid))  # add gives None
             raise DataValidationError(f"duplicate stream_id {repeated!r}")
-        for array in (matrix, energy, meta):
-            array.setflags(write=False)
         self._codec = codec if m else None
-        self.ids, self.counts, self.energies, self.metadata = tuple(ids), matrix, energy, meta
+        self.ids, self._counts, self._width, self._metadata = tuple(ids), counts, width, meta
+        self._energies, self._arrays = _doubles(energies), None
         self.tags = tuple(map(MappingProxyType, tags))  # callers hand over fresh mappings
-        width, height, frames, size, intra = meta.T
-        self._highlevel = HighLevelColumns(width * height, frames, size, intra / frames, energy)
+
+    def _numpy(self) -> tuple:
+        """The read-only count, energy and metadata matrices, built on the first read of one."""
+        if self._arrays is None:
+            import numpy as np
+
+            counts = np.frombuffer(self._counts).reshape(len(self), -1 if len(self) else 0)
+            energies = np.frombuffer(self._energies)
+            for matrix in (counts, energies):
+                matrix.setflags(write=False)  # views of the columns, which stay as they are
+            self._arrays = counts, energies, float_array(self._metadata).T
+        return self._arrays
+
+    counts = property(lambda self: self._numpy()[0])
+    energies = property(lambda self: self._numpy()[1])
+    metadata = property(lambda self: self._numpy()[2])
 
     @property
     def codec(self) -> Codec:
@@ -191,10 +221,14 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def _row(self, i: int) -> list[float]:
+        start = range(0, len(self._counts), self._width)[i]  # IndexError past either end
+        return self._counts[start:start + self._width].tolist()
+
     def __getitem__(self, i: int) -> BitstreamRecord:
-        metadata = [None if math.isnan(v) else int(v) for v in self.metadata[i].tolist()]
-        energy = None if math.isnan(self.energies[i]) else float(self.energies[i])
-        return _record(self.codec, self.ids[i], self.counts[i], energy, metadata, self.tags[i])
+        metadata = [None if math.isnan(column[i]) else int(column[i]) for column in self._metadata]
+        energy = None if math.isnan(self._energies[i]) else self._energies[i]
+        return _record(self.codec, self.ids[i], self._row(i), energy, metadata, self.tags[i])
 
     def __iter__(self) -> Iterator[BitstreamRecord]:
         return map(self.__getitem__, range(len(self)))
@@ -214,18 +248,30 @@ class Dataset:
 
     def vector(self, i: int) -> FeatureVector:
         """The feature counts of row ``i``."""
-        return FeatureVector(self.feature_set, self.counts[i])
+        return FeatureVector(self.feature_set, self._row(i))
+
+    def energy(self, i: int) -> float:
+        """The measured energy of row ``i``; a row without one is an error."""
+        if math.isnan(self._energies[i]):
+            raise DataValidationError(f"record {self.ids[i]!r} has no measured energy")
+        return self._energies[i]
 
     def highlevel(self, rows) -> HighLevelColumns:
-        """The high-level model inputs of ``rows``; each row needs all five metadata fields."""
+        """The high-level inputs of ``rows`` as arrays; every row needs all five metadata fields."""
+        import numpy as np
+
         rows = np.asarray(rows, dtype=int)
-        lacking = rows[np.isnan(self.metadata[rows]).any(axis=1)]
-        if lacking.size:
-            raise DataValidationError(
-                f"record {self.ids[lacking[0]]!r} lacks high-level metadata "
-                f"({'/'.join(METADATA_COLUMNS)})"
-            )
-        return HighLevelColumns(*(column[rows] for column in self._highlevel))
+        width, height, frames, size, intra = columns = self.metadata.T[:, rows]
+        list(self.infos(rows[np.isnan(columns).any(axis=0)][:1]))  # the first lacking row raises
+        return HighLevelColumns(width * height, frames, size, intra / frames, self.energies[rows])
+
+    def infos(self, rows) -> Iterator[HighLevelInfo]:
+        """The :class:`HighLevelInfo` of each of ``rows``, the values of :meth:`highlevel`."""
+        for i in rows:
+            metadata = [column[i] for column in self._metadata]
+            if math.isnan(sum(metadata)):  # an empty cell
+                raise DataValidationError(f"record {self.ids[i]!r} lacks {_HIGHLEVEL_INPUTS}")
+            yield _highlevel(*metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +296,9 @@ def export_dataset(dataset: Dataset, path) -> None:
 def _rows(dataset: Dataset) -> Iterator[tuple]:
     """Per row: the stream id, the five metadata integers and the energy (None where
     empty), the counts and the tags."""
-    columns = [(column, int) for column in dataset.metadata.T] + [(dataset.energies, float)]
-    numbers = ([None if math.isnan(v) else kind(v) for v in c.tolist()] for c, kind in columns)
-    return zip(dataset.ids, zip(*numbers), map(np.ndarray.tolist, dataset.counts), dataset.tags)
+    columns = [(column, int) for column in dataset._metadata] + [(dataset._energies, float)]
+    numbers = ([None if math.isnan(v) else kind(v) for v in c] for c, kind in columns)
+    return zip(dataset.ids, zip(*numbers), map(dataset._row, range(len(dataset))), dataset.tags)
 
 
 def dataset_to_csv(
@@ -373,7 +419,7 @@ def _csv_columns(header: list[str], rows: list[list[str]], codec, require_energy
     tag_keys = [key for key in header if key not in known]
     tags = [dict(zip(tag_keys, cells)) for cells in zip(*(column[key] for key in tag_keys))]
     ids = [cell.strip() for cell in column["stream_id"]]
-    return codec, ids, np.array(counts).T, energies, metadata, tags or [{}] * len(rows)
+    return codec, ids, _flat(zip(*counts)), energies, metadata, tags or [{}] * len(rows)
 
 
 #: CSV rows parsed at a time, so that only this many rows are held as text cells.
@@ -411,8 +457,8 @@ def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
         codecs, ids, counts, energies, metadata, tags = zip(*parts)
         metadata = [[*chain(*column)] for column in zip(*metadata)]
         return Dataset._from_columns(
-            codecs[0], [*chain(*ids)], np.concatenate(counts), [*chain(*energies)], metadata,
-            [*chain(*tags)],
+            codecs[0], [*chain(*ids)], reduce(iadd, counts, array("d")), [*chain(*energies)],
+            metadata, [*chain(*tags)],
         )
     except (DataValidationError, csv.Error):  # the rows again, for the first bad one
         header, reader = _csv_rows(text)
@@ -508,7 +554,7 @@ _DEFAULTS: dict[str, tuple[float, tuple[float, float] | None]] = {
 def default_specific_energies(codec: Codec) -> SpecificEnergies:
     """Plausible joules-per-occurrence values, heterogeneous across features."""
     fs = build_feature_set(codec)
-    return SpecificEnergies(fs, np.array([_DEFAULTS[name][0] for name in fs.names]))
+    return SpecificEnergies(fs, [_DEFAULTS[name][0] for name in fs.names])
 
 
 def default_count_ranges(codec: Codec) -> dict[str, tuple[float, float]]:
@@ -558,6 +604,8 @@ class SynthSpec:
 
 def synth_dataset(spec: SynthSpec) -> Dataset:
     """Generate a dataset from a :class:`SynthSpec`; deterministic per seed."""
+    import numpy as np
+
     fs = build_feature_set(spec.codec)
     params = spec.true_params or default_specific_energies(spec.codec)
     ranges = default_count_ranges(spec.codec)
@@ -579,23 +627,19 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
         intra_frames = int(rng.integers(0, frames + 1))
         row[e0], row[frame] = 1.0, float(frames)
         row[drawn] = rng.uniform(lows, highs)
-        energy_true = predict_feature_model(params, FeatureVector(fs, row))
+        energy_true = predict_feature_model(params, FeatureVector(fs, row.tolist()))
         if not energy_true > 0:
-            raise DataValidationError(
-                f"true parameters produce nonpositive energy ({energy_true})"
-            )
-        if spec.noise_sigma > 0:
-            while True:
-                eta = rng.normal(0.0, spec.noise_sigma)
-                energy = energy_true * (1.0 + eta)
-                if energy > 0:
-                    break
-        else:
-            energy = energy_true
+            raise DataValidationError(f"true parameters produce nonpositive energy ({energy_true})")
+        energy = energy_true
+        while spec.noise_sigma > 0:  # draw again until the noisy energy is positive
+            energy = energy_true * (1.0 + rng.normal(0.0, spec.noise_sigma))
+            if energy > 0:
+                break
         coeff_total, val_total = sum(row[coeff]), sum(row[val])
         file_size = max(1, int(round(200.0 * frames + 2.0 * coeff_total + 0.6 * val_total)))
         energies.append(float(energy))
         metadata.append((width, height, frames, file_size, intra_frames))
     ids = [f"synth-{spec.codec.value}-{i:04d}" for i in range(spec.count)]
     no_tags = [{}] * spec.count
+    counts = array("d", counts.tobytes())
     return Dataset._from_columns(spec.codec, ids, counts, energies, list(zip(*metadata)), no_tags)

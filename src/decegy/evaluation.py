@@ -17,13 +17,10 @@ import html
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .dataset import Dataset, csv_text
 from .errors import DataValidationError, FitError, json_text
-from .fitting import FitDiagnostics, feature_linear_system, fit_hl1, fit_hl2, fit_linear_ls
 from .models import (
     Category,
     HL1Params,
@@ -38,14 +35,34 @@ from .models import (
 )
 from .models import category_breakdown  # noqa: F401  bench/spans.py wraps it here
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fitting import FitDiagnostics
+
+_SOLVERS = ("feature_linear_system", "fit_hl1", "fit_hl2", "fit_linear_ls")
+
+
+def _solver(name: str) -> Callable:
+    """A solver of decegy.fitting, bound here on first use (bench/spans.py wraps them here),
+    so that numpy loads only for a fit; a name bound already is kept."""
+    if name not in _SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        from . import fitting
+
+        for solver in _SOLVERS:
+            globals().setdefault(solver, getattr(fitting, solver))
+    return globals()[name]
+
+
+__getattr__ = _solver
+
 
 def _fit_feature(dataset: Dataset, rows, nonneg: bool) -> tuple[SpecificEnergies, FitDiagnostics]:
-    coeffs, diagnostics = fit_linear_ls(feature_linear_system(dataset, rows), nonneg=nonneg)
+    system = _solver("feature_linear_system")(dataset, rows)
+    coeffs, diagnostics = _solver("fit_linear_ls")(system, nonneg=nonneg)
     return SpecificEnergies(dataset.feature_set, coeffs), diagnostics
-
-
-def _highlevel_estimates(predict, params, dataset: Dataset, rows) -> list[float]:
-    return [predict(params, info) for info in dataset.highlevel(rows).infos()]
 
 
 class Model(NamedTuple):
@@ -71,13 +88,15 @@ MODELS: dict[str, Model] = {
     ),
     "hl1": Model(
         HL1Params,
-        lambda data, rows, options: fit_hl1(data.highlevel(rows), options.get("trust_region")),
-        lambda params, data, rows: _highlevel_estimates(predict_hl1, params, data, rows),
+        lambda data, rows, options: _solver("fit_hl1")(
+            data.highlevel(rows), options.get("trust_region")
+        ),
+        lambda params, data, rows: [predict_hl1(params, info) for info in data.infos(rows)],
     ),
     "hl2": Model(
         HL2Params,
-        lambda data, rows, options: fit_hl2(data.highlevel(rows)),
-        lambda params, data, rows: _highlevel_estimates(predict_hl2, params, data, rows),
+        lambda data, rows, options: _solver("fit_hl2")(data.highlevel(rows)),
+        lambda params, data, rows: [predict_hl2(params, info) for info in data.infos(rows)],
     ),
 }
 
@@ -91,6 +110,8 @@ class FoldPartition:
     seed: int
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.asarray(self.assignment, dtype=int)
         arr.setflags(write=False)
         object.__setattr__(self, "assignment", arr)
@@ -109,9 +130,11 @@ class FoldPartition:
         return int(self.assignment.size)
 
     def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == fold)
+        return (self.assignment == fold).nonzero()[0]
 
     def fold_sizes(self) -> list[int]:
+        import numpy as np
+
         return np.bincount(self.assignment, minlength=self.k).tolist()
 
 
@@ -123,6 +146,8 @@ def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
         raise DataValidationError(f"k ({k}) exceeds the record count ({record_count})")
     if seed < 0:
         raise DataValidationError(f"seed must be >= 0, got {seed}")
+    import numpy as np
+
     perm = np.random.default_rng(seed).permutation(record_count)
     assignment = np.empty(record_count, dtype=int)
     assignment[perm] = np.arange(record_count) % k
@@ -131,6 +156,8 @@ def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
 
 def mean_relative_error(estimates, measured) -> float:
     """Mean of |estimate - measured| / measured; 0 for a perfect estimator."""
+    import numpy as np
+
     est = np.asarray(estimates, dtype=float)
     meas = np.asarray(measured, dtype=float)
     if est.shape != meas.shape or est.ndim != 1:
@@ -186,17 +213,16 @@ def cross_validate(
     HL2 without metadata) raises DataValidationError in the first fold, which
     trains or validates on every record.  Deterministic per seed.
     """
+    import numpy as np
+
     model = MODELS.get(model_kind)
     if model is None:
         raise ValueError(f"unknown model kind {model_kind!r}; expected one of {tuple(MODELS)}")
     if len(dataset) < k:
         raise DataValidationError(f"dataset has {len(dataset)} records, fewer than k={k}")
-    unmeasured = np.flatnonzero(np.isnan(dataset.energies))
-    if unmeasured.size:
-        raise DataValidationError(f"record {dataset.ids[unmeasured[0]]!r} has no measured energy")
+    energies = [dataset.energy(i) for i in range(len(dataset))]
     options = fit_options or {}
     partition = make_folds(len(dataset), k, seed)
-    energies = dataset.energies.tolist()
 
     fold_errors: list[float | None] = []
     fold_params: list[dict | None] = []
@@ -259,18 +285,9 @@ def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[Bre
         dataset = Dataset(dataset)
     report = []
     for i in range(len(dataset)) if rows is None else rows:
-        measured = float(dataset.energies[i])
-        if math.isnan(measured):
-            raise DataValidationError(f"record {dataset.ids[i]!r} has no measured energy")
-        vector = dataset.vector(i)
-        report.append(
-            BreakdownRow(
-                stream_id=dataset.ids[i],
-                measured_joules=measured,
-                estimated_joules=predict_feature_model(energies, vector),
-                category_joules=category_sums(energies, vector),
-            )
-        )
+        measured, vector = dataset.energy(i), dataset.vector(i)
+        estimate, parts = predict_feature_model(energies, vector), category_sums(energies, vector)
+        report.append(BreakdownRow(dataset.ids[i], measured, estimate, parts))
     return report
 
 

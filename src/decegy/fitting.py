@@ -72,24 +72,14 @@ class FitDiagnostics:
     cost_history: list[float] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        out = {
-            "iterations": self.iterations,
-            "termination": self.termination,
-            "residual_norm": self.residual_norm,
+        """Every field but the cost history, leaving out the unset and empty ones."""
+        values = {
+            "iterations": self.iterations, "termination": self.termination,
+            "residual_norm": self.residual_norm, "gradient_norm": self.gradient_norm,
+            "condition": self.condition, "rank": self.rank, "dropped": list(self.dropped) or None,
+            "kkt": self.kkt, "notes": list(self.notes) or None,
         }
-        if self.gradient_norm is not None:
-            out["gradient_norm"] = self.gradient_norm
-        if self.condition is not None:
-            out["condition"] = self.condition
-        if self.rank is not None:
-            out["rank"] = self.rank
-        if self.dropped:
-            out["dropped"] = list(self.dropped)
-        if self.kkt is not None:
-            out["kkt"] = self.kkt
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
+        return {name: value for name, value in values.items() if value is not None}
 
 
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,12 +240,7 @@ class TrustRegionOptions:
     initial_radius: float = 1.0
 
     def __post_init__(self):
-        if not (
-            self.max_iterations > 0
-            and self.gradient_tolerance > 0
-            and self.step_tolerance > 0
-            and self.initial_radius > 0
-        ):
+        if not all(getattr(self, option.name) > 0 for option in fields(self)):
             raise ValueError("all trust-region options must be positive")
 
 

@@ -16,53 +16,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, fields
+from operator import mul
 from pathlib import Path
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataValidationError, about_file, json_feature_values, json_number
 from .errors import json_text, read_json, read_text
-from .taxonomy import Category, Codec, FeatureSet, FeatureVector, build_feature_set
+from .taxonomy import Category, Codec, FeatureSet, FeatureValues, FeatureVector, build_feature_set
+from .taxonomy import float_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
-@dataclass(frozen=True)
-class SpecificEnergies:
-    """Fitted joules-per-occurrence values, aligned with a feature set."""
+class SpecificEnergies(FeatureValues):
+    """Fitted joules-per-occurrence values of a feature set, read-only in :attr:`values`."""
 
-    feature_set: FeatureSet
-    values: np.ndarray
+    __slots__ = ()
+    values = property(FeatureValues._read)
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.shape != (len(self.feature_set),):
-            raise ValueError(
-                f"expected {len(self.feature_set)} values, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
+    def __init__(self, feature_set: FeatureSet, values):
+        super().__init__(feature_set, values)
+        if len(self) != len(feature_set):
+            raise ValueError(f"expected {len(feature_set)} values, got {len(self)}")
+        if not all(map(math.isfinite, self.tolist())):
             raise DataValidationError("specific energies must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_dict(cls, feature_set: FeatureSet, mapping, default: float = 0.0):
-        values = np.full(len(feature_set), default, dtype=float)
-        for name, value in mapping.items():
-            values[feature_set.index_of(name)] = float(value)
-        return cls(feature_set, values)
-
-    def __getitem__(self, feature) -> float:
-        return float(self.values[self.feature_set.index_of(feature)])
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.feature_set.names, self.values)}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpecificEnergies):
-            return NotImplemented
-        return self.feature_set == other.feature_set and np.array_equal(
-            self.values, other.values
-        )
 
 
 @dataclass(frozen=True)
@@ -100,17 +78,12 @@ class HighLevelColumns(NamedTuple):
         if isinstance(streams, cls):
             return streams
         rows = [(*astuple(info), energy) for info, energy in streams]
-        return cls(*np.array(rows, dtype=float).reshape(-1, 5).T)
+        return cls(*float_array(rows).reshape(-1, 5).T)
 
     @property
     def pixels(self) -> np.ndarray:
         """Pixels per stream: pixels per frame times frames."""
         return self.pixels_per_frame * self.frames
-
-    def infos(self) -> Iterator[HighLevelInfo]:
-        """One :class:`HighLevelInfo` per stream."""
-        for pixels, frames, size, rate in zip(*(column.tolist() for column in self[:4])):
-            yield HighLevelInfo(pixels, int(frames), size, rate)
 
 
 def _require_finite(params) -> None:
@@ -161,18 +134,21 @@ class HL2Params:
         return astuple(self)
 
 
-def _require_same_set(energies: SpecificEnergies, vector: FeatureVector) -> None:
-    if energies.feature_set != vector.feature_set:
+def _products(energies: SpecificEnergies, vector: FeatureVector) -> list[float]:
+    """Count times specific energy per feature: Python's float product is IEEE's, as numpy's is."""
+    fs = energies.feature_set
+    if vector.feature_set is not fs and vector.feature_set != fs:  # one object per codec, mostly
         raise ValueError(
             "feature set mismatch between specific energies "
             f"({energies.feature_set.codec.value}) and vector "
             f"({vector.feature_set.codec.value})"
         )
-    if len(vector.counts) != len(energies.values):
+    counts, values = vector.tolist(), energies.tolist()
+    if len(counts) != len(values):
         raise ValueError(
-            f"vector length {len(vector.counts)} does not match "
-            f"feature set size {len(energies.values)}"
+            f"vector length {len(counts)} does not match feature set size {len(values)}"
         )
+    return list(map(mul, values, counts))
 
 
 _OVERFLOW = "estimated energy overflows the float range"
@@ -180,9 +156,10 @@ _OVERFLOW = "estimated energy overflows the float range"
 
 def _fsum(terms) -> float:
     try:
-        return math.fsum(terms)
+        total = math.fsum(terms)
     except (ValueError, OverflowError):  # inf - inf, or a finite sum past the float range
-        raise DataValidationError(_OVERFLOW) from None
+        total = math.inf
+    return _finite(total)  # a product past the float range sums to an infinity
 
 
 def _finite(energy: float) -> float:
@@ -197,8 +174,7 @@ def predict_feature_model(energies: SpecificEnergies, vector: FeatureVector) -> 
     Uses exact (compensated) summation; pel counts reach 1e8 while offset
     terms sit near 1e-1, so naive accumulation would lose digits.
     """
-    _require_same_set(energies, vector)
-    return _fsum(energies.values * vector.counts)
+    return _fsum(_products(energies, vector))
 
 
 def category_breakdown(
@@ -214,8 +190,7 @@ def category_breakdown(
 
 def category_sums(energies: SpecificEnergies, vector: FeatureVector) -> tuple[float, ...]:
     """The values of :func:`category_breakdown`, in :class:`Category` order."""
-    _require_same_set(energies, vector)
-    products = (energies.values * vector.counts).tolist()
+    products = _products(energies, vector)
     columns = energies.feature_set.category_columns.values()
     return tuple(_fsum([products[i] for i in indices]) for indices in columns)
 

@@ -272,42 +272,36 @@ def build_feature_set(codec: Codec) -> FeatureSet:
     return FeatureSet(codec, tuple(feats))
 
 
-class FeatureVector:
-    """Feature counts for one bitstream, aligned with a codec's feature set.
+class FeatureValues:
+    """One number per feature of a codec's feature set.
 
-    Counts are real-valued (the half-weight rule for rectangular blocks
-    produces 0.5 increments) and non-negative; the e0 count is 1 for any
-    analyzed bitstream.  Construction is lenient -- use
-    :func:`validate_vector` to collect invariant violations as data.
-
-    Counts given as a list or tuple stay Python floats until the read-only
-    float64 array :attr:`counts` is first read, so that numpy is not needed.
+    Numbers given as a list or tuple stay Python floats until their read-only
+    float64 array is first read, so that numpy is not needed.
     """
 
     __slots__ = ("feature_set", "_floats", "_array")
 
-    def __init__(self, feature_set: FeatureSet, counts):
+    def __init__(self, feature_set: FeatureSet, values):
         self.feature_set = feature_set
-        listed = isinstance(counts, (list, tuple))
-        self._floats = tuple(map(float, counts)) if listed else None
-        self._array = None if listed else _read_only(counts)
+        listed = isinstance(values, (list, tuple))
+        self._floats = tuple(map(float, values)) if listed else None
+        self._array = None if listed else float_array(values)
 
-    @property
-    def counts(self):
+    def _read(self):
         if self._array is None:
-            self._array = _read_only(self._floats)
+            self._array = float_array(self._floats)
         return self._array
 
     @classmethod
     def from_dict(cls, feature_set: FeatureSet, mapping, default: float = 0.0):
-        """Build from a name -> count mapping; unknown names are rejected."""
-        counts = [default] * len(feature_set)
+        """Build from a name -> number mapping; unknown names are rejected."""
+        values = [default] * len(feature_set)
         for name, value in mapping.items():
-            counts[feature_set.index_of(name)] = float(value)
-        return cls(feature_set, counts)
+            values[feature_set.index_of(name)] = float(value)
+        return cls(feature_set, values)
 
     def tolist(self) -> list[float]:
-        """The counts as Python floats."""
+        """The numbers as Python floats."""
         return self._array.tolist() if self._floats is None else list(self._floats)
 
     def __getitem__(self, feature: FeatureId | str) -> float:
@@ -317,21 +311,35 @@ class FeatureVector:
         return len(self.tolist())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureVector):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.feature_set == other.feature_set and self.tolist() == other.tolist()
 
     def __repr__(self) -> str:
-        return f"FeatureVector({self.feature_set.codec.value}, {self.counts!r})"
+        return f"{type(self).__name__}({self.feature_set.codec.value}, {self._read()!r})"
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.feature_set.names, self.tolist()))
 
 
-def _read_only(counts):
+class FeatureVector(FeatureValues):
+    """Feature counts for one bitstream, aligned with a codec's feature set.
+
+    Counts are real-valued (the half-weight rule for rectangular blocks
+    produces 0.5 increments) and non-negative; the e0 count is 1 for any
+    analyzed bitstream.  Construction is lenient -- use
+    :func:`validate_vector` to collect invariant violations as data.
+    """
+
+    __slots__ = ()
+    counts = property(FeatureValues._read, doc="The counts as a read-only float64 array.")
+
+
+def float_array(values):
+    """A read-only float64 array of ``values``; numpy loads on the first call."""
     import numpy as np
 
-    array = np.array(counts, dtype=float)
+    array = np.array(values, dtype=float)
     array.setflags(write=False)
     return array
 

@@ -32,15 +32,19 @@ _OVERFLOW = "estimated energy overflows the float range"
 
 
 def oracle_category_breakdown(energies: SpecificEnergies, vector: FeatureVector) -> dict:
-    """The per-feature grouping loop, with the library's overflow error."""
+    """The per-feature grouping loop, with the library's overflow error: a sum past
+    the float range, infinite products of both signs, or an infinite product."""
     terms: dict[Category, list[float]] = {cat: [] for cat in Category}
     products = energies.values * vector.counts
     for i, fid in enumerate(energies.feature_set):
         terms[fid.category].append(products[i])
     try:
-        return {cat: math.fsum(parts) for cat, parts in terms.items()}
+        sums = {cat: math.fsum(parts) for cat, parts in terms.items()}
     except (ValueError, OverflowError):
         raise DataValidationError(_OVERFLOW) from None
+    if not all(map(math.isfinite, sums.values())):
+        raise DataValidationError(_OVERFLOW)
+    return sums
 
 
 def _outcome(fn, energies, vector):

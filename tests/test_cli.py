@@ -760,6 +760,25 @@ def test_estimates_past_the_float_range_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
 
 
+@pytest.mark.parametrize("command", ["predict", "report"])
+def test_an_estimate_that_overflows_to_infinity_exits_2(tmp_path, capsys, command):
+    # products of one sign past the float range sum to an infinity, which no fsum rejects
+    data, params, out = tmp_path / "data.csv", tmp_path / "params.json", tmp_path / "out.csv"
+    assert main(["synth", "--codec", "h264", "--count", "3", "--out", str(data)]) == 0
+    rows = list(csv.reader(data.open(encoding="utf-8", newline="")))
+    rows[2][rows[0].index("pel")] = "1e300"
+    with data.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    save_params(default_specific_energies(Codec.H264), Codec.H264, params)
+    doc = json.loads(params.read_text())
+    doc["specific_energies"]["pel"] = 1e10
+    params.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--dataset", str(data), "--params", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: estimated energy overflows the float range\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "params, file_size",
     [({"model": "hl1", "base_joules": 0.0, "per_pixel_joules": 0.0, "rate_coeff": 1.0,

@@ -1,4 +1,5 @@
-"""Whole-CLI fuzz: mutated input files must end in an exit code, never a traceback.
+"""Whole-CLI fuzz: mutated input files and drawn argument values must end in an
+exit code, never a traceback, and every file written must be a strict document.
 
 Every example runs one of the six subcommands in-process on valid synthetic
 datasets (CSV or JSON), parameter files of the three models, or random decode
@@ -8,12 +9,20 @@ a failing run ends stderr with one ``error:``, ``fit error:`` or
 ``usage error:`` line, which names a mutated dataset or parameter file exactly
 when that file cannot be read alone, and a successful ``predict`` or
 ``analyze`` writes one row per input stream with its id.
+
+Other examples run ``synth``, ``fit``, ``crossval``, ``predict`` and ``report`` on
+valid files with drawn values of ``--count``, ``--k``, ``--seed``, ``--sigma``
+(negative, NaN, huge), ``--streams`` and ``--model``/``--nonneg``.  Sizes are drawn
+huge only where they are rejected before anything is allocated.  In both kinds of
+run, every JSON file written parses strictly (no NaN or Infinity), and every number
+cell of a CSV file written parses as a finite float.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from functools import lru_cache
@@ -28,6 +37,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from decegy import (  # noqa: E402
+    Category,
     Codec,
     Coefficient,
     DecegyError,
@@ -37,15 +47,18 @@ from decegy import (  # noqa: E402
     InterBlock,
     IntraBlock,
     SaoBlock,
+    SpecificEnergies,
     SynthSpec,
     TransformBlock,
+    build_feature_set,
     default_specific_energies,
     load_dataset,
     load_params,
     synth_dataset,
 )
 from decegy.cli import main  # noqa: E402
-from decegy.dataset import dataset_to_csv, dataset_to_json  # noqa: E402
+from decegy.dataset import BASE_COLUMNS, MAX_SYNTH_COUNT, dataset_to_csv  # noqa: E402
+from decegy.dataset import dataset_to_json  # noqa: E402
 from decegy.models import params_to_json  # noqa: E402
 from util import random_trace  # noqa: E402
 
@@ -73,6 +86,7 @@ def _trace_text(trace) -> str:
 def _files(codec: Codec) -> dict[str, bytes]:
     """Valid input files of one codec, by file name."""
     dataset = synth_dataset(SynthSpec(codec, 6, noise_sigma=0.05, seed=3))
+    fs = dataset.feature_set
     hl1 = HL1Params(0.4, 2.1e-8, 1.3e-7, 0.7)
     hl2 = HL2Params(2e-9, 5e-8, 3e-9, 1e-8)
     texts = {
@@ -83,7 +97,25 @@ def _files(codec: Codec) -> dict[str, bytes]:
         "hl2.json": params_to_json(hl2, codec),
         "trace.jsonl": _trace_text(random_trace(codec, np.random.default_rng(7), 2, 5)),
     }
+    # valid files whose estimate of the second stream is past the float range: a count
+    # near its top and a specific energy far above the defaults
+    texts["wide.csv"] = _write_cells(_cells(texts["data.csv"]), (2, "pel", "1e300"))
+    energies = {**default_specific_energies(codec).as_dict(), "pel": 1e10}
+    texts["wide.json"] = params_to_json(SpecificEnergies.from_dict(fs, energies), codec)
     return {name: text.encode("utf-8") for name, text in texts.items()}
+
+
+def _cells(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text)))
+
+
+def _write_cells(rows: list[list[str]], *edits: tuple[int, str, str]) -> str:
+    """CSV text of ``rows``, each ``(row, column name, cell)`` of ``edits`` set first."""
+    for r, name, cell in edits:
+        rows[r][rows[0].index(name)] = cell
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _commands(codec: Codec, data: str, params: str) -> dict[str, list[list[str]]]:
@@ -116,7 +148,7 @@ def _mutate_bytes(raw: bytes, op: str, i: int, j: int, byte: int) -> bytes:
 
 
 def _mutate_cells(raw: bytes, op: str, i: int, j: int, byte: int) -> bytes:
-    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"))))
+    rows = _cells(raw.decode("utf-8"))
     cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
     (r, c), (r2, c2) = cells[i % len(cells)], cells[j % len(cells)]
     cell = rows[r][c]
@@ -130,9 +162,7 @@ def _mutate_cells(raw: bytes, op: str, i: int, j: int, byte: int) -> bytes:
         rows[r][c] = cell[: j % (len(cell) + 1)]
     else:
         rows[r][c], rows[r2][c2] = rows[r2][c2], cell
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue().encode("utf-8")
+    return _write_cells(rows).encode("utf-8")
 
 
 _OPS = ("delete", "duplicate", "flip", "truncate", "swap")
@@ -159,7 +189,7 @@ def runs(draw):
 def _run(argv, files, workdir: Path):
     for name, raw in files.items():
         (workdir / name).write_bytes(raw)
-    argv = [str(workdir / arg) if arg in files or arg.startswith(("out.", "fit.", "s."))
+    argv = [str(workdir / arg) if arg in files or arg.startswith(("out.", "fit.", "s.", "cv."))
             else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -179,6 +209,33 @@ def _unreadable(path: Path, require_energy: bool) -> bool:
     except DecegyError:
         return True
     return False
+
+
+#: The CSV columns that hold numbers; any other column holds text (ids, codecs, tags).
+_NUMBER_COLUMNS = {
+    *BASE_COLUMNS[2:], "E_hat", "E_dec", *(c.value for c in Category),
+    *(name for codec in Codec for name in build_feature_set(codec).names),
+}
+
+
+def _reject(constant: str):
+    raise ValueError(f"not JSON: {constant}")
+
+
+def _check_outputs(workdir: Path, inputs) -> None:
+    """Every JSON file written parses strictly; every number cell written is a finite float."""
+    for path in sorted(workdir.iterdir()):
+        if path.name in inputs:
+            continue
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_reject)
+        elif path.suffix == ".csv":
+            header, *rows = csv.reader(io.StringIO(text))
+            for row in rows:
+                for name, cell in zip(header, row):
+                    if name in _NUMBER_COLUMNS and cell:
+                        assert math.isfinite(float(cell)), (path.name, name, cell)
 
 
 def _ids_in(csv_path: Path) -> list[str]:
@@ -206,3 +263,60 @@ def test_mutated_inputs_end_in_an_exit_code(run):
             assert _ids_in(workdir / "out.csv") == [rec.stream_id for rec in dataset]
         elif argv[0] == "analyze":
             assert len(_ids_in(workdir / "out.csv")) == 1
+        _check_outputs(workdir, files)
+
+
+_SIGMAS = ("0", "0.05", "2.5", "-1", "-0.0", "nan", "-nan", "inf", "1e308", "5e-324", "x")
+#: Sizes far past any dataset here; every command rejects them before allocating anything.
+_HUGE = (MAX_SYNTH_COUNT + 1, 10**12, 2**63, 10**40)
+
+
+def _seeds():
+    return st.one_of(st.integers(-3, 50), st.sampled_from((2**63, 10**40, -(10**40))))
+
+
+@st.composite
+def argument_runs(draw):
+    """(argv, files): one command on valid input files, with drawn argument values."""
+    codec = draw(st.sampled_from(list(Codec)))
+    data = draw(st.sampled_from(["data.csv", "data.json", "wide.csv"]))
+    feature = draw(st.sampled_from(["feature.json", "wide.json"]))
+    command = draw(st.sampled_from(["synth", "fit", "crossval", "predict", "report"]))
+    if command == "synth":
+        count = draw(st.one_of(st.integers(1, 8), st.integers(-2, 0), st.sampled_from(_HUGE)))
+        argv = ["synth", "--codec", codec.value, "--count", str(count),
+                f"--sigma={draw(st.sampled_from(_SIGMAS[:5] + _SIGMAS))}",
+                "--seed", str(draw(_seeds())),
+                *(["--params", feature] if draw(st.booleans()) else []), "--out", "s.csv"]
+    elif command in ("fit", "crossval"):
+        model = draw(st.sampled_from(["feature", "feature", "hl1", "hl2", "nnls"]))
+        argv = [command, "--dataset", data, "--model", model]
+        argv += ["--nonneg"] if draw(st.booleans()) else []
+        if command == "fit":
+            argv += ["--out", "fit.json"]
+        else:
+            k = draw(st.one_of(st.integers(2, 6), st.integers(-2, 8), st.sampled_from(_HUGE)))
+            argv += ["--k", str(k), "--seed", str(draw(_seeds())), "--out", "cv.json"]
+    elif command == "predict":
+        params = draw(st.sampled_from([feature, "hl1.json", "hl2.json"]))
+        argv = ["predict", "--dataset", data, "--params", params, "--out", "out.csv"]
+    else:
+        ids = [f"synth-{codec.value}-{i:04d}" for i in range(6)]
+        some = st.lists(st.sampled_from([*ids, "", "nope"]), max_size=3).map(",".join)
+        streams = draw(st.lists(st.one_of(st.sampled_from(ids), some), max_size=3))
+        argv = ["report", "--dataset", data, "--params", feature, "--out", "out.csv",
+                "--svg", "out.svg", *(arg for s in streams for arg in ("--streams", s))]
+    return argv, _files(codec)
+
+
+@settings(max_examples=300)
+@given(argument_runs())
+def test_drawn_arguments_end_in_an_exit_code_and_strict_outputs(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        rc, _, err = _run(argv, files, workdir)
+        assert rc in (0, 1, 2, 3)
+        if rc:
+            assert err.splitlines()[-1].startswith(("error:", "fit error:", "usage error:"))
+        _check_outputs(workdir, files)

@@ -2,9 +2,10 @@
 
 No command, and not ``--help``, loads scipy or the ``xml.sax``/``urllib.request``
 chain; the fitting commands solve with numpy alone, so they also run where
-scipy cannot be imported.  ``--help`` and ``analyze`` do not load numpy, through
-the console script's ``decegy.cli:main`` or ``python -m decegy``, and run where
-numpy cannot be imported.  The package serves its public names lazily.
+scipy cannot be imported.  ``--help``, ``analyze``, ``predict`` (of every model)
+and ``report`` do not load numpy, through the console script's
+``decegy.cli:main`` or ``python -m decegy``, and run where numpy cannot be
+imported, with the same output.  The package serves its public names lazily.
 """
 
 import argparse
@@ -21,6 +22,8 @@ import decegy
 from decegy import cli, evaluation
 from decegy import (
     Codec,
+    HL1Params,
+    HL2Params,
     SynthSpec,
     default_specific_energies,
     export_dataset,
@@ -87,6 +90,8 @@ def inputs(tmp_path_factory):
     )
     export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 12, seed=3)), root / "d.csv")
     save_params(default_specific_energies(Codec.HEVC), Codec.HEVC, root / "p.json")
+    save_params(HL1Params(0.4, 2.1e-8, 1.3e-7, 0.7), Codec.HEVC, root / "hl1.json")
+    save_params(HL2Params(2e-9, 5e-8, 3e-9, 1e-8), Codec.HEVC, root / "hl2.json")
     for codec in Codec:
         events = [{"event": "frame_start"}, {"event": "intra", "w": 16, "h": 8},
                   {"event": "inter", "w": 8, "h": 8, "bipred": True, "frac_h": True},
@@ -159,6 +164,40 @@ def test_help_and_analyze_run_where_numpy_cannot_be_imported(inputs, args):
     assert blocked.stdout == normal.stdout
     assert normal.returncode == 0 and normal.stderr == ""
     assert blocked.stdout.startswith("usage: decegy" if args == ["--help"] else "stream_id,")
+
+
+#: predict and report, each to files and to standard output.
+_PREDICT_AND_REPORT = [
+    ["predict", "--dataset", "d.csv", "--params", "p.json", "--out", "e.csv"],
+    ["predict", "--dataset", "d.csv", "--params", "p.json"],
+    ["predict", "--dataset", "d.csv", "--params", "hl1.json", "--out", "e1.csv"],
+    ["predict", "--dataset", "d.csv", "--params", "hl2.json"],
+    ["report", "--dataset", "d.csv", "--params", "p.json", "--svg", "r.svg", "--out", "r.csv"],
+    ["report", "--dataset", "d.csv", "--params", "p.json", "--streams", "synth-hevc-0003"],
+]
+
+
+def _label(args) -> str:
+    return "-".join([args[0], args[4].removesuffix(".json"), "out" if "--out" in args else "stdout"])
+
+
+@pytest.mark.parametrize("probe", [_PROBE, _MODULE_PROBE], ids=["console_script", "python_m"])
+@pytest.mark.parametrize("args", _PREDICT_AND_REPORT, ids=_label)
+def test_predict_and_report_start_without_numpy(inputs, args, probe):
+    assert "numpy" not in _loaded_modules(args, inputs, probe)
+
+
+@pytest.mark.parametrize("args", _PREDICT_AND_REPORT, ids=_label)
+def test_predict_and_report_run_where_numpy_cannot_be_imported(inputs, args):
+    written = [args[i + 1] for i, arg in enumerate(args) if arg in ("--out", "--svg")]
+    blocked = _run([sys.executable, "-c", _WITHOUT_NUMPY, *args], inputs)
+    files = {name: (inputs / name).read_bytes() for name in written}
+    normal = _run([sys.executable, "-m", "decegy", *args], inputs)
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    assert (normal.returncode, normal.stderr) == (0, "")
+    assert blocked.stdout == normal.stdout
+    assert files == {name: (inputs / name).read_bytes() for name in written}
+    assert blocked.stdout.startswith(("predicted", "reported", "stream_id,"))
 
 
 #: Every name decegy/__init__.py imported from its modules when it loaded them all at once.
