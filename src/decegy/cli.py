@@ -16,12 +16,12 @@ from pathlib import Path
 from .errors import DataValidationError, DecegyError, FitError, about_file
 from .schema import BASE_COLUMNS, check_record, csv_row, csv_text
 from .taxonomy import Codec, build_feature_set
-from .trace import analyze, analyze_lines, parse_trace
 
 # Names of the other modules, bound here by the commands that call them or on attribute
 # access (bench/spans.py wraps them so); a name bound already is kept.  Of them, only
-# `fitting` and `synth_dataset` load numpy.
+# `fitting` and `synth_dataset` load numpy, and only `analyze` needs `trace`.
 _LAZY = {
+    "trace": ("analyze", "analyze_lines", "parse_trace"),
     "dataset": ("SynthSpec", "dataset_to_csv", "default_specific_energies", "export_dataset",
                 "load_dataset", "synth_dataset"),
     "evaluation": ("MODELS", "breakdown_csv", "breakdown_report", "breakdown_svg",
@@ -57,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_analyze(args) -> None:
+    _bind("trace")
     codec_flag = Codec.from_name(args.codec) if args.codec else None
     codec, rows, first_in, repeated = None, [], {}, None
     for path in args.traces:

@@ -250,6 +250,11 @@ class Dataset:
         """The feature counts of row ``i``."""
         return FeatureVector(self.feature_set, self._row(i))
 
+    def vectors(self, rows) -> Iterator[FeatureVector]:
+        """The feature counts of each of ``rows``, as :meth:`vector` gives them."""
+        fs = self.feature_set
+        return (FeatureVector(fs, self._row(i)) for i in rows)
+
     def energy(self, i: int) -> float:
         """The measured energy of row ``i``; a row without one is an error."""
         if math.isnan(self._energies[i]):
@@ -592,6 +597,8 @@ class SynthSpec:
             raise DataValidationError(f"count must be <= {MAX_SYNTH_COUNT}, got {self.count}")
         if not self.noise_sigma >= 0:
             raise DataValidationError("noise_sigma must be >= 0")
+        if self.noise_sigma == math.inf:
+            raise DataValidationError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.seed < 0:
             raise DataValidationError(f"seed must be >= 0, got {self.seed}")
         if self.true_params is not None and self.true_params.feature_set.codec is not self.codec:

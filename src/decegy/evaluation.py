@@ -13,7 +13,6 @@ bar above one stacked estimated bar per stream.
 
 from __future__ import annotations
 
-import html
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -84,7 +83,7 @@ MODELS: dict[str, Model] = {
     "feature": Model(
         SpecificEnergies,
         lambda data, rows, options: _fit_feature(data, rows, options.get("nonneg", False)),
-        lambda params, data, rows: [predict_feature_model(params, data.vector(i)) for i in rows],
+        lambda params, data, rows: [predict_feature_model(params, v) for v in data.vectors(rows)],
     ),
     "hl1": Model(
         HL1Params,
@@ -326,6 +325,8 @@ def _nice_ticks(maximum: float, count: int = 5) -> list[float]:
 
 def breakdown_svg(rows: list[BreakdownRow], title: str = "Decoding energy by category") -> str:
     """Render one measured bar above one stacked estimated bar per stream."""
+    import html
+
     if not rows:
         raise ValueError("no rows to render")
     left, right, top, bottom = 150, 30, 70, 34

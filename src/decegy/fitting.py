@@ -315,12 +315,8 @@ def fit_trust_region(
             break
         with np.errstate(all="ignore"):
             r_trial = np.asarray(residual_fn(x + step), dtype=float)
-            if np.all(np.isfinite(r_trial)):
-                cost_trial = 0.5 * float(r_trial @ r_trial)
-                if not math.isfinite(cost_trial):
-                    cost_trial = math.inf
-            else:
-                cost_trial = math.inf
+            finite = np.all(np.isfinite(r_trial))  # then the cost is finite or overflows to inf
+            cost_trial = 0.5 * float(r_trial @ r_trial) if finite else math.inf
         Jp = J @ step
         predicted = -(float(g @ step) + 0.5 * float(Jp @ Jp))
         actual = cost - cost_trial
@@ -369,26 +365,30 @@ def hl1_residuals_jacobian(params: HL1Params, streams) -> tuple[np.ndarray, np.n
     data = HighLevelColumns.of(streams)
     if not data.energies.size:
         raise FitError("no records")
-    return _hl1_terms(params, data.pixels, data.file_size_bytes, data.energies)
+    pixels = data.pixels
+    x = data.file_size_bytes / pixels
+    residuals = _hl1_residuals(params, pixels, x, data.energies)
+    return residuals, _hl1_jacobian(params, pixels, x, np.log(x))
 
 
-def _hl1_terms(
-    params: HL1Params, pixels: np.ndarray, sizes: np.ndarray, energies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hl1_residuals_jacobian` over pixel, size and energy arrays."""
-    x = sizes / pixels
+def _hl1_residuals(params: HL1Params, pixels, x, energies) -> np.ndarray:
+    """HL1's residuals over arrays of pixels, bytes per pixel ``x`` and energies."""
     xg = x ** params.rate_power
     pred = params.base_joules + pixels * (params.per_pixel_joules + params.rate_coeff * xg)
-    residuals = pred - energies
-    jacobian = np.column_stack(
-        [
-            np.ones_like(pixels),
-            pixels,
-            pixels * xg,
-            pixels * params.rate_coeff * xg * np.log(x),
-        ]
+    return pred - energies
+
+
+def _hl1_jacobian(params: HL1Params, pixels, x, log_x) -> np.ndarray:
+    """HL1's Jacobian over arrays of pixels, bytes per pixel ``x`` and its logarithm."""
+    xg = x ** params.rate_power
+    return np.column_stack(
+        [np.ones_like(pixels), pixels, pixels * xg, pixels * params.rate_coeff * xg * log_x]
     )
-    return residuals, jacobian
+
+
+def _one_value(x: np.ndarray) -> bool:
+    """Whether ``x`` holds fewer than two distinct values, all NaNs counting as one."""
+    return bool(np.isnan(x).all() or (x == x[0]).all())
 
 
 _HL1_STARTS = (0.5, 1.0, 1.5)
@@ -408,10 +408,11 @@ def fit_hl1(
     data = HighLevelColumns.of(streams)
     if data.energies.size < 4:
         raise FitError(f"under-determined: {data.energies.size} records for 4 parameters")
-    pixels, sizes, energies = data.pixels, data.file_size_bytes, data.energies
-    x = sizes / pixels
-    if np.unique(x).size < 2:
+    pixels, energies = data.pixels, data.energies
+    x = data.file_size_bytes / pixels
+    if _one_value(x):
         raise FitError("under-determined: all records share one bytes-per-pixel value")
+    log_x = np.log(x)
 
     e_scale = float(np.mean(np.abs(energies)))
     if e_scale == 0.0:
@@ -431,16 +432,12 @@ def fit_hl1(
             params = to_params(theta)
         except (DataValidationError, OverflowError):  # outside the model: reject the step
             return np.full_like(energies, math.inf)
-        r, _ = _hl1_terms(params, pixels, sizes, energies)
-        return r / e_scale
+        return _hl1_residuals(params, pixels, x, energies) / e_scale
 
     def jacobian_fn(theta: np.ndarray) -> np.ndarray:
         params = to_params(theta)
-        _, J = _hl1_terms(params, pixels, sizes, energies)
-        chain = np.array(
-            [e_scale, e_scale / p_scale, params.rate_coeff, params.rate_power]
-        )
-        return J * chain / e_scale
+        chain = np.array([e_scale, e_scale / p_scale, params.rate_coeff, params.rate_power])
+        return _hl1_jacobian(params, pixels, x, log_x) * chain / e_scale
 
     best: tuple[float, np.ndarray, FitDiagnostics] | None = None
     for gamma0 in _HL1_STARTS:

@@ -39,7 +39,7 @@ class SpecificEnergies(FeatureValues):
         super().__init__(feature_set, values)
         if len(self) != len(feature_set):
             raise ValueError(f"expected {len(feature_set)} values, got {len(self)}")
-        if not all(map(math.isfinite, self.tolist())):
+        if not all(map(math.isfinite, self.floats)):
             raise DataValidationError("specific energies must be finite")
 
 
@@ -143,7 +143,7 @@ def _products(energies: SpecificEnergies, vector: FeatureVector) -> list[float]:
             f"({energies.feature_set.codec.value}) and vector "
             f"({vector.feature_set.codec.value})"
         )
-    counts, values = vector.tolist(), energies.tolist()
+    counts, values = vector.floats, energies.floats
     if len(counts) != len(values):
         raise ValueError(
             f"vector length {len(counts)} does not match feature set size {len(values)}"

@@ -273,23 +273,22 @@ def build_feature_set(codec: Codec) -> FeatureSet:
 
 
 class FeatureValues:
-    """One number per feature of a codec's feature set.
+    """One number per feature of a codec's feature set, as Python floats in :attr:`floats`.
 
-    Numbers given as a list or tuple stay Python floats until their read-only
-    float64 array is first read, so that numpy is not needed.
-    """
+    Numbers given as a list or tuple get their read-only float64 array when it is first
+    read, so that numpy is not needed."""
 
-    __slots__ = ("feature_set", "_floats", "_array")
+    __slots__ = ("feature_set", "floats", "_array")
 
     def __init__(self, feature_set: FeatureSet, values):
         self.feature_set = feature_set
         listed = isinstance(values, (list, tuple))
-        self._floats = tuple(map(float, values)) if listed else None
         self._array = None if listed else float_array(values)
+        self.floats = tuple(map(float, values) if listed else self._array.tolist())
 
     def _read(self):
         if self._array is None:
-            self._array = float_array(self._floats)
+            self._array = float_array(self.floats)
         return self._array
 
     @classmethod
@@ -302,24 +301,24 @@ class FeatureValues:
 
     def tolist(self) -> list[float]:
         """The numbers as Python floats."""
-        return self._array.tolist() if self._floats is None else list(self._floats)
+        return list(self.floats)
 
     def __getitem__(self, feature: FeatureId | str) -> float:
-        return self.tolist()[self.feature_set.index_of(feature)]
+        return self.floats[self.feature_set.index_of(feature)]
 
     def __len__(self) -> int:
-        return len(self.tolist())
+        return len(self.floats)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.feature_set == other.feature_set and self.tolist() == other.tolist()
+        return self.feature_set == other.feature_set and self.floats == other.floats
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.feature_set.codec.value}, {self._read()!r})"
 
     def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.feature_set.names, self.tolist()))
+        return dict(zip(self.feature_set.names, self.floats))
 
 
 class FeatureVector(FeatureValues):

@@ -721,11 +721,14 @@ def test_non_utf8_dataset_gives_byte_and_offset(tmp_path, capsys, suffix):
      (["synth", "--codec", "hevc", "--count", "1000000000000"],
       "count must be <= 1000000, got 1000000000000"),
      (["synth", "--codec", "hevc", "--sigma", "nan"], "noise_sigma must be >= 0"),
+     (["synth", "--codec", "hevc", "--count", "3", "--sigma=inf"],
+      "noise_sigma must be finite, got inf"),
      (["synth", "--codec", "hevc", "--seed", "-1"], "seed must be >= 0, got -1"),
      (["crossval", "--k", "1"], "k must be >= 2, got 1"),
      (["crossval", "--k", "4"], "dataset has 3 records, fewer than k=4"),
      (["crossval", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1")],
-    ids=["codec", "count", "count-huge", "sigma-nan", "synth-seed", "k-1", "k-above-m", "crossval-seed"],
+    ids=["codec", "count", "count-huge", "sigma-nan", "sigma-inf", "synth-seed", "k-1", "k-above-m",
+         "crossval-seed"],
 )
 def test_bad_command_values_exit_2(tmp_path, capsys, argv, message):
     data, _ = _hevc_files(tmp_path)

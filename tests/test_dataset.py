@@ -228,6 +228,12 @@ def test_synth_rejects_unknown_range_names_and_bad_specs():
         SynthSpec(Codec.VP9, 5, count_ranges={"pel": (5.0, 1.0)})
 
 
+def test_synth_rejects_an_infinite_noise_sigma_by_name():
+    with pytest.raises(DataValidationError, match=r"^noise_sigma must be finite, got inf$"):
+        SynthSpec(Codec.HEVC, 3, noise_sigma=float("inf"))
+    assert SynthSpec(Codec.HEVC, 3, noise_sigma=1e308).noise_sigma == 1e308
+
+
 def test_default_tables_cover_every_feature():
     for codec in Codec:
         energies = default_specific_energies(codec)

@@ -5,10 +5,13 @@ chain; the fitting commands solve with numpy alone, so they also run where
 scipy cannot be imported.  ``--help``, ``analyze``, ``predict`` (of every model)
 and ``report`` do not load numpy, through the console script's
 ``decegy.cli:main`` or ``python -m decegy``, and run where numpy cannot be
-imported, with the same output.  The package serves its public names lazily.
+imported, with the same output.  Only ``analyze`` loads ``decegy.trace``, only
+``report --svg`` loads ``html``, and no command loads ``numpy.ma``.  The package
+serves its public names lazily.
 """
 
 import argparse
+import functools
 import importlib
 import json
 import os
@@ -124,6 +127,8 @@ def test_commands_start_without_scipy(inputs, args):
     assert not [m for m in modules if m in HEAVY or m.startswith(tuple(h + "." for h in HEAVY))]
 
 
+_MODELS = (["feature"], ["feature", "--nonneg"], ["hl1"], ["hl2"])
+
 _WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now fails
@@ -143,6 +148,46 @@ def test_fit_and_crossval_run_every_model_where_scipy_cannot_be_imported(inputs)
     runs = [line for line in done.stdout.splitlines() if line.startswith(("fit ", "crossval "))]
     assert len(runs) == 8, done.stdout + done.stderr
     assert all(line.endswith(" 0") for line in runs), done.stdout + done.stderr
+
+
+#: One run of each command, with and without the chart, and every model of fit and crossval.
+_EVERY_COMMAND = [
+    ["--help"],
+    ["analyze", "t.jsonl", "--out", "a.csv"],
+    ["synth", "--codec", "hevc", "--count", "5", "--sigma", "0.05", "--out", "s.csv"],
+    *(["fit", "--dataset", "d.csv", "--model", *model, "--out", "f.json"] for model in _MODELS),
+    *(["crossval", "--dataset", "d.csv", "--k", "3", "--model", *model, "--out", "c.json"]
+      for model in _MODELS),
+    ["predict", "--dataset", "d.csv", "--params", "hl1.json", "--out", "e.csv"],
+    ["report", "--dataset", "d.csv", "--params", "p.json", "--out", "r.csv"],
+    ["report", "--dataset", "d.csv", "--params", "p.json", "--svg", "r.svg", "--out", "r.csv"],
+]
+
+
+@pytest.fixture(scope="module")
+def modules_of(inputs):
+    """The modules a command (a tuple of arguments) loads, each command run once."""
+    return functools.cache(lambda args: _loaded_modules(args, inputs))
+
+
+def _command_id(args) -> str:
+    return " ".join(a.lstrip("-") for a in args if a in ("--help", "--nonneg", "--svg")
+                    or a.isalnum() and not a.isdigit())
+
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND, ids=_command_id)
+def test_only_analyze_loads_the_trace_layer(modules_of, args):
+    assert ("decegy.trace" in modules_of(tuple(args))) == (args[0] == "analyze")
+
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND, ids=_command_id)
+def test_only_report_with_a_chart_loads_html(modules_of, args):
+    assert ("html" in modules_of(tuple(args))) == ("--svg" in args)
+
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND, ids=_command_id)
+def test_no_command_loads_numpy_ma(modules_of, args):
+    assert "numpy.ma" not in modules_of(tuple(args))
 
 
 _WITHOUT_NUMPY_COMMANDS = [["--help"], *(["analyze", f"{c.value}.jsonl"] for c in Codec)]
