@@ -84,7 +84,7 @@ def cmd_analyze(args) -> None:
 
 def _analyze_file(path: str, codec: Codec | None):
     """A trace file's stream id, codec and vector; a trace that counting each distinct
-    line once rejects is read again line by line, for the message and the line number."""
+    line once rejects is read again line by line, for the whole file's error and line."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         source = handle if handle.seekable() else list(handle)  # a pipe can be read once
         try:
@@ -119,14 +119,18 @@ def cmd_predict(args) -> None:
     _bind("dataset", "evaluation", "models")
     dataset = load_dataset(args.dataset, require_energy=False)
     kind, codec, params = load_params(args.params)
-    if codec is not dataset.codec:
-        raise DataValidationError(
-            f"codec mismatch: dataset is {dataset.codec.value}, params are {codec.value}"
-        )
+    _check_codec(dataset, codec)
     estimates = MODELS[kind].predict(params, dataset, range(len(dataset)))
     _emit(dataset_to_csv(dataset, last_columns={"E_hat": estimates}), args.out)
     if args.out:
         print(f"predicted {len(estimates)} stream(s) with the {kind} model -> {args.out}")
+
+
+def _check_codec(dataset, params_codec: Codec) -> None:
+    if params_codec is not dataset.codec:
+        raise DataValidationError(
+            f"codec mismatch: dataset is {dataset.codec.value}, params are {params_codec.value}"
+        )
 
 
 def cmd_crossval(args) -> None:
@@ -156,10 +160,7 @@ def cmd_report(args) -> None:
         _, codec, params = load_params(params_path)
         if not isinstance(params, SpecificEnergies):
             raise DataValidationError("breakdown reports need feature-model parameters")
-        if codec is not dataset.codec:
-            raise DataValidationError(
-                f"codec mismatch: dataset is {dataset.codec.value}, params are {codec.value}"
-            )
+        _check_codec(dataset, codec)
         loaded.append((dataset, params))
     known = {stream_id for dataset, _ in loaded for stream_id in dataset.ids}
     # a value that names a loaded id whole selects it; any other is split on commas
@@ -268,6 +269,8 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "nonneg", False) and args.model != "feature":
+            raise _UsageError(f"--nonneg applies to the feature model only, not {args.model}")
         args.func(args)
         return 0
     except _UsageError as exc:

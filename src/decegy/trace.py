@@ -33,19 +33,23 @@ Counting rules applied by :func:`analyze`:
 * ``sao`` counts SAO-filtered 64x64 luma blocks (HEVC only); the trace
   producer is responsible for the geometry.
 
-The block rules live in one table per codec, built once.  One counting core
-takes a trace as ``(event, multiplicity)`` pairs and adds each contribution
-times its multiplicity.  Every contribution except ``val`` is a multiple of
-0.5, so these products and sums are exact in any order; ``val`` goes to
-``math.fsum`` as that many copies, the same multiset as one copy per event.
+The block rules live in one table per codec, built once, that maps a block to
+its feature index and weight.  One counting core takes a trace as ``(event,
+multiplicity)`` pairs and adds each contribution times its multiplicity.
+Every contribution except ``val`` is a multiple of 0.5, so these products and
+sums are exact in any order; ``val`` goes to ``math.fsum`` as that many
+copies, the same multiset as one copy per event.
 
 An event depends only on its line's text, so a trace's vector depends only on
-the multiset of its lines.  :func:`analyze_lines` counts a file's lines, then
-decodes and counts each distinct line once.  Decoding goes through a memo
-(``functools.lru_cache`` of :data:`LINE_MEMO_SIZE` lines, shared by all calls
-and by :func:`parse_trace`), so a line repeated across files is decoded once
-too.  Errors are raised without a line number inside the memo;
-:func:`parse_trace` adds it, so its messages do not depend on the memo.
+the multiset of its lines.  :func:`analyze_lines` counts a file's lines and
+runs :func:`parse_trace` over the distinct ones, in the order they first
+occur, so the header, the first bad line and the "frame_start first" rule
+come out as for the whole file; it then counts each event times its line's
+multiplicity.  Decoding goes through a memo (``functools.lru_cache`` of
+:data:`LINE_MEMO_SIZE` lines, shared by all calls), so a line repeated across
+files is decoded once too.  Errors are raised without a line number inside
+the memo; :func:`parse_trace` adds it, so its messages do not depend on the
+memo.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, product, repeat, starmap
+from itertools import chain, product, repeat, starmap
 from typing import Iterable, Union
 
 from .errors import DataValidationError, IllegalEventError, TraceParseError
@@ -163,11 +167,10 @@ def _require_int(obj: dict, key: str) -> int:
 
 
 def _require_size(obj: dict, key: str) -> int:
-    value = obj.get(key)
-    if type(value) is int and value in BLOCK_SIZES:
-        return value
-    _require_int(obj, key)  # raises for a non-integer
-    raise TraceParseError(f"block size {value} outside {set(BLOCK_SIZES)}")
+    value = _require_int(obj, key)
+    if value not in BLOCK_SIZES:
+        raise TraceParseError(f"block size {value} outside {set(BLOCK_SIZES)}")
+    return value
 
 
 def _require_flag(obj: dict, key: str) -> bool:
@@ -177,17 +180,9 @@ def _require_flag(obj: dict, key: str) -> bool:
     return value
 
 
-# json.loads without its per-call argument checks.  It differs only on a
-# leading byte-order mark, which makes a line non-ASCII, and those lines go
-# through json.loads itself.
-_decode_json = json.JSONDecoder().decode
-
-
 def _load_object(line: str) -> dict:
     """Decode one stripped line into a JSON object (errors carry no line number)."""
-    decode = _decode_json
     if not line.isascii():
-        decode = json.loads
         try:
             line.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -197,7 +192,7 @@ def _load_object(line: str) -> dict:
                 f"not valid UTF-8: byte 0x{byte:02x} at column {exc.start + 1}"
             ) from None
     try:
-        obj = decode(line)
+        obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"malformed JSON at column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer over Python's digit limit
@@ -260,11 +255,7 @@ def _decode_line(line: str) -> DecodeEvent:
     raise TraceParseError(f"unknown event name {name!r}")
 
 
-def parse_trace(
-    source: Iterable[str],
-    codec: Codec | None = None,
-    stream_id: str | None = None,
-) -> DecodeTrace:
+def parse_trace(source: Iterable[str], codec: Codec | None = None) -> DecodeTrace:
     """Parse a JSON-Lines trace from an iterable of lines (a file works).
 
     The codec comes from the header line when present, otherwise from the
@@ -275,7 +266,7 @@ def parse_trace(
     """
     events: list[DecodeEvent] = []
     header_codec: Codec | None = None
-    header_id: str | None = None
+    header_id = ""
     header_line: int | None = None
     seen_content = False
     line_no = 0
@@ -309,41 +300,39 @@ def parse_trace(
     if resolved is None:
         raise TraceParseError("codec unknown: no header line and no codec argument")
     try:
-        return DecodeTrace(stream_id or header_id or "", resolved, tuple(events))
+        return DecodeTrace(header_id, resolved, tuple(events))
     except ValueError as exc:
         raise TraceParseError(str(exc)) from None
 
 
 def analyze_lines(source: Iterable[str], codec: Codec | None = None):
     """``(stream_id or "", codec, vector)`` as :func:`parse_trace` then :func:`analyze` give
-    them, from each distinct line once.  What they reject raises a DecegyError here too,
-    but without their message or line number: run them for that."""
-    lines = Counter(source)  # by raw line: each distinct one is stripped once, below
-    first = list(islice((line for line in lines if line.strip()), 2))
-    if first and "event" in _load_object(first[0].strip()):
-        del first[1:]
-    elif first and lines.pop(first[0]) > 1:
+    them, with :func:`parse_trace` run over each distinct line once.  What they reject
+    raises a DecegyError here too, but its line number counts distinct lines, and a
+    repeated header has its own message: run them for the error the whole file gives."""
+    lines = Counter(source)  # in first-occurrence order, so the first bad line comes first
+    trace = parse_trace(lines, codec)
+    counts = [m for line, m in lines.items() if line.strip()]
+    if len(counts) > len(trace.events) and counts.pop(0) > 1:  # the header's count
         raise TraceParseError("header line repeated")
-    head = parse_trace(first, codec)  # the header and the codec, and a frame_start first
-    events = ((_decode_line(text), m) for line, m in lines.items() if (text := line.strip()))
-    return head.stream_id, head.codec, _tally(head.codec, events)
+    return trace.stream_id, trace.codec, _tally(trace.codec, zip(trace.events, counts))
 
 
 @lru_cache(maxsize=None)
-def _block_table(codec: Codec) -> dict[tuple[Kind, int, int], tuple[FeatureId, float]]:
-    """``(kind, w, h) -> (feature, weight)`` for every block the codec can emit.
+def _block_table(codec: Codec) -> dict[tuple[Kind, int, int], tuple[int, float]]:
+    """``(kind, w, h) -> (feature index, weight)`` for every block the codec can emit.
 
     Kinds are intra, inter and trans, plus obmc for H.263.
     """
-    table = {}
+    index_of, table = build_feature_set(codec).index_of, {}
     for w, h in product(CODEC_DIMS[codec], repeat=2):
         weight = 1.0 if w == h else 0.5
         for kind in (Kind.INTRA, Kind.INTER, Kind.TRANS):
             sizes = counted_sizes(codec, kind)
             size = min((s for s in sizes if s >= max(w, h)), default=sizes[0])
-            table[kind, w, h] = (FeatureId(codec, kind, size), weight)
+            table[kind, w, h] = (index_of(FeatureId(codec, kind, size)), weight)
         if codec is Codec.H263:
-            table[Kind.OBMC, w, h] = (FeatureId(codec, Kind.OBMC), weight)
+            table[Kind.OBMC, w, h] = (index_of(FeatureId(codec, Kind.OBMC)), weight)
     return table
 
 
@@ -364,9 +353,10 @@ def map_inter_block(codec: Codec, w: int, h: int) -> list[tuple[FeatureId, float
     bigger counted square (e.g. an 8x16 block is half a 16x16 block).
     """
     try:
-        return [_block_table(codec)[Kind.INTER, w, h]]
+        index, weight = _block_table(codec)[Kind.INTER, w, h]
     except KeyError:
         raise _illegal_block(codec, Kind.INTER, w, h) from None
+    return [(build_feature_set(codec).features[index], weight)]
 
 
 def coeff_value_contribution(codec: Codec, value: int, coded_bits: int) -> float:
@@ -397,20 +387,13 @@ def pel_and_frac_counts(block: InterBlock) -> tuple[float, float]:
     return pels, fracs
 
 
-@lru_cache(maxsize=None)
-def _counting_table(codec: Codec):
-    """The feature set, blocks by index, (coeff, val) per entropy mode, sao or None."""
-    fs = build_feature_set(codec)
-    blocks = {k: (fs.index_of(fid), weight) for k, (fid, weight) in _block_table(codec).items()}
-    modes = [(m, f"_{m.value}") for m in EntropyMode] if codec is Codec.H264 else [(None, "")]
-    residual = {m: (fs.index_of(f"coeff{x}"), fs.index_of(f"val{x}")) for m, x in modes}
-    return fs, blocks, residual, fs.index_of("sao") if codec is Codec.HEVC else None
-
-
 def _tally(codec: Codec, pairs: Iterable[tuple[DecodeEvent, int]]) -> FeatureVector:
     """The counting core: the vector of a trace given as ``(event, multiplicity)`` pairs
     (see the module docstring)."""
-    fs, blocks, residual, sao = _counting_table(codec)
+    fs, blocks = build_feature_set(codec), _block_table(codec)
+    modes = [(m, f"_{m.value}") for m in EntropyMode] if codec is Codec.H264 else [(None, "")]
+    residual = {m: (fs.index_of(f"coeff{x}"), fs.index_of(f"val{x}")) for m, x in modes}
+    sao = fs.index_of("sao") if codec is Codec.HEVC else None
     pel, frac, frame = fs.index_of("pel"), fs.index_of("frac"), fs.index_of("frame")
     counts = [0.0] * len(fs)
     counts[fs.index_of("e0")] = 1.0

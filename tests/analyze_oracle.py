@@ -26,7 +26,7 @@ def analyze_csv(paths: list[str], codec: str | None = None) -> str:
     for path in paths:
         with about_file(path):
             with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-                trace = parse_trace(handle, codec=codec_flag, stream_id=None)
+                trace = parse_trace(handle, codec=codec_flag)
             vector = analyze(trace)
             stream_id = trace.stream_id or Path(path).stem
             frames = int(vector["frame"]) or None

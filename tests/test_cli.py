@@ -254,6 +254,21 @@ def test_fit_nonneg_clamps_and_reports_kkt(tmp_path, capsys):
     assert "clamped at zero" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["fit", "crossval"])
+@pytest.mark.parametrize("model", ["hl1", "hl2"])
+def test_nonneg_with_an_hl_model_is_a_usage_error(tmp_path, capsys, command, model):
+    data = tmp_path / "data.csv"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 40, seed=1)), data)
+    out = tmp_path / "out.json"
+    rc = main([command, "--dataset", str(data), "--model", model, "--nonneg", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"usage error: --nonneg applies to the feature model only, not {model}\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 def test_predict_reproduces_noiseless_energies_exactly(tmp_path):
     data = tmp_path / "data.csv"
     pred = tmp_path / "pred.csv"

@@ -173,6 +173,17 @@ def test_analyze_lines_rejects_what_parse_trace_and_analyze_reject(text):
         analyze(_parse(text))
 
 
+def test_analyze_lines_applies_parse_trace_rules_before_counting():
+    # sao is illegal for vp9, but the malformed line after it is what parse_trace rejects
+    text = '{"codec":"vp9"}\n{"event":"frame_start"}\n{"event":"sao"}\nnot json\n'
+    with pytest.raises(TraceParseError) as expected:
+        _parse(text)
+    with pytest.raises(TraceParseError) as got:
+        analyze_lines(io.StringIO(text))
+    assert str(got.value) == str(expected.value)
+    assert str(expected.value) == "line 4: malformed JSON at column 1: Expecting value"
+
+
 # ---------------------------------------------------------------------------
 # block-size merging
 

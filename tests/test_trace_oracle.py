@@ -215,20 +215,20 @@ def trace_lines(draw):
     return draw(st.sampled_from(_HEADERS)) + body
 
 
-def _outcome(parse, lines, codec, stream_id):
+def _outcome(parse, lines, codec):
     try:
-        return parse(lines, codec=codec, stream_id=stream_id)
+        return parse(lines, codec=codec)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
 @settings(max_examples=300)
-@given(trace_lines(), st.sampled_from([None, *Codec]), st.sampled_from([None, "given"]))
-def test_memoized_parse_matches_oracle_on_repeated_lines(lines, codec, stream_id):
-    expected = _outcome(trace_oracle.parse_trace, lines, codec, stream_id)
+@given(trace_lines(), st.sampled_from([None, *Codec]))
+def test_memoized_parse_matches_oracle_on_repeated_lines(lines, codec):
+    expected = _outcome(trace_oracle.parse_trace, lines, codec)
     # the first call may decode lines afresh; the second finds all of them in the memo
-    assert _outcome(parse_trace, lines, codec, stream_id) == expected
-    assert _outcome(parse_trace, lines, codec, stream_id) == expected
+    assert _outcome(parse_trace, lines, codec) == expected
+    assert _outcome(parse_trace, lines, codec) == expected
 
 
 @pytest.mark.parametrize("line", _GOOD_LINES + _BAD_LINES)
@@ -236,8 +236,8 @@ def test_every_pool_line_matches_oracle_in_each_position(line):
     for prefix in ([], ['{"codec": "hevc"}'], ['{"codec": "hevc"}', '{"event": "frame_start"}']):
         for codec in (None, Codec.HEVC):
             lines = [*prefix, line, line]
-            expected = _outcome(trace_oracle.parse_trace, lines, codec, None)
-            assert _outcome(parse_trace, lines, codec, None) == expected
+            expected = _outcome(trace_oracle.parse_trace, lines, codec)
+            assert _outcome(parse_trace, lines, codec) == expected
 
 
 @settings(max_examples=200)

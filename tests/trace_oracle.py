@@ -118,11 +118,7 @@ def _parse_event(obj: dict, line: int) -> DecodeEvent:
     raise TraceParseError(f"unknown event name {name!r}", line=line)
 
 
-def parse_trace(
-    source: Iterable[str],
-    codec: Codec | None = None,
-    stream_id: str | None = None,
-) -> DecodeTrace:
+def parse_trace(source: Iterable[str], codec: Codec | None = None) -> DecodeTrace:
     events: list[DecodeEvent] = []
     header_codec: Codec | None = None
     header_id: str | None = None
@@ -162,7 +158,7 @@ def parse_trace(
     if resolved is None:
         raise TraceParseError("codec unknown: no header line and no codec argument")
     try:
-        return DecodeTrace(stream_id or header_id or "", resolved, tuple(events))
+        return DecodeTrace(header_id or "", resolved, tuple(events))
     except ValueError as exc:
         raise TraceParseError(str(exc)) from None
 
