@@ -136,9 +136,8 @@ def _check_codec(dataset, params_codec: Codec) -> None:
 def cmd_crossval(args) -> None:
     _bind("fitting", "dataset", "evaluation")
     dataset = load_dataset(args.dataset)
-    fit_options = {"nonneg": args.nonneg} if args.nonneg else {}
     report = cross_validate(
-        dataset, args.model, k=args.k, seed=args.seed, fit_options=fit_options
+        dataset, args.model, k=args.k, seed=args.seed, fit_options={"nonneg": args.nonneg}
     )
     if len(report.failed_folds) == report.k:  # no error to pool
         raise FitError("every fold failed")
@@ -159,7 +158,9 @@ def cmd_report(args) -> None:
         dataset = load_dataset(ds_path)
         _, codec, params = load_params(params_path)
         if not isinstance(params, SpecificEnergies):
-            raise DataValidationError("breakdown reports need feature-model parameters")
+            raise DataValidationError(
+                f"{params_path}: breakdown reports need feature-model parameters"
+            )
         _check_codec(dataset, codec)
         loaded.append((dataset, params))
     known = {stream_id for dataset, _ in loaded for stream_id in dataset.ids}
@@ -186,7 +187,9 @@ def cmd_synth(args) -> None:
     if args.params:
         _, params_codec, params = load_params(args.params)
         if not isinstance(params, SpecificEnergies) or params_codec is not codec:
-            raise DataValidationError("synth needs feature-model parameters for the codec")
+            raise DataValidationError(
+                f"{args.params}: synth needs feature-model parameters for the codec"
+            )
     else:
         params = default_specific_energies(codec)
     spec = SynthSpec(

@@ -22,8 +22,6 @@ from .dataset import Dataset, csv_text
 from .errors import DataValidationError, FitError, json_text
 from .models import (
     Category,
-    HL1Params,
-    HL2Params,
     ModelParams,
     SpecificEnergies,
     category_sums,
@@ -65,14 +63,13 @@ def _fit_feature(dataset: Dataset, rows, nonneg: bool) -> tuple[SpecificEnergies
 
 
 class Model(NamedTuple):
-    """One energy model: its parameter type, how to fit it and how to predict.
+    """One energy model: how to fit it and how to predict.
 
     ``fit(dataset, rows, options)`` trains on the given rows of a dataset and
     returns ``(params, FitDiagnostics)``; ``predict(params, dataset, rows)``
     returns the estimated energies of those rows in joules, row by row.
     """
 
-    params_type: type
     fit: Callable[[Dataset, Sequence[int], dict], tuple[ModelParams, FitDiagnostics]]
     predict: Callable[[ModelParams, Dataset, Sequence[int]], list[float]]
 
@@ -81,19 +78,16 @@ class Model(NamedTuple):
 # time, so that wrappers installed on them (bench/spans.py) see every call.
 MODELS: dict[str, Model] = {
     "feature": Model(
-        SpecificEnergies,
         lambda data, rows, options: _fit_feature(data, rows, options.get("nonneg", False)),
         lambda params, data, rows: [predict_feature_model(params, v) for v in data.vectors(rows)],
     ),
     "hl1": Model(
-        HL1Params,
         lambda data, rows, options: _solver("fit_hl1")(
             data.highlevel(rows), options.get("trust_region")
         ),
         lambda params, data, rows: [predict_hl1(params, info) for info in data.infos(rows)],
     ),
     "hl2": Model(
-        HL2Params,
         lambda data, rows, options: _solver("fit_hl2")(data.highlevel(rows)),
         lambda params, data, rows: [predict_hl2(params, info) for info in data.infos(rows)],
     ),
@@ -123,10 +117,6 @@ class FoldPartition:
             raise ValueError("fold labels out of range")
         if sizes.max() - sizes.min() > 1:
             raise ValueError("fold sizes differ by more than 1")
-
-    @property
-    def size(self) -> int:
-        return int(self.assignment.size)
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return (self.assignment == fold).nonzero()[0]
@@ -182,7 +172,7 @@ class CVReport:
     per_stream: dict[str, float]
     failed_folds: list[int] = field(default_factory=list)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "model": self.model_kind,
             "k": self.k,
@@ -194,7 +184,7 @@ class CVReport:
             "fold_params": self.fold_params,
             "per_stream": self.per_stream,
         }
-        return json_text(doc, indent)
+        return json_text(doc, 2)
 
 
 def cross_validate(
@@ -310,14 +300,14 @@ _MEASURED_COLOR = "#36415c"
 _SEGMENTS = tuple((c.value, _CATEGORY_COLORS[c]) for c in _CATEGORY_ORDER)  # label, color
 
 
-def _nice_ticks(maximum: float, count: int = 5) -> list[float]:
+def _nice_ticks(maximum: float) -> list[float]:
+    """Ticks from 0 past ``maximum`` in a round step that takes at most five to reach it."""
     if maximum <= 0:
         return [0.0, 1.0]
-    raw = maximum / count
-    magnitude = 10 ** math.floor(math.log10(raw))
+    magnitude = 10 ** math.floor(math.log10(maximum / 5))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * magnitude
-        if step * count >= maximum:
+        if step * 5 >= maximum:
             break
     n = int(math.floor(maximum / step)) + 1
     return [i * step for i in range(n + 1)]

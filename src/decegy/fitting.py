@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataValidationError, FitError
 from .dataset import Dataset
-from .models import HL1Params, HL2Params, HighLevelColumns
+from .models import HL1Params, HL2Params, HighLevelColumns, hl1_estimate
 
 
 class CollinearityWarning(UserWarning):
@@ -196,19 +196,14 @@ def fit_linear_ls(
         active = np.flatnonzero(~zero_cols)
         if active.size:
             Q, R, piv = _pivoted_qr(As[:, active])
+            # each column holds a 1, so diag[0], the largest column norm, is >= 1: rank >= 1
             diag = np.abs(np.diag(R))
-            threshold = max(m, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-            rank = int(np.sum(diag > threshold)) if diag.size else 0
+            rank = int(np.sum(diag > max(m, k) * np.finfo(float).eps * diag[0]))
             diagnostics.rank = rank
-            if rank > 0:
-                qty = Q.T @ y
-                z = _back_substitute(R[:rank, :rank], qty[:rank])
-                coeffs_scaled[active[piv[:rank]]] = z
-                if rank < active.size:
-                    dropped = [system.labels[active[j]] for j in piv[rank:]]
-                diagnostics.condition = float(diag[0] / diag[rank - 1])
-            else:
-                dropped = [system.labels[j] for j in active]
+            qty = Q.T @ y
+            coeffs_scaled[active[piv[:rank]]] = _back_substitute(R[:rank, :rank], qty[:rank])
+            dropped = [system.labels[active[j]] for j in piv[rank:]]
+            diagnostics.condition = float(diag[0] / diag[rank - 1])
         dropped += [system.labels[j] for j in np.flatnonzero(zero_cols)]
 
     if dropped:
@@ -282,7 +277,8 @@ def fit_trust_region(
     Steps minimize the Gauss-Newton model inside an adaptive radius; a step is
     accepted when it achieves a positive fraction of the predicted decrease.
     Terminates on a small scaled gradient, a small step, radius collapse or
-    the iteration cap, and always returns the best point seen.
+    the iteration cap.  An accepted step lowers the cost, so the point returned,
+    the last accepted, is the best seen.
     """
     opts = options or TrustRegionOptions()
     x = np.asarray(x0, dtype=float).copy()
@@ -292,7 +288,6 @@ def fit_trust_region(
     if not np.all(np.isfinite(r)):
         raise FitError("residual not finite at the starting point")
     cost = 0.5 * float(r @ r)
-    best_x, best_cost = x.copy(), cost
     radius = opts.initial_radius
     J = _jacobian(jacobian_fn, x)
     g = J.T @ r
@@ -327,28 +322,25 @@ def fit_trust_region(
         elif rho > 0.75 and step_norm >= 0.99 * radius:
             radius = min(2.0 * radius, 1e12)
 
-        if rho > 1e-4 and actual > 0:
+        if rho > 1e-4 and cost_trial < cost:
             x = x + step
             r = r_trial
             cost = cost_trial
             J = _jacobian(jacobian_fn, x)
             g = J.T @ r
             diagnostics.cost_history.append(cost)
-            if cost < best_cost:
-                best_cost = cost
-                best_x = x.copy()
 
         if radius <= 1e-16 * max(1.0, float(np.linalg.norm(x))):
             diagnostics.termination = "radius_collapse"
             break
 
     diagnostics.iterations = iteration
-    diagnostics.residual_norm = math.sqrt(2.0 * best_cost)
+    diagnostics.residual_norm = math.sqrt(2.0 * cost)
     diagnostics.gradient_norm = float(np.linalg.norm(g, np.inf))
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(J))
     diagnostics.condition = cond if math.isfinite(cond) else None
-    return best_x, diagnostics
+    return x, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +359,8 @@ def hl1_residuals_jacobian(params: HL1Params, streams) -> tuple[np.ndarray, np.n
         raise FitError("no records")
     pixels = data.pixels
     x = data.file_size_bytes / pixels
-    residuals = _hl1_residuals(params, pixels, x, data.energies)
+    residuals = hl1_estimate(params, pixels, x) - data.energies
     return residuals, _hl1_jacobian(params, pixels, x, np.log(x))
-
-
-def _hl1_residuals(params: HL1Params, pixels, x, energies) -> np.ndarray:
-    """HL1's residuals over arrays of pixels, bytes per pixel ``x`` and energies."""
-    xg = x ** params.rate_power
-    pred = params.base_joules + pixels * (params.per_pixel_joules + params.rate_coeff * xg)
-    return pred - energies
 
 
 def _hl1_jacobian(params: HL1Params, pixels, x, log_x) -> np.ndarray:
@@ -432,7 +417,7 @@ def fit_hl1(
             params = to_params(theta)
         except (DataValidationError, OverflowError):  # outside the model: reject the step
             return np.full_like(energies, math.inf)
-        return _hl1_residuals(params, pixels, x, energies) / e_scale
+        return (hl1_estimate(params, pixels, x) - energies) / e_scale
 
     def jacobian_fn(theta: np.ndarray) -> np.ndarray:
         params = to_params(theta)

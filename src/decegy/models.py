@@ -94,11 +94,7 @@ def _require_finite(params) -> None:
 
 @dataclass(frozen=True)
 class HL1Params:
-    """Offset/pixel/power-law parameters of the first high-level model.
-
-    Estimated energy: base + S*N*(per_pixel + rate_coeff*(B/(S*N))**rate_power)
-    with S pixels per frame, N frames and B bytes.
-    """
+    """Parameters of the first high-level model, whose estimate is :func:`hl1_estimate`."""
 
     base_joules: float
     per_pixel_joules: float
@@ -195,16 +191,21 @@ def category_sums(energies: SpecificEnergies, vector: FeatureVector) -> tuple[fl
     return tuple(_fsum([products[i] for i in indices]) for indices in columns)
 
 
+def hl1_estimate(params: HL1Params, pixels, bytes_per_pixel):
+    """HL1's estimate, base + pixels*(per_pixel + rate_coeff*bytes_per_pixel**rate_power),
+    of one stream from floats or of many from numpy arrays."""
+    power = bytes_per_pixel ** params.rate_power
+    return params.base_joules + pixels * (params.per_pixel_joules + params.rate_coeff * power)
+
+
 def predict_hl1(params: HL1Params, info: HighLevelInfo) -> float:
     """First high-level baseline: offset plus per-pixel power law in bytes/pixel."""
     pixels = info.pixels_per_frame * info.frames
-    bytes_per_pixel = info.file_size_bytes / pixels
     try:
-        power = bytes_per_pixel ** params.rate_power
-    except OverflowError:
-        raise DataValidationError(_OVERFLOW) from None
-    per_pixel = params.per_pixel_joules + params.rate_coeff * power
-    return _finite(params.base_joules + pixels * per_pixel)
+        energy = hl1_estimate(params, pixels, info.file_size_bytes / pixels)
+    except OverflowError:  # a float power past the float range
+        energy = math.inf
+    return _finite(energy)
 
 
 def predict_hl2(params: HL2Params, info: HighLevelInfo) -> float:
@@ -224,6 +225,7 @@ def predict_hl2(params: HL2Params, info: HighLevelInfo) -> float:
 # Parameter files (JSON)
 
 ModelParams = SpecificEnergies | HL1Params | HL2Params
+PARAMS_TYPES = {"feature": SpecificEnergies, "hl1": HL1Params, "hl2": HL2Params}
 
 
 def params_to_dict(params: ModelParams) -> dict:
@@ -233,21 +235,15 @@ def params_to_dict(params: ModelParams) -> dict:
     return asdict(params)
 
 
-def _model_kinds() -> dict[str, type]:
-    from .evaluation import MODELS  # evaluation imports this module
-
-    return {kind: model.params_type for kind, model in MODELS.items()}
-
-
-def params_to_json(params, codec: Codec, indent: int | None = 2, extra: dict | None = None) -> str:
+def params_to_json(params, codec: Codec, extra: dict | None = None) -> str:
     """Serialize fitted parameters of any of the three models."""
-    kind = next((k for k, cls in _model_kinds().items() if isinstance(params, cls)), None)
+    kind = next((k for k, cls in PARAMS_TYPES.items() if isinstance(params, cls)), None)
     if kind is None:
         raise TypeError(f"unsupported parameter object {type(params).__name__}")
     doc = {"model": kind, "codec": codec.value, **params_to_dict(params)}
     if extra:
         doc.update(extra)
-    return json_text(doc, indent)
+    return json_text(doc, 2)
 
 
 def params_from_json(text: str):
@@ -257,10 +253,9 @@ def params_from_json(text: str):
         raise DataValidationError("parameter file must carry 'model' and 'codec' fields")
     kind = doc["model"]
     codec = Codec.from_name(doc["codec"])
-    kinds = _model_kinds()
-    if not isinstance(kind, str) or kind not in kinds:
+    if not isinstance(kind, str) or kind not in PARAMS_TYPES:
         raise DataValidationError(f"unknown model kind {kind!r}")
-    cls = kinds[kind]
+    cls = PARAMS_TYPES[kind]
     if cls is SpecificEnergies:
         fs = build_feature_set(codec)
         mapping = doc.get("specific_energies")

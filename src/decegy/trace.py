@@ -86,18 +86,18 @@ CODEC_DIMS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameStart:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntraBlock:
     w: int
     h: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterBlock:
     w: int
     h: int
@@ -107,13 +107,13 @@ class InterBlock:
     obmc: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformBlock:
     w: int
     h: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coefficient:
     value: int
     coded_bits: int
@@ -126,7 +126,7 @@ class Coefficient:
             raise ValueError("coded_bits must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaoBlock:
     pass
 

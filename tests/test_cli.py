@@ -15,6 +15,7 @@ import pytest
 import decegy
 from decegy import (
     Codec,
+    HL2Params,
     SpecificEnergies,
     SynthSpec,
     build_feature_set,
@@ -483,6 +484,17 @@ def test_report_unknown_stream_id_exits_2(tmp_path, capsys):
     assert "unknown stream id" in capsys.readouterr().err
 
 
+def test_report_with_high_level_params_exits_2_and_names_the_file(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    params = tmp_path / "hl2.json"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 4, seed=3)), data)
+    save_params(HL2Params(1e-9, 1e-9, 1e-9, 1e-9), Codec.HEVC, params)
+    assert main(["report", "--dataset", str(data), "--params", str(params)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {params}: breakdown reports need feature-model parameters\n"
+    )
+
+
 def test_report_four_codecs_renders_paired_bars(tmp_path):
     args = ["report"]
     for codec in Codec:
@@ -545,6 +557,23 @@ def test_synth_is_reproducible_per_seed(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "codec, hevc_params",
+    [("hevc", HL2Params(1e-9, 1e-9, 1e-9, 1e-9)), ("h264", default_specific_energies(Codec.HEVC))],
+    ids=["hl2-params", "other-codec"],
+)
+def test_synth_with_params_it_cannot_use_exits_2_and_names_the_file(
+    tmp_path, capsys, codec, hevc_params
+):
+    params, out = tmp_path / "params.json", tmp_path / "d.csv"
+    save_params(hevc_params, Codec.HEVC, params)
+    assert main(["synth", "--codec", codec, "--params", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {params}: synth needs feature-model parameters for the codec\n"
+    )
+    assert not out.exists()
+
+
 def test_synth_output_loads_cleanly(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["synth", "--codec", "h263", "--count", "10", "--seed", "1", "--out", str(out)]) == 0
@@ -557,6 +586,7 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["fit"]) == 1  # --dataset missing
     assert main(["crossval", "--dataset", "x.csv", "--model", "nonsense"]) == 1
+    assert main(["report", "--dataset", "a.csv", "--dataset", "b.csv", "--params", "p.json"]) == 1
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -694,6 +724,31 @@ def test_unknown_feature_in_a_parameter_file_exits_2(tmp_path, capsys):
     params.write_text(json.dumps(doc))
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
     assert capsys.readouterr().err == f"error: {params}: unknown features: bogus\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [({"codec": "hevc"}, "parameter file must carry 'model' and 'codec' fields"),
+     ({"model": "hl3", "codec": "hevc"}, "unknown model kind 'hl3'")],
+    ids=["no-model", "hl3"],
+)
+def test_parameter_file_without_a_known_model_exits_2(tmp_path, capsys, doc, message):
+    data, _ = _hevc_files(tmp_path)
+    params = tmp_path / "model.json"
+    params.write_text(json.dumps(doc))
+    assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
+    assert capsys.readouterr().err == f"error: {params}: {message}\n"
+
+
+def test_csv_row_with_more_intra_frames_than_frames_exits_2_with_the_row(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 5, seed=1)), data)
+    lines = data.read_text().splitlines()
+    header, cells = lines[0].split(","), lines[3].split(",")
+    cells[header.index("intra_frames")] = str(int(cells[header.index("frames")]) + 1)
+    data.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]) + "\n")
+    assert main(["fit", "--dataset", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {data}: row 4: intra_frames exceeds frames\n"
 
 
 def test_truncated_json_files_report_line_and_column(tmp_path, capsys):

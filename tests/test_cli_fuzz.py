@@ -25,6 +25,7 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def _trace_text(trace) -> str:
             lines.append({"event": "coeff", "value": ev.value, "bits": ev.coded_bits,
                           "entropy": entropy})
         else:
-            lines.append({"event": _EVENT_NAMES[type(ev)], **vars(ev)})
+            lines.append({"event": _EVENT_NAMES[type(ev)], **asdict(ev)})
     return "".join(f"{json.dumps(line)}\n" for line in lines)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import decegy
-from decegy import cli, evaluation
+from decegy import cli, evaluation, models
 from decegy import (
     Codec,
     HL1Params,
@@ -298,7 +298,7 @@ def test_model_choices_are_the_model_table_keys():
                     if isinstance(a, argparse._SubParsersAction))
     for command in ("fit", "crossval"):
         model = next(a for a in commands.choices[command]._actions if a.dest == "model")
-        assert tuple(model.choices) == tuple(evaluation.MODELS)
+        assert tuple(model.choices) == tuple(evaluation.MODELS) == tuple(models.PARAMS_TYPES)
         assert model.default == next(iter(evaluation.MODELS))
 
 
