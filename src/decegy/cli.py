@@ -22,8 +22,8 @@ from .taxonomy import Codec, build_feature_set
 # `fitting` and `synth_dataset` load numpy, and only `analyze` needs `trace`.
 _LAZY = {
     "trace": ("analyze", "analyze_lines", "parse_trace"),
-    "dataset": ("SynthSpec", "dataset_to_csv", "default_specific_energies", "export_dataset",
-                "load_dataset", "synth_dataset"),
+    "dataset": ("SynthSpec", "about_rows", "dataset_to_csv", "default_specific_energies",
+                "export_dataset", "load_dataset", "synth_dataset"),
     "evaluation": ("MODELS", "breakdown_csv", "breakdown_report", "breakdown_svg",
                    "cross_validate"),
     "models": ("SpecificEnergies", "load_params", "params_to_json", "predict_feature_model",
@@ -100,7 +100,8 @@ def cmd_fit(args) -> None:
     _bind("fitting", "dataset", "evaluation", "models")
     dataset = load_dataset(args.dataset)
     every_row = range(len(dataset))
-    params, diagnostics = MODELS[args.model].fit(dataset, every_row, {"nonneg": args.nonneg})
+    with about_rows(args.dataset):
+        params, diagnostics = MODELS[args.model].fit(dataset, every_row, {"nonneg": args.nonneg})
     doc = params_to_json(params, dataset.codec, extra={"diagnostics": diagnostics.as_dict()})
     if args.out:
         Path(args.out).write_text(doc + "\n", encoding="utf-8")
@@ -119,26 +120,33 @@ def cmd_predict(args) -> None:
     _bind("dataset", "evaluation", "models")
     dataset = load_dataset(args.dataset, require_energy=False)
     kind, codec, params = load_params(args.params)
-    _check_codec(dataset, codec)
-    estimates = MODELS[kind].predict(params, dataset, range(len(dataset)))
+    _check_codec(dataset, codec, args.params)
+    with about_rows(args.dataset):
+        estimates = MODELS[kind].predict(params, dataset, range(len(dataset)))
     _emit(dataset_to_csv(dataset, last_columns={"E_hat": estimates}), args.out)
     if args.out:
         print(f"predicted {len(estimates)} stream(s) with the {kind} model -> {args.out}")
 
 
-def _check_codec(dataset, params_codec: Codec) -> None:
+def _check_codec(dataset, params_codec: Codec, params_path: str) -> None:
     if params_codec is not dataset.codec:
         raise DataValidationError(
-            f"codec mismatch: dataset is {dataset.codec.value}, params are {params_codec.value}"
+            f"{params_path}: codec mismatch: dataset is {dataset.codec.value}, "
+            f"params are {params_codec.value}"
         )
 
 
 def cmd_crossval(args) -> None:
     _bind("fitting", "dataset", "evaluation")
     dataset = load_dataset(args.dataset)
-    report = cross_validate(
-        dataset, args.model, k=args.k, seed=args.seed, fit_options={"nonneg": args.nonneg}
-    )
+    if len(dataset) < args.k:  # the file's fault; the check in cross_validate names no file
+        raise DataValidationError(
+            f"{args.dataset}: dataset has {len(dataset)} records, fewer than k={args.k}"
+        )
+    with about_rows(args.dataset):
+        report = cross_validate(
+            dataset, args.model, k=args.k, seed=args.seed, fit_options={"nonneg": args.nonneg}
+        )
     if len(report.failed_folds) == report.k:  # no error to pool
         raise FitError("every fold failed")
     if args.out:
@@ -161,15 +169,16 @@ def cmd_report(args) -> None:
             raise DataValidationError(
                 f"{params_path}: breakdown reports need feature-model parameters"
             )
-        _check_codec(dataset, codec)
-        loaded.append((dataset, params))
-    known = {stream_id for dataset, _ in loaded for stream_id in dataset.ids}
+        _check_codec(dataset, codec, params_path)
+        loaded.append((ds_path, dataset, params))
+    known = {stream_id for _, dataset, _ in loaded for stream_id in dataset.ids}
     # a value that names a loaded id whole selects it; any other is split on commas
     wanted = {s for v in args.streams or [] for s in ([v] if v in known else v.split(",")) if s}
     rows = []
-    for dataset, params in loaded:
+    for ds_path, dataset, params in loaded:
         selected = [i for i, stream_id in enumerate(dataset.ids) if stream_id in wanted]
-        rows.extend(breakdown_report(dataset, params, selected if wanted else None))
+        with about_rows(ds_path):
+            rows.extend(breakdown_report(dataset, params, selected if wanted else None))
     if wanted:
         missing = wanted - {row.stream_id for row in rows}
         if missing:

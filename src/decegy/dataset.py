@@ -29,23 +29,24 @@ default specific energy and count range of every feature name of all codecs.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, islice
-from operator import gt, iadd
+from itertools import chain, islice, repeat
+from operator import add, gt, iadd, itemgetter, mul, sub
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DataValidationError, about_file, json_feature_values, json_number
 from .errors import json_text, read_json, read_text
-from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, predict_feature_model
-from .schema import BASE_COLUMNS, METADATA_COLUMNS, check_record, csv_row, csv_text
+from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, feature_estimate
+from .models import feature_values
+from .schema import BASE_COLUMNS, METADATA_COLUMNS, check_record, csv_text
 from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set, float_array
 from .taxonomy import validate_vector  # noqa: F401  bench/spans.py wraps it here
 
@@ -110,6 +111,9 @@ def _doubles(values) -> array:
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
+#: A line as io.StringIO yields it, with its LF (the last maybe without), but made only when
+#: read: StringIO holds the whole text at 4 bytes per character, a list of lines all at once.
+_LINE = re.compile(".*\n|.+")
 
 
 class Dataset:
@@ -221,14 +225,11 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _row(self, i: int) -> list[float]:
-        start = range(0, len(self._counts), self._width)[i]  # IndexError past either end
-        return self._counts[start:start + self._width].tolist()
-
     def __getitem__(self, i: int) -> BitstreamRecord:
         metadata = [None if math.isnan(column[i]) else int(column[i]) for column in self._metadata]
         energy = None if math.isnan(self._energies[i]) else self._energies[i]
-        return _record(self.codec, self.ids[i], self._row(i), energy, metadata, self.tags[i])
+        counts = next(self.count_rows([i])).tolist()
+        return _record(self.codec, self.ids[i], counts, energy, metadata, self.tags[i])
 
     def __iter__(self) -> Iterator[BitstreamRecord]:
         return map(self.__getitem__, range(len(self)))
@@ -246,14 +247,10 @@ class Dataset:
             raise KeyError(f"unknown stream id {stream_id!r}")
         return self[self._index[stream_id]]
 
-    def vector(self, i: int) -> FeatureVector:
-        """The feature counts of row ``i``."""
-        return FeatureVector(self.feature_set, self._row(i))
-
-    def vectors(self, rows) -> Iterator[FeatureVector]:
-        """The feature counts of each of ``rows``, as :meth:`vector` gives them."""
-        fs = self.feature_set
-        return (FeatureVector(fs, self._row(i)) for i in rows)
+    def count_rows(self, rows) -> Iterator[array]:
+        """The counts of each of ``rows`` as arrays of doubles; IndexError past either end."""
+        starts, width = range(0, len(self._counts), self._width), self._width
+        return (self._counts[start:start + width] for start in map(starts.__getitem__, rows))
 
     def energy(self, i: int) -> float:
         """The measured energy of row ``i``; a row without one is an error."""
@@ -275,7 +272,8 @@ class Dataset:
         for i in rows:
             metadata = [column[i] for column in self._metadata]
             if math.isnan(sum(metadata)):  # an empty cell
-                raise DataValidationError(f"record {self.ids[i]!r} lacks {_HIGHLEVEL_INPUTS}")
+                lacks = f"record {self.ids[i]!r} lacks {_HIGHLEVEL_INPUTS}"
+                raise DataValidationError(lacks, index=int(i))
             yield _highlevel(*metadata)
 
 
@@ -298,33 +296,38 @@ def export_dataset(dataset: Dataset, path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _rows(dataset: Dataset) -> Iterator[tuple]:
-    """Per row: the stream id, the five metadata integers and the energy (None where
-    empty), the counts and the tags."""
-    columns = [(column, int) for column in dataset._metadata] + [(dataset._energies, float)]
-    numbers = ([None if math.isnan(v) else kind(v) for v in c] for c, kind in columns)
-    return zip(dataset.ids, zip(*numbers), map(dataset._row, range(len(dataset))), dataset.tags)
+def _numbers(dataset: Dataset) -> list[Iterator]:
+    """The five metadata columns as integers and the energy column, None where empty."""
+    metadata = [(None if math.isnan(v) else int(v) for v in column) for column in dataset._metadata]
+    return [*metadata, (None if math.isnan(v) else v for v in dataset._energies)]
 
 
 def dataset_to_csv(
     dataset: Dataset, last_columns: Mapping[str, Iterable[float]] = MappingProxyType({})
 ) -> str:
     """The dataset as CSV text; ``last_columns`` maps the names of number columns to
-    append, such as estimates, to their values, one per row."""
+    append, such as estimates, to their values, one per row.
+
+    The cells are made column by column, each as the writer reads its row, so that only
+    the text is held whole."""
     tag_keys = sorted({key for tags in dataset.tags for key in tags})
-
-    def rows() -> Iterator[list[str]]:
-        yield [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]
-        with_last = zip(_rows(dataset), *last_columns.values(), strict=True)
-        for (stream_id, numbers, counts, tags), *last in with_last:
-            cells = [tags.get(key, "") for key in tag_keys]
-            yield csv_row(stream_id, dataset.codec, numbers, counts, cells, last)
-
-    return csv_text(rows())
+    header = [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]
+    width = dataset._width
+    columns = [
+        dataset.ids,
+        repeat(dataset.codec.value, len(dataset)),
+        *(("" if v is None else repr(v) for v in column) for column in _numbers(dataset)),
+        *(map(repr, dataset._counts[j::width]) for j in range(width)),
+        *([tags.get(key, "") for tags in dataset.tags] for key in tag_keys),
+        *(map(repr, map(float, values)) for values in last_columns.values()),
+    ]
+    return csv_text(chain([header], zip(*columns, strict=True)))
 
 
 def dataset_to_json(dataset: Dataset) -> str:
     names = dataset.feature_set.names
+    every_row = dataset.count_rows(range(len(dataset)))
+    rows = zip(dataset.ids, zip(*_numbers(dataset)), every_row, dataset.tags)
     records = [
         {
             "stream_id": stream_id,
@@ -333,9 +336,21 @@ def dataset_to_json(dataset: Dataset) -> str:
             "features": dict(zip(names, counts)),
             "tags": dict(tags),
         }
-        for stream_id, numbers, counts, tags in _rows(dataset)
+        for stream_id, numbers, counts, tags in rows
     ]
     return json_text({"codec": dataset.codec.value, "records": records}, 2) + "\n"
+
+
+@contextmanager
+def about_rows(path):
+    """Prefix ``<path>: row N: `` to an error with an ``index``, numbered as the loader does."""
+    try:
+        yield
+    except DataValidationError as exc:
+        if exc.index is None:
+            raise
+        row = exc.index + (1 if _is_json(path) else 2)
+        raise DataValidationError(f"{path}: row {row}: {exc}") from None
 
 
 def load_dataset(path, require_energy: bool = True) -> Dataset:
@@ -433,7 +448,7 @@ _CSV_CHUNK = 500
 
 def _csv_rows(text: str) -> tuple[list[str], Iterator[list[str]]]:
     """The checked header of CSV text, and a reader of its rows (blank lines are not rows)."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(map(itemgetter(0), _LINE.finditer(text)))
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -610,31 +625,31 @@ class SynthSpec:
 
 
 def synth_dataset(spec: SynthSpec) -> Dataset:
-    """Generate a dataset from a :class:`SynthSpec`; deterministic per seed."""
+    """Generate a dataset from a :class:`SynthSpec`; deterministic per seed.  Each row draws
+    three integers, a double per drawn count (``low + (high - low) * double``, as
+    ``Generator.uniform`` computes it) and normals until the noisy energy is positive."""
     import numpy as np
 
     fs = build_feature_set(spec.codec)
-    params = spec.true_params or default_specific_energies(spec.codec)
+    values = feature_values(spec.true_params or default_specific_energies(spec.codec), fs)
     ranges = default_count_ranges(spec.codec)
-    drawn = [fs.index_of(name) for name in ranges]  # every feature but e0 and frame
-    if spec.count_ranges:
-        for name, bounds in spec.count_ranges.items():
-            fs.index_of(name)  # reject unknown names
-            ranges[name] = bounds
-    lows, highs = np.array([ranges[fs.names[j]] for j in drawn], dtype=float).T
+    for name, bounds in (spec.count_ranges or {}).items():
+        fs.index_of(name)  # reject unknown names
+        ranges[name] = bounds
+    # every count but those of e0 and frame, which come first, is drawn
+    lows, highs = zip(*(map(float, ranges[name]) for name in fs.names[2:]))
+    spans = list(map(sub, highs, lows))
     coeff = [j for j, fid in enumerate(fs) if fid.kind is Kind.COEFF]
     val = [j for j, fid in enumerate(fs) if fid.kind is Kind.VAL]
-    e0, frame = fs.index_of("e0"), fs.index_of("frame")
     rng = np.random.default_rng(spec.seed)
-    counts = np.empty((spec.count, len(fs)))
-    energies, metadata = [], []
-    for row in counts:
+    counts, energies, metadata = array("d"), [], []
+    for _ in range(spec.count):
         width, height = RESOLUTIONS[int(rng.integers(len(RESOLUTIONS)))]
         frames = int(rng.integers(8, 65))
         intra_frames = int(rng.integers(0, frames + 1))
-        row[e0], row[frame] = 1.0, float(frames)
-        row[drawn] = rng.uniform(lows, highs)
-        energy_true = predict_feature_model(params, FeatureVector(fs, row.tolist()))
+        drawn = map(mul, spans, rng.random(len(spans)).tolist())
+        row = [1.0, float(frames), *map(add, lows, drawn)]
+        energy_true = feature_estimate(values, row)
         if not energy_true > 0:
             raise DataValidationError(f"true parameters produce nonpositive energy ({energy_true})")
         energy = energy_true
@@ -642,11 +657,11 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
             energy = energy_true * (1.0 + rng.normal(0.0, spec.noise_sigma))
             if energy > 0:
                 break
-        coeff_total, val_total = sum(row[coeff]), sum(row[val])
+        coeff_total, val_total = sum([row[j] for j in coeff]), sum([row[j] for j in val])
         file_size = max(1, int(round(200.0 * frames + 2.0 * coeff_total + 0.6 * val_total)))
-        energies.append(float(energy))
+        counts.fromlist(row)
+        energies.append(energy)
         metadata.append((width, height, frames, file_size, intra_frames))
     ids = [f"synth-{spec.codec.value}-{i:04d}" for i in range(spec.count)]
     no_tags = [{}] * spec.count
-    counts = array("d", counts.tobytes())
     return Dataset._from_columns(spec.codec, ids, counts, energies, list(zip(*metadata)), no_tags)

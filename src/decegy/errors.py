@@ -28,10 +28,12 @@ class IllegalEventError(DecegyError):
 
 
 class DataValidationError(DecegyError, ValueError):
-    """A dataset, record, parameter or file violates the schema or its invariants."""
+    """A dataset, record, parameter or file violates the schema or its invariants; ``index``
+    is the index of the dataset row at fault, where the code that raises or passes it on
+    knows it."""
 
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
+    def __init__(self, message: str, row: int | None = None, index: int | None = None):
+        self.row, self.index = row, index
         super().__init__(f"row {row}: {message}" if row is not None else message)
 
 

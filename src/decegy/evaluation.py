@@ -16,21 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .dataset import Dataset, csv_text
 from .errors import DataValidationError, FitError, json_text
-from .models import (
-    Category,
-    ModelParams,
-    SpecificEnergies,
-    category_sums,
-    params_to_dict,
-    predict_feature_model,
-    predict_hl1,
-    predict_hl2,
-)
-from .models import category_breakdown  # noqa: F401  bench/spans.py wraps it here
+from .models import Category, ModelParams, SpecificEnergies, estimate_by_category, feature_estimate
+from .models import feature_values, params_to_dict, predict_hl1, predict_hl2
+from .models import category_breakdown, predict_feature_model  # noqa: F401  bench/spans.py wraps
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,6 +55,22 @@ def _fit_feature(dataset: Dataset, rows, nonneg: bool) -> tuple[SpecificEnergies
     return SpecificEnergies(dataset.feature_set, coeffs), diagnostics
 
 
+def _by_row(values: Iterable, rows: Sequence[int]) -> list:
+    """The values computed for ``rows`` as a list; a DataValidationError gets its row's index."""
+    done: list = []
+    try:
+        done.extend(values)  # which keeps the values computed before an error
+    except DataValidationError as exc:
+        exc.index = int(rows[len(done)])
+        raise
+    return done
+
+
+def _predict_feature(params: SpecificEnergies, data: Dataset, rows) -> list[float]:
+    values = feature_values(params, data.feature_set)
+    return _by_row(map(feature_estimate, repeat(values), data.count_rows(rows)), rows)
+
+
 class Model(NamedTuple):
     """One energy model: how to fit it and how to predict.
 
@@ -79,17 +88,19 @@ class Model(NamedTuple):
 MODELS: dict[str, Model] = {
     "feature": Model(
         lambda data, rows, options: _fit_feature(data, rows, options.get("nonneg", False)),
-        lambda params, data, rows: [predict_feature_model(params, v) for v in data.vectors(rows)],
+        _predict_feature,
     ),
     "hl1": Model(
         lambda data, rows, options: _solver("fit_hl1")(
             data.highlevel(rows), options.get("trust_region")
         ),
-        lambda params, data, rows: [predict_hl1(params, info) for info in data.infos(rows)],
+        lambda params, data, rows: _by_row(map(predict_hl1, repeat(params), data.infos(rows)),
+                                           rows),
     ),
     "hl2": Model(
         lambda data, rows, options: _solver("fit_hl2")(data.highlevel(rows)),
-        lambda params, data, rows: [predict_hl2(params, info) for info in data.infos(rows)],
+        lambda params, data, rows: _by_row(map(predict_hl2, repeat(params), data.infos(rows)),
+                                           rows),
     ),
 }
 
@@ -272,20 +283,21 @@ def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[Bre
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(dataset)
-    report = []
-    for i in range(len(dataset)) if rows is None else rows:
-        measured, vector = dataset.energy(i), dataset.vector(i)
-        estimate, parts = predict_feature_model(energies, vector), category_sums(energies, vector)
-        report.append(BreakdownRow(dataset.ids[i], measured, estimate, parts))
-    return report
+    rows = range(len(dataset)) if rows is None else rows
+    if not len(rows):
+        return []
+    fs = dataset.feature_set
+    values = feature_values(energies, fs)
+    made = (BreakdownRow(dataset.ids[i], dataset.energy(i), *estimate_by_category(fs, values, c))
+            for i, c in zip(rows, dataset.count_rows(rows)))
+    return _by_row(made, rows)
 
 
 def breakdown_csv(rows: list[BreakdownRow]) -> str:
-    lines = [["stream_id", "E_dec", "E_hat", *(c.value for c in _CATEGORY_ORDER)]]
-    for row in rows:
-        cells = [row.stream_id, repr(row.measured_joules), repr(row.estimated_joules)]
-        lines.append(cells + [repr(value) for value in row.category_joules])
-    return csv_text(lines)
+    header = ["stream_id", "E_dec", "E_hat", *(c.value for c in _CATEGORY_ORDER)]
+    numbers = ([r.measured_joules, r.estimated_joules, *r.category_joules] for r in rows)
+    columns = [[r.stream_id for r in rows], *(map(repr, column) for column in zip(*numbers))]
+    return csv_text(chain([header], zip(*columns)))
 
 
 _CATEGORY_COLORS = {

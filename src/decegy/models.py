@@ -130,16 +130,19 @@ class HL2Params:
         return astuple(self)
 
 
-def _products(energies: SpecificEnergies, vector: FeatureVector) -> list[float]:
-    """Count times specific energy per feature: Python's float product is IEEE's, as numpy's is."""
-    fs = energies.feature_set
-    if vector.feature_set is not fs and vector.feature_set != fs:  # one object per codec, mostly
+def feature_values(energies: SpecificEnergies, feature_set: FeatureSet) -> tuple[float, ...]:
+    """The specific energies as floats, once they are known to be those of ``feature_set``."""
+    if feature_set is not energies.feature_set and feature_set != energies.feature_set:
         raise ValueError(
             "feature set mismatch between specific energies "
-            f"({energies.feature_set.codec.value}) and vector "
-            f"({vector.feature_set.codec.value})"
+            f"({energies.feature_set.codec.value}) and vector ({feature_set.codec.value})"
         )
-    counts, values = vector.floats, energies.floats
+    return energies.floats
+
+
+def _products(energies: SpecificEnergies, vector: FeatureVector) -> list[float]:
+    """Count times specific energy per feature: Python's float product is IEEE's, as numpy's is."""
+    counts, values = vector.floats, feature_values(energies, vector.feature_set)
     if len(counts) != len(values):
         raise ValueError(
             f"vector length {len(counts)} does not match feature set size {len(values)}"
@@ -164,12 +167,15 @@ def _finite(energy: float) -> float:
     return energy
 
 
-def predict_feature_model(energies: SpecificEnergies, vector: FeatureVector) -> float:
-    """Estimated decoding energy: sum of count times specific energy.
+def feature_estimate(values, counts) -> float:
+    """The sum of count times specific energy, from :func:`feature_values` and counts in their
+    order.  The sum is exact (compensated): pel counts reach 1e8 while offset terms sit near
+    1e-1, so naive accumulation would lose digits."""
+    return _fsum(map(mul, values, counts))
 
-    Uses exact (compensated) summation; pel counts reach 1e8 while offset
-    terms sit near 1e-1, so naive accumulation would lose digits.
-    """
+
+def predict_feature_model(energies: SpecificEnergies, vector: FeatureVector) -> float:
+    """Estimated decoding energy of a vector, as :func:`feature_estimate` sums it."""
     return _fsum(_products(energies, vector))
 
 
@@ -186,9 +192,19 @@ def category_breakdown(
 
 def category_sums(energies: SpecificEnergies, vector: FeatureVector) -> tuple[float, ...]:
     """The values of :func:`category_breakdown`, in :class:`Category` order."""
-    products = _products(energies, vector)
-    columns = energies.feature_set.category_columns.values()
-    return tuple(_fsum([products[i] for i in indices]) for indices in columns)
+    return _category_sums(energies.feature_set, _products(energies, vector))
+
+
+def _category_sums(feature_set: FeatureSet, products: list[float]) -> tuple[float, ...]:
+    return tuple(_fsum([products[i] for i in columns])
+                 for columns in feature_set.category_columns.values())
+
+
+def estimate_by_category(feature_set: FeatureSet, values, counts) -> tuple[float, tuple]:
+    """The :func:`feature_estimate` of one stream and its :func:`category_sums`, from one
+    pass over the products."""
+    products = list(map(mul, values, counts))
+    return _fsum(products), _category_sums(feature_set, products)
 
 
 def hl1_estimate(params: HL1Params, pixels, bytes_per_pixel):

@@ -57,10 +57,8 @@ def csv_text(rows: Iterable[list]) -> str:
     return out.getvalue()
 
 
-def csv_row(stream_id: str, codec: Codec, numbers, counts, cells=(), last=()) -> list[str]:
-    """One dataset CSV row under the header ``[*BASE_COLUMNS, *feature names, *tag keys,
-    *last names]``: ``numbers`` are the five metadata integers and the energy (None
-    where empty), ``cells`` the tag cells and ``last`` the appended numbers."""
+def csv_row(stream_id: str, codec: Codec, numbers, counts) -> list[str]:
+    """One dataset CSV row under the header ``[*BASE_COLUMNS, *feature names]``: ``numbers``
+    are the five metadata integers and the energy (None where empty)."""
     numbers = ["" if value is None else repr(value) for value in numbers]
-    last = [repr(float(value)) for value in last]
-    return [stream_id, codec.value, *numbers, *map(repr, counts), *cells, *last]
+    return [stream_id, codec.value, *numbers, *map(repr, counts)]

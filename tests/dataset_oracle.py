@@ -1,13 +1,15 @@
-"""Reference implementations of the dataset loaders and generator, kept as test oracles.
+"""Reference implementations of the dataset loaders, writer and generator, kept as test oracles.
 
 These are the per-feature ``Kind`` dispatch of ``default_specific_energies``,
 ``default_count_ranges`` and ``synth_dataset`` (one scalar draw per feature
-and row), and the CSV/JSON loaders that attached the row number at every
+and row), the CSV/JSON loaders that attached the row number at every
 check, before ``decegy.dataset`` moved the defaults into one table and each
-loader's row number into one place.  Records, datasets and specs are the
-library's own types.  ``test_dataset_oracle.py`` requires the library to give
-the same bytes or the same exception type and message, with this CSV loader's
-doubled ``row N: row N:`` prefix collapsed.
+loader's row number into one place, and the CSV writer that built each row
+through ``schema.csv_row`` (which then also appended the tag and number cells)
+before ``dataset_to_csv`` built the cells column by column.  Records, datasets and specs are the library's own types.
+``test_dataset_oracle.py`` requires the library to give the same bytes or the
+same exception type and message, with this CSV loader's doubled
+``row N: row N:`` prefix collapsed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,7 +31,23 @@ from decegy.dataset import (
 )
 from decegy.errors import DataValidationError
 from decegy.models import SpecificEnergies, predict_feature_model
+from decegy.schema import csv_row, csv_text
 from decegy.taxonomy import Codec, FeatureVector, Kind, build_feature_set
+
+
+def dataset_to_csv(dataset: Dataset, last_columns=MappingProxyType({})) -> str:
+    """The dataset as CSV text, one ``csv_row`` per record."""
+    tag_keys = sorted({key for tags in dataset.tags for key in tags})
+
+    def rows():
+        yield [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]
+        for rec, *last in zip(dataset, *last_columns.values(), strict=True):
+            numbers = [getattr(rec, name) for name in (*METADATA_COLUMNS, "energy_joules")]
+            cells = [rec.tags.get(key, "") for key in tag_keys]
+            row = csv_row(rec.stream_id, dataset.codec, numbers, rec.features.tolist())
+            yield [*row, *cells, *(repr(float(value)) for value in last)]
+
+    return csv_text(rows())
 
 
 def _parse_optional_int(raw: str | None, column: str, row: int) -> int | None:

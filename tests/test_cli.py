@@ -30,6 +30,8 @@ from decegy.cli import main
 from decegy.dataset import BitstreamRecord, Dataset
 from decegy.taxonomy import FeatureVector
 
+_OVERFLOW = "estimated energy overflows the float range"
+
 HEVC = build_feature_set(Codec.HEVC)
 
 
@@ -795,7 +797,7 @@ def test_non_utf8_dataset_gives_byte_and_offset(tmp_path, capsys, suffix):
       "noise_sigma must be finite, got inf"),
      (["synth", "--codec", "hevc", "--seed", "-1"], "seed must be >= 0, got -1"),
      (["crossval", "--k", "1"], "k must be >= 2, got 1"),
-     (["crossval", "--k", "4"], "dataset has 3 records, fewer than k=4"),
+     (["crossval", "--k", "4"], "{data}: dataset has 3 records, fewer than k=4"),
      (["crossval", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1")],
     ids=["codec", "count", "count-huge", "sigma-nan", "sigma-inf", "synth-seed", "k-1", "k-above-m",
          "crossval-seed"],
@@ -806,7 +808,7 @@ def test_bad_command_values_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "crossval":
         where = ["--dataset", str(data)]
     assert main(argv + where) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
 
 
 def test_lone_surrogate_in_a_stream_id_exits_2(tmp_path, capsys):
@@ -830,7 +832,7 @@ def test_estimates_past_the_float_range_exit_2(tmp_path, capsys):
     doc["specific_energies"].update(pel=1e300, frac=-1e300)
     params.write_text(json.dumps(doc))
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
-    assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
+    assert capsys.readouterr().err == f"error: {data}: row 1: {_OVERFLOW}\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "report"])
@@ -848,21 +850,22 @@ def test_an_estimate_that_overflows_to_infinity_exits_2(tmp_path, capsys, comman
     params.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, "--dataset", str(data), "--params", str(params), "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: estimated energy overflows the float range\n")
+    assert capsys.readouterr() == ("", f"error: {data}: row 3: {_OVERFLOW}\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "params, file_size",
+    "params, file_size, row",
     [({"model": "hl1", "base_joules": 0.0, "per_pixel_joules": 0.0, "rate_coeff": 1.0,
-       "rate_power": 1e6}, 2**53),
+       "rate_power": 1e6}, 2**53, 2),
      ({"model": "hl1", "base_joules": 0.0, "per_pixel_joules": 1e308, "rate_coeff": 0.0,
-       "rate_power": 1.0}, None),
+       "rate_power": 1.0}, None, 1),
      ({"model": "hl2", "intra_bytes_coeff": 0.0, "intra_coeff": 0.0, "bytes_coeff": 0.0,
-       "base_coeff": 1e308}, None)],
+       "base_coeff": 1e308}, None, 1)],
     ids=["hl1-power", "hl1-product", "hl2-product"],
 )
-def test_highlevel_estimates_past_the_float_range_exit_2(tmp_path, capsys, params, file_size):
+def test_highlevel_estimates_past_the_float_range_exit_2(tmp_path, capsys, params, file_size,
+                                                         row):
     data, path = _hevc_files(tmp_path)
     if file_size is not None:  # bytes per pixel far above one, raised to the millionth power
         doc = json.loads(data.read_text())
@@ -870,7 +873,7 @@ def test_highlevel_estimates_past_the_float_range_exit_2(tmp_path, capsys, param
         data.write_text(json.dumps(doc))
     path.write_text(json.dumps({**params, "codec": "hevc"}))
     assert main(["predict", "--dataset", str(data), "--params", str(path)]) == 2
-    assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
+    assert capsys.readouterr().err == f"error: {data}: row {row}: {_OVERFLOW}\n"
 
 
 def test_csv_cell_over_the_field_limit_exits_2_with_the_row(tmp_path, capsys):
@@ -925,7 +928,37 @@ def test_category_sum_past_the_float_range_exits_2(tmp_path, capsys):
     params.write_text(json.dumps(doc))
     argv = ["report", "--dataset", str(data), "--params", str(params)]
     assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
-    assert capsys.readouterr().err == "error: estimated energy overflows the float range\n"
+    assert capsys.readouterr().err == f"error: {data}: row 1: {_OVERFLOW}\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+def test_codec_mismatch_names_the_parameter_file(tmp_path, capsys, command):
+    data, _ = _hevc_files(tmp_path)
+    wrong = tmp_path / "vp9.json"
+    save_params(default_specific_energies(Codec.VP9), Codec.VP9, wrong)
+    assert main([command, "--dataset", str(data), "--params", str(wrong)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {wrong}: codec mismatch: dataset is hevc, params are vp9\n"
+    )
+
+
+@pytest.mark.parametrize("suffix, row", [("csv", 9), ("json", 8)])
+@pytest.mark.parametrize("model", ["hl1", "hl2"])
+def test_rows_without_metadata_name_the_dataset_file_and_row(tmp_path, capsys, model, suffix, row):
+    records = list(synth_dataset(SynthSpec(Codec.HEVC, 20, seed=2)))
+    records[7] = replace(records[7], intra_frames=None)
+    data, params = tmp_path / f"partial.{suffix}", tmp_path / "params.json"
+    export_dataset(Dataset(tuple(records)), data)
+    export_dataset(Dataset(tuple(records[:7])), tmp_path / "whole.csv")
+    assert main(["fit", "--dataset", str(tmp_path / "whole.csv"), "--model", model,
+                 "--out", str(params)]) == 0
+    capsys.readouterr()
+    lacks = "'synth-hevc-0007' lacks high-level metadata"
+    lacks += " (width/height/frames/file_size_bytes/intra_frames)"
+    for command, *options in (["predict", "--params", str(params)], ["fit", "--model", model],
+                              ["crossval", "--model", model, "--k", "5"]):
+        assert main([command, "--dataset", str(data), *options]) == 2
+        assert capsys.readouterr() == ("", f"error: {data}: row {row}: record {lacks}\n")
 
 
 def test_chart_of_energies_outside_its_range_exits_2(tmp_path, capsys):

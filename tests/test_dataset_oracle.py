@@ -1,13 +1,16 @@
-"""Differential tests of the dataset defaults, generator and loaders.
+"""Differential tests of the dataset defaults, generator, loaders and CSV writer.
 
 ``dataset_oracle`` holds the earlier implementations: per-feature ``Kind``
-dispatch with one scalar draw per feature and row, and loaders that attached
-the row number at every check.  On random specs for all four codecs the
-library generator must write the same CSV bytes, and on synthetic CSV/JSON
-files with one cell or field replaced the loaders must give the same dataset
-bytes or the same exception type and message.  The oracle's CSV loader
-reported some errors with a doubled ``row N: row N:`` prefix; that is the one
-difference allowed, and the library must never produce it.
+dispatch with one scalar draw per feature and row, loaders that attached
+the row number at every check, and a CSV writer that built one row at a time.
+On random specs for all four codecs, noise levels at which the generator
+draws the noise again included, the library generator must write the same
+CSV bytes; on random datasets the library writer must write the same bytes or
+raise the same exception; and on synthetic CSV/JSON files with one cell or
+field replaced the loaders must give the same dataset bytes or the same
+exception type and message.  The oracle's CSV loader reported some errors with
+a doubled ``row N: row N:`` prefix; that is the one difference allowed, and
+the library must never produce it.
 """
 
 import csv
@@ -17,6 +20,7 @@ import re
 from dataclasses import replace
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -35,13 +39,15 @@ from decegy import (  # noqa: E402
 from decegy.dataset import (  # noqa: E402
     BASE_COLUMNS,
     METADATA_COLUMNS,
+    BitstreamRecord,
     Dataset,
     dataset_from_csv,
     dataset_from_json,
     dataset_to_csv,
     dataset_to_json,
 )
-from decegy.taxonomy import build_feature_set  # noqa: E402
+from decegy.dataset import _csv_rows  # noqa: E402
+from decegy.taxonomy import FeatureVector, build_feature_set  # noqa: E402
 
 _DOUBLED_ROW = re.compile(r"^(row \d+: )\1")
 
@@ -75,7 +81,7 @@ def specs(draw):
         codec,
         draw(st.integers(1, 40)),
         count_ranges=draw(st.none() | st.dictionaries(names, bounds, max_size=4)),
-        noise_sigma=draw(st.sampled_from([0.0, 0.05])),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.9])),  # at 0.9 noise is drawn again
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -83,6 +89,87 @@ def specs(draw):
 @given(specs())
 def test_synth_matches_the_oracle(spec):
     _assert_same_as_oracle(synth_dataset, dataset_oracle.synth_dataset, spec)
+
+
+def test_synth_redraws_noise_at_sigma_0_9_as_the_oracle_does(monkeypatch):
+    spec = SynthSpec(Codec.H264, 200, noise_sigma=0.9, seed=7)
+    assert dataset_to_csv(synth_dataset(spec)) == dataset_to_csv(dataset_oracle.synth_dataset(spec))
+    normals = []
+    default_rng = np.random.default_rng
+
+    class Counting:  # the generator, counting its normal draws
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def normal(self, *args):
+            normals.append(args)
+            return self.rng.normal(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    synth_dataset(spec)
+    assert len(normals) > 200  # a normal below -1/0.9 makes a nonpositive energy
+
+
+#: Tag text that CSV must quote, and line breaks of str.splitlines that are not CSV's.
+_AWKWARD = st.text(st.sampled_from('a ,"\n\r\x0c\x1c\x85\u2028\u2029'), max_size=6)
+_INTEGER = st.none() | st.integers(1, 2**53)
+
+
+@st.composite
+def written_datasets(draw):
+    """A dataset of all four codecs with 0 to 5 rows, some metadata and energy cells
+    empty, awkward tags, and the columns to append, one value per row."""
+    codec = draw(st.sampled_from(list(Codec)))
+    fs = build_feature_set(codec)
+    count = st.floats(0, 1e300) | st.integers(0, 2**60).map(float)
+    records = []
+    for i in range(draw(st.integers(0, 5))):
+        counts = [1.0, *draw(st.lists(count, min_size=len(fs) - 1, max_size=len(fs) - 1))]
+        width, height, frames, size = (draw(_INTEGER) for _ in range(4))
+        intra = draw(st.none() | st.integers(0, 2**53 if frames is None else frames))
+        energy = draw(st.none() | st.floats(5e-324, 1e300))
+        tags = draw(st.dictionaries(st.sampled_from(["qp", "note", "a,b", "x\ny"]), _AWKWARD))
+        features = FeatureVector(fs, counts)
+        records.append(BitstreamRecord(f"s{i}", codec, features, width, height, frames, size,
+                                       intra, energy, tags))
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+    names = draw(st.lists(st.sampled_from(["E_hat", "E 2", "q,\"r"]), unique=True, max_size=2))
+    last = {name: draw(st.lists(number, min_size=len(records), max_size=len(records)))
+            for name in names}
+    return Dataset(records), last
+
+
+def _written(write, dataset, last):
+    try:
+        return "ok", write(dataset, last)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(written_datasets())
+def test_csv_writer_matches_the_row_wise_oracle(drawn):
+    assert _written(dataset_to_csv, *drawn) == _written(dataset_oracle.dataset_to_csv, *drawn)
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from('a1,"\n\r \x0c\x1c\x85\u2028'), max_size=40))
+def test_csv_rows_are_those_of_a_reader_over_stringio(body):
+    text = ",".join(BASE_COLUMNS) + "\n" + body
+
+    def rows(reader):
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            return str(exc)
+
+    reader = csv.reader(io.StringIO(text))
+    expected = next(reader), rows(filter(None, reader))
+    header, reader = _csv_rows(text)
+    assert (header, rows(reader)) == expected
 
 
 @lru_cache(maxsize=None)
