@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import nullcontext
 from importlib import import_module
 from pathlib import Path
 
@@ -139,7 +140,7 @@ def _check_codec(dataset, params_codec: Codec, params_path: str) -> None:
 def cmd_crossval(args) -> None:
     _bind("fitting", "dataset", "evaluation")
     dataset = load_dataset(args.dataset)
-    if len(dataset) < args.k:  # the file's fault; the check in cross_validate names no file
+    if len(dataset) < args.k:  # the file's fault; make_folds checks it too, naming no file
         raise DataValidationError(
             f"{args.dataset}: dataset has {len(dataset)} records, fewer than k={args.k}"
         )
@@ -208,7 +209,8 @@ def cmd_synth(args) -> None:
         noise_sigma=args.sigma,
         seed=args.seed,
     )
-    dataset = synth_dataset(spec)
+    with about_file(args.params) if args.params else nullcontext():  # its energies
+        dataset = synth_dataset(spec)
     export_dataset(dataset, args.out)
     print(
         f"wrote {len(dataset)} synthetic {codec.value} records to {args.out} "

@@ -13,11 +13,15 @@ files UTF-8 with LF line endings.  The metadata and energy cells may be empty
 metadata integers may not exceed 2**53.
 
 A :class:`Dataset` keeps its rows as columns and checks each column once,
-whichever way it is built.  When a check fails, the check of a single
-:class:`BitstreamRecord` runs again from the first row, so the error names
-the first bad row in the words it always had.  Row errors get the row number
-in one place per loader (CSV rows count the header line, JSON rows count
-records).
+whichever way it is built.  A check tests its whole column at once, and walks
+the column for its first bad row only when that test fails; the CSV parse
+checks do the same per chunk of rows.  Of the record checks' first bad rows,
+the first is the only row built alone, as a :class:`BitstreamRecord`, so the
+error names the first bad row in the words it always had.  A row that does
+not parse is reported once the rows before it pass their record checks, and
+a repeated id only when no row fails.  :func:`_numbered` numbers a row's error
+for both loaders and for :func:`about_rows` (CSV rows count the header line,
+JSON rows count records).
 
 The synthetic generator replaces physical measurements: it draws feature
 counts, computes the exact feature-model energy under known specific energies
@@ -116,6 +120,62 @@ _SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
 _LINE = re.compile(".*\n|.+")
 
 
+def _first_not(ok: Callable, values) -> int:
+    """The index of the first of ``values`` that is not ``ok``, or their count if none."""
+    return next((i for i, value in enumerate(values) if not ok(value)), len(values))
+
+
+def _at_row(i: int, make: Callable, *args):
+    """``make(*args)``, whose DataValidationError gets the row ``index`` i."""
+    try:
+        return make(*args)
+    except DataValidationError as exc:
+        exc.index = i
+        raise
+
+
+def _texts(ids, tags) -> str:
+    """The stream ids, tag keys and tag values as one string."""
+    return "".join(chain(ids, *tags, map(str, chain(*(t.values() for t in tags)))))
+
+
+def _check_rows(codec, ids, counts: array, energies, metadata, tags) -> list[array]:
+    """The metadata columns as arrays of doubles, once every row passes its record check.
+
+    Each column is tested whole, and walked for its first bad row only when that test
+    fails; the first of those rows is built as a record, which raises its error with the
+    row's ``index``."""
+    m = len(ids)
+    width = len(counts) // m if m else 0
+    e0 = counts[build_feature_set(codec).index_of("e0")::width] if m else array("d")
+    lowest = [0 if name == "intra_frames" else 1 for name in METADATA_COLUMNS]
+    given = [v if None not in v else [x for x in v if x is not None] for v in metadata]
+    in_range = all(not v or low <= min(v) and max(v) <= 2**53 for v, low in zip(given, lowest))
+    meta = [_doubles(values) for values in metadata] if in_range else []  # exact as doubles
+    # a finite sum holds no NaN or infinity, and then the least count is exact
+    finite = math.isfinite(sum(counts)) or all(map(math.isfinite, counts))
+    firsts = [  # the first bad row of each column, m when its test passes
+        m if all(ids) else ids.index(""),
+        m if finite and min(counts, default=0.0) >= 0
+        else _first_not(lambda c: 0 <= c < math.inf, counts) // width,
+        m if e0.count(1.0) == m else _first_not((1.0).__eq__, e0),
+        _first_not(lambda e: e is None or 0 < e < math.inf, energies),
+        *(m if in_range else _first_not(lambda x: x is None or low <= x <= 2**53, v)
+          for v, low in zip(metadata, lowest)),
+        m if in_range and not any(map(gt, meta[4], meta[2]))  # intra_frames <= frames
+        else _first_not(lambda pair: None in pair or pair[0] <= pair[1],
+                        [*zip(metadata[4], metadata[2])]),
+        m if not _SURROGATE.search(_texts(ids, tags)) else _first_not(
+            lambda i: not _SURROGATE.search(_texts(ids[i:i + 1], tags[i:i + 1])), range(m)),
+    ]
+    i = min(firsts)
+    if i < m:
+        _at_row(i, _record, codec, ids[i], counts[i * width:(i + 1) * width].tolist(),
+                energies[i], [v[i] for v in metadata], tags[i])
+        raise AssertionError(f"row {i} passes the record check that its columns fail")
+    return meta
+
+
 class Dataset:
     """Streams of one codec with unique stream ids, held as columns.
 
@@ -159,40 +219,19 @@ class Dataset:
         array of doubles, ``energies`` M floats or None, ``metadata`` per metadata column M
         integers or None, ``tags`` M mappings.
 
-        Each column is checked once; when a check fails, the record check runs
-        from the first row and raises the first bad row's error."""
+        The first row that fails its record check raises its error (:func:`_check_rows`);
+        a repeated id is raised only when none does."""
         counts = counts if isinstance(counts, array) else _flat(counts)
         m = len(ids)
-        fs = build_feature_set(codec) if m else None
-        width = len(fs) if m else 0
-        given = [v if None not in v else [x for x in v if x is not None] for v in metadata]
-        lowest = [0 if name == "intra_frames" else 1 for name in METADATA_COLUMNS]
-        texts = chain(ids, *tags, map(str, chain(*(t.values() for t in tags))))  # tag keys, values
-        passed = (
-            all(ids)
-            # a finite sum holds no NaN or infinity, and then the least count is exact
-            and (math.isfinite(sum(counts)) or all(map(math.isfinite, counts)))
-            and min(counts, default=0.0) >= 0
-            and (m == 0 or counts[fs.index_of("e0")::width].count(1.0) == m)
-            and all(e is None or 0 < e < math.inf for e in energies)
-            and all(not v or low <= min(v) and max(v) <= 2**53 for v, low in zip(given, lowest))
-            and not _SURROGATE.search("".join(texts))
-        )
-        if passed:  # the metadata are exact as doubles now
-            meta = [_doubles(values) for values in metadata]
-            passed = not any(map(gt, meta[4], meta[2]))  # intra_frames <= frames
-        if not passed:
-            for i in range(m):
-                row = counts[i * width:(i + 1) * width].tolist()
-                _record(codec, ids[i], row, energies[i], [v[i] for v in metadata], tags[i])
-            raise AssertionError("the column checks reject a row that the record check accepts")
+        meta = _check_rows(codec, ids, counts, energies, metadata, tags)
         self._index = dict(zip(ids, range(m)))
         if len(self._index) < m:
             seen: set[str] = set()
             repeated = next(sid for sid in ids if sid in seen or seen.add(sid))  # add gives None
             raise DataValidationError(f"duplicate stream_id {repeated!r}")
         self._codec = codec if m else None
-        self.ids, self._counts, self._width, self._metadata = tuple(ids), counts, width, meta
+        self.ids, self._counts, self._metadata = tuple(ids), counts, meta
+        self._width = len(counts) // m if m else 0
         self._energies, self._arrays = _doubles(energies), None
         self.tags = tuple(map(MappingProxyType, tags))  # callers hand over fresh mappings
 
@@ -342,15 +381,20 @@ def dataset_to_json(dataset: Dataset) -> str:
 
 
 @contextmanager
-def about_rows(path):
-    """Prefix ``<path>: row N: `` to an error with an ``index``, numbered as the loader does."""
+def _numbered(json: bool, prefix: str = ""):
+    """Prefix ``row N: ``, and ``prefix`` before it, to an error with an ``index``: a CSV
+    row's number counts the header line, a JSON row's counts records."""
     try:
         yield
     except DataValidationError as exc:
-        if exc.index is None:
+        if exc.index is None:  # not a row's error: a repeated id, say
             raise
-        row = exc.index + (1 if _is_json(path) else 2)
-        raise DataValidationError(f"{path}: row {row}: {exc}") from None
+        raise DataValidationError(f"{prefix}row {exc.index + (1 if json else 2)}: {exc}") from None
+
+
+def about_rows(path):
+    """Prefix ``<path>: row N: `` to an error with an ``index``, numbered as the loader does."""
+    return _numbered(_is_json(path), f"{path}: ")
 
 
 def load_dataset(path, require_energy: bool = True) -> Dataset:
@@ -369,24 +413,17 @@ def load_dataset(path, require_energy: bool = True) -> Dataset:
         return dataset
 
 
-def _load(build: Callable[[slice], Dataset], count: int, first_row: int, error=None) -> Dataset:
-    """The dataset that ``build`` makes of a slice of the ``count`` rows, for all of them.
-
-    When that fails, or ``error`` is the error of an unreadable row after them,
-    each row is built alone from the first, so the first bad row raises its
-    error with its number.  If none does, that failure (a repeated id) or
-    ``error`` is raised."""
-    try:
-        if error is None:
-            return build(slice(None))
-    except DataValidationError as exc:
-        error = exc
-    for i in range(count):
-        try:
-            build(slice(i, i + 1))
-        except DataValidationError as exc:
-            raise DataValidationError(str(exc), row=first_row + i) from None
-    raise error
+def _loaded(columns: tuple | None, json: bool, failed: DataValidationError | None) -> Dataset:
+    """The dataset of the rows read, ``columns`` (None for none), unless a row fails its
+    record check or ``failed``, the error of the next row, is given; a repeated id is raised
+    only when no row fails."""
+    with _numbered(json):
+        if failed is None:
+            return Dataset._from_columns(*columns) if columns else Dataset()
+        failed.index = len(columns[1]) if columns else 0
+        if columns:
+            _check_rows(*columns)
+        raise failed
 
 
 def _first_csv_codec(row: list[str], header: list[str]) -> Codec | None:
@@ -403,37 +440,41 @@ def _first_csv_codec(row: list[str], header: list[str]) -> Codec | None:
 
 
 def _parse_column(cells, column: str, parse=float, blank: str | None = None) -> list:
-    """CSV number cells read by ``parse`` (int or float); a blank cell is None,
-    or an error that says ``blank`` when given."""
+    """CSV number cells read by ``parse`` (int or float); a blank cell is None, or an
+    error that says ``blank`` when given.  An error has the ``index`` of its cell."""
     try:
         return list(map(parse, cells))
     except ValueError:  # a blank cell, or one that is not a number
         pass
     values = []
-    for raw in cells:
+    for i, raw in enumerate(cells):
         if blank and not raw.strip():
-            raise DataValidationError(f"column {column!r}: {blank}")
+            raise DataValidationError(f"column {column!r}: {blank}", index=i)
         try:
             values.append(parse(raw) if raw.strip() else None)
         except ValueError:
             what = "an integer" if parse is int else "a number"
-            raise DataValidationError(f"column {column!r}: not {what}: {raw!r}") from None
+            raise DataValidationError(f"column {column!r}: not {what}: {raw!r}", index=i) from None
     return values
 
 
 def _csv_columns(header: list[str], rows: list[list[str]], codec, require_energy: bool) -> tuple:
-    """The columns of CSV rows of ``codec``; a cell error names the column but not the row."""
+    """The columns of CSV rows of ``codec``.  A cell's error names its column and has the
+    ``index`` of its row: each check tests the whole column, and walks its cells for the
+    first bad one only when that test fails."""
     width = len(header)
     rows = [row if len(row) == width else (row + [""] * width)[:width] for row in rows]
     column = dict(zip(header, zip(*rows)))  # a short row reads as empty cells
-    for found in {Codec.from_name(cell.strip()) for cell in set(column["codec"])}:
-        if found is not codec:
-            raise DataValidationError(f"mixed codecs: {codec.value} and {found.value}")
+    cells, wanted = column["codec"], getattr(codec, "value", None)  # None: row 0's is unreadable
+    if {cell.strip().lower() for cell in set(cells)} != {wanted}:
+        i = _first_not(lambda cell: cell.strip().lower() == wanted, cells)
+        found = _at_row(i, Codec.from_name, cells[i].strip())
+        raise DataValidationError(f"mixed codecs: {codec.value} and {found.value}", index=i)
     fs = build_feature_set(codec)
     counts = [_parse_column(column[name], name, blank="empty count") for name in fs.names]
     energies = _parse_column(column["energy_joules"], "energy_joules")
     if require_energy and None in energies:
-        raise DataValidationError("missing energy value")
+        raise DataValidationError("missing energy value", index=energies.index(None))
     metadata = [_parse_column(column[name], name, int) for name in METADATA_COLUMNS]
     known = set(BASE_COLUMNS) | set(fs.names)
     tag_keys = [key for key in header if key not in known]
@@ -466,33 +507,30 @@ def _csv_rows(text: str) -> tuple[list[str], Iterator[list[str]]]:
 
 def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
     header, reader = _csv_rows(text)
-    parts: list[tuple] = []
-    try:
-        for rows in iter(lambda: list(islice(reader, _CSV_CHUNK)), []):
-            codec = parts[0][0] if parts else _first_csv_codec(rows[0], header)
-            parts.append(_csv_columns(header, rows, codec, require_energy))
-            del rows  # before the next chunk is read
-        if not parts:
-            return Dataset()
-        codecs, ids, counts, energies, metadata, tags = zip(*parts)
-        metadata = [[*chain(*column)] for column in zip(*metadata)]
-        return Dataset._from_columns(
-            codecs[0], [*chain(*ids)], reduce(iadd, counts, array("d")), [*chain(*energies)],
-            metadata, [*chain(*tags)],
-        )
-    except (DataValidationError, csv.Error):  # the rows again, for the first bad one
-        header, reader = _csv_rows(text)
-    rows, unreadable = [], None
-    try:
-        rows.extend(reader)
-    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-        unreadable = DataValidationError(str(exc), row=len(rows) + 2)
-    codec = _first_csv_codec(rows[0], header) if rows else None
-
-    def build(part: slice) -> Dataset:
-        return Dataset._from_columns(*_csv_columns(header, rows[part], codec, require_energy))
-
-    return _load(build, len(rows), first_row=2, error=unreadable)
+    parts, failed = [], None
+    while failed is None:
+        rows = []
+        try:
+            rows.extend(islice(reader, _CSV_CHUNK))  # which keeps the rows read before an error
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            failed = DataValidationError(str(exc))
+        if not rows:
+            break
+        codec = parts[0][0] if parts else _first_csv_codec(rows[0], header)
+        end = len(rows)
+        while end:  # the rows before the first that does not parse
+            try:
+                parts.append(_csv_columns(header, rows[:end], codec, require_energy))
+                break
+            except DataValidationError as exc:
+                end, failed = exc.index, exc
+    if not parts:
+        return _loaded(None, False, failed)
+    codecs, ids, counts, energies, metadata, tags = zip(*parts)
+    metadata = [[*chain(*column)] for column in zip(*metadata)]
+    counts = reduce(iadd, counts, array("d"))
+    columns = codecs[0], [*chain(*ids)], counts, [*chain(*energies)], metadata, [*chain(*tags)]
+    return _loaded(columns, False, failed)
 
 
 def _json_row(raw, fs: FeatureSet, require_energy: bool) -> tuple:
@@ -523,14 +561,16 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
     if not isinstance(doc, dict) or "codec" not in doc or not isinstance(doc.get("records"), list):
         raise DataValidationError("dataset JSON must carry 'codec' and a 'records' list")
     fs = build_feature_set(Codec.from_name(doc["codec"]))
-    raws = doc["records"]
-
-    def build(part: slice) -> Dataset:
-        rows = [_json_row(raw, fs, require_energy) for raw in raws[part]]
-        ids, counts, energies, metadata, tags = zip(*rows)
-        return Dataset._from_columns(fs.codec, ids, counts, energies, list(zip(*metadata)), tags)
-
-    return _load(build, len(raws), first_row=1) if raws else Dataset()
+    rows, failed = [], None
+    try:
+        rows.extend(_json_row(raw, fs, require_energy) for raw in doc["records"])
+    except DataValidationError as exc:  # the rows before it are kept
+        failed = exc
+    if not rows:
+        return _loaded(None, True, failed)
+    ids, counts, energies, metadata, tags = zip(*rows)
+    columns = fs.codec, ids, _flat(counts), energies, list(zip(*metadata)), tags
+    return _loaded(columns, True, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +697,8 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
             energy = energy_true * (1.0 + rng.normal(0.0, spec.noise_sigma))
             if energy > 0:
                 break
+        if energy == math.inf:
+            raise DataValidationError(f"noise_sigma {spec.noise_sigma} draws an infinite energy")
         coeff_total, val_total = sum([row[j] for j in coeff]), sum([row[j] for j in val])
         file_size = max(1, int(round(200.0 * frames + 2.0 * coeff_total + 0.6 * val_total)))
         counts.fromlist(row)

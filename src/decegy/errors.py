@@ -51,9 +51,10 @@ def about_file(path):
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text; an undecodable byte is a DataValidationError."""
+    """A UTF-8 file's text, its line ends as they are (a CSV cell may hold CR); an
+    undecodable byte is a DataValidationError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         message = f"not valid UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
     raise DataValidationError(message)

@@ -143,7 +143,7 @@ def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
     if k < 2:
         raise DataValidationError(f"k must be >= 2, got {k}")
     if k > record_count:
-        raise DataValidationError(f"k ({k}) exceeds the record count ({record_count})")
+        raise DataValidationError(f"dataset has {record_count} records, fewer than k={k}")
     if seed < 0:
         raise DataValidationError(f"seed must be >= 0, got {seed}")
     import numpy as np
@@ -218,11 +218,9 @@ def cross_validate(
     model = MODELS.get(model_kind)
     if model is None:
         raise ValueError(f"unknown model kind {model_kind!r}; expected one of {tuple(MODELS)}")
-    if len(dataset) < k:
-        raise DataValidationError(f"dataset has {len(dataset)} records, fewer than k={k}")
+    partition = make_folds(len(dataset), k, seed)  # which checks k and seed
     energies = [dataset.energy(i) for i in range(len(dataset))]
     options = fit_options or {}
-    partition = make_folds(len(dataset), k, seed)
 
     fold_errors: list[float | None] = []
     fold_params: list[dict | None] = []

@@ -3,9 +3,8 @@ which ``dataset`` builds on and ``decegy analyze`` writes its rows with directly
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import re
 from numbers import Integral
 from typing import Iterable
 
@@ -50,11 +49,28 @@ def check_record(stream_id: str, codec: Codec, features: FeatureVector, metadata
             raise DataValidationError("intra_frames exceeds frames")
 
 
-def csv_text(rows: Iterable[list]) -> str:
-    """CSV text of rows, the header first: LF line ends, a cell quoted only when it must be."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+_QUOTE = re.compile('[,"\n\r]')  # what a cell is quoted for
+
+
+def _cell(value) -> str:
+    """A cell as ``csv.writer`` makes it, but quoted for CR too: None is empty, a float is
+    its repr, and a cell that holds a comma, a double quote, LF or CR is quoted."""
+    text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    return '"' + text.replace('"', '""') + '"' if _QUOTE.search(text) else text
+
+
+def csv_text(rows: Iterable) -> str:
+    """CSV text of rows, the header first, with LF line ends and the cells of :func:`_cell`;
+    a row of text cells that need no quotes is joined as it is."""
+    lines = []
+    for row in rows:
+        try:
+            line = ",".join(row)  # a comma past the separators is a cell's
+            quote = '"' in line or "\n" in line or "\r" in line or line.count(",") >= len(row)
+        except TypeError:  # a cell that is not text
+            quote = True
+        lines.append(",".join(map(_cell, row)) if quote else line)
+    return "\n".join([*lines, ""])
 
 
 def csv_row(stream_id: str, codec: Codec, numbers, counts) -> list[str]:

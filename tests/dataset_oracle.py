@@ -5,10 +5,11 @@ These are the per-feature ``Kind`` dispatch of ``default_specific_energies``,
 and row), the CSV/JSON loaders that attached the row number at every
 check, before ``decegy.dataset`` moved the defaults into one table and each
 loader's row number into one place, and the CSV writer that built each row
-through ``schema.csv_row`` (which then also appended the tag and number cells)
-before ``dataset_to_csv`` built the cells column by column.  Records, datasets and specs are the library's own types.
-``test_dataset_oracle.py`` requires the library to give the same bytes or the
-same exception type and message, with this CSV loader's doubled
+through ``schema.csv_row`` (which then also appended the tag and number cells) and
+wrote them with ``csv.writer``, before ``dataset_to_csv`` built the cells column by
+column and ``schema.csv_text`` joined them itself.  Records, datasets and specs are the
+library's own types.  ``test_dataset_oracle.py`` requires the library to give the same
+bytes or the same exception type and message, with this CSV loader's doubled
 ``row N: row N:`` prefix collapsed.
 """
 
@@ -31,12 +32,13 @@ from decegy.dataset import (
 )
 from decegy.errors import DataValidationError
 from decegy.models import SpecificEnergies, predict_feature_model
-from decegy.schema import csv_row, csv_text
+from decegy.schema import csv_row
 from decegy.taxonomy import Codec, FeatureVector, Kind, build_feature_set
 
 
 def dataset_to_csv(dataset: Dataset, last_columns=MappingProxyType({})) -> str:
-    """The dataset as CSV text, one ``csv_row`` per record."""
+    """The dataset as CSV text, one ``csv_row`` per record, through ``csv.writer`` (which
+    leaves a cell that holds CR unquoted)."""
     tag_keys = sorted({key for tags in dataset.tags for key in tags})
 
     def rows():
@@ -47,7 +49,9 @@ def dataset_to_csv(dataset: Dataset, last_columns=MappingProxyType({})) -> str:
             row = csv_row(rec.stream_id, dataset.codec, numbers, rec.features.tolist())
             yield [*row, *cells, *(repr(float(value)) for value in last)]
 
-    return csv_text(rows())
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows())
+    return out.getvalue()
 
 
 def _parse_optional_int(raw: str | None, column: str, row: int) -> int | None:

@@ -1020,3 +1020,33 @@ def test_main_lets_non_decegy_exceptions_through(monkeypatch, tmp_path):
     monkeypatch.setattr("decegy.cli.cmd_fit", broken)
     with pytest.raises(KeyError):
         main(["fit", "--dataset", str(tmp_path / "x.csv")])
+
+
+def test_a_tag_that_holds_cr_survives_predict_and_fit(tmp_path, capsys):
+    """A CSV cell that holds CR is quoted, so the CSV that ``predict`` writes loads again."""
+    data, params = _hevc_files(tmp_path, count=4)
+    doc = json.loads(data.read_text())
+    for record in doc["records"]:
+        record["tags"] = {"note": "a\rb"}
+    data.write_text(json.dumps(doc))
+    predicted = tmp_path / "p.csv"
+    assert main(["predict", "--dataset", str(data), "--params", str(params),
+                 "--out", str(predicted)]) == 0
+    assert main(["fit", "--dataset", str(predicted)]) == 0, capsys.readouterr().err
+    assert [tags["note"] for tags in load_dataset(predicted).tags] == ["a\rb"] * 4
+
+
+def test_synth_errors_name_the_parameter_file_or_the_noise_level(tmp_path, capsys):
+    """An energy that synth cannot make names the parameter file it came from, and a
+    noise level that draws an infinite energy names noise_sigma."""
+    out = str(tmp_path / "s.csv")
+    for name, energy, message in (("neg", -100.0, "true parameters produce nonpositive energy"),
+                                  ("big", 1e308, _OVERFLOW)):
+        values = {**default_specific_energies(Codec.HEVC).as_dict(), "e0": energy, "frame": energy}
+        params = tmp_path / f"{name}.json"
+        save_params(SpecificEnergies.from_dict(HEVC, values), Codec.HEVC, params)
+        assert main(["synth", "--codec", "hevc", "--params", str(params), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {params}: {message}")
+    assert main(["synth", "--codec", "h263", "--count", "1", "--sigma=1e308", "--seed", "15",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == "error: noise_sigma 1e+308 draws an infinite energy\n"

@@ -8,7 +8,9 @@ duplicate, flip, truncate, swap).  ``main`` must return 0-3 without raising;
 a failing run ends stderr with one ``error:``, ``fit error:`` or
 ``usage error:`` line, which names a mutated dataset or parameter file exactly
 when that file cannot be read alone, and a successful ``predict`` or
-``analyze`` writes one row per input stream with its id.
+``analyze`` writes one row per input stream with its id.  In both kinds of run,
+an exit-2 message of a command that read a file names one of the files given,
+unless it is about an argument's value, which it then names.
 
 Other examples run ``synth``, ``fit``, ``crossval``, ``predict`` and ``report`` on
 valid files with drawn values of ``--count``, ``--k``, ``--seed``, ``--sigma``
@@ -239,6 +241,21 @@ def _check_outputs(workdir: Path, inputs) -> None:
                         assert math.isfinite(float(cell)), (path.name, name, cell)
 
 
+#: The words with which an error about an argument's value names the argument.
+_ARGUMENT_NAMES = {"--count": "count ", "--k": "k ", "--seed": "seed ",
+                   "--sigma": "noise_sigma ", "--streams": "unknown stream id(s): "}
+
+
+def _names_its_input(message: str, argv, files, workdir: Path) -> bool:
+    """Whether an exit-2 message names a file that the command was given, or the argument
+    whose value it rejects."""
+    if any(str(workdir / arg) in message for arg in argv if arg in files):
+        return True
+    given = {arg.split("=", 1)[0] for arg in argv}
+    return any(message.startswith(f"error: {words}")
+               for option, words in _ARGUMENT_NAMES.items() if option in given)
+
+
 def _ids_in(csv_path: Path) -> list[str]:
     rows = list(csv.reader(csv_path.open(encoding="utf-8", newline="")))
     return [row[0] for row in rows[1:]]
@@ -255,6 +272,7 @@ def test_mutated_inputs_end_in_an_exit_code(run):
         if rc:
             last = err.splitlines()[-1]
             assert last.startswith(("error:", "fit error:", "usage error:"))
+            assert rc != 2 or _names_its_input(last, argv, files, workdir), last
             if target != "trace.jsonl":
                 path = workdir / target
                 named = last.startswith(f"error: {path}: ")
@@ -319,5 +337,8 @@ def test_drawn_arguments_end_in_an_exit_code_and_strict_outputs(run):
         rc, _, err = _run(argv, files, workdir)
         assert rc in (0, 1, 2, 3)
         if rc:
-            assert err.splitlines()[-1].startswith(("error:", "fit error:", "usage error:"))
+            last = err.splitlines()[-1]
+            assert last.startswith(("error:", "fit error:", "usage error:"))
+            read_a_file = any(arg in files for arg in argv)  # synth reads none without --params
+            assert rc != 2 or not read_a_file or _names_its_input(last, argv, files, workdir), last
         _check_outputs(workdir, files)

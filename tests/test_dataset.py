@@ -319,3 +319,52 @@ def test_synth_rejects_non_finite_ranges():
     for bounds in ((0.0, float("inf")), (float("nan"), float("nan"))):
         with pytest.raises(ValueError, match="bad range for 'pel'"):
             SynthSpec(Codec.VP9, 5, count_ranges={"pel": bounds})
+
+
+@pytest.mark.parametrize(
+    "suffix, column, value, message",
+    [("csv", "frame", "x", "column 'frame': not a number: 'x'"),
+     ("csv", "width", "-5", "width must be positive, got -5"),
+     ("json", "width", "x", "'width': not an integer: 'x'"),
+     ("json", "width", -5, "width must be positive, got -5")],
+    ids=["csv-parse", "csv-record", "json-parse", "json-record"],
+)
+def test_a_failing_load_builds_no_row_alone_but_the_bad_one(monkeypatch, suffix, column, value,
+                                                          message):
+    """The first bad row is found from the columns: a load of 5000 rows whose last row is bad
+    parses each row once and builds at most one row alone, as a parse or as a record."""
+    import decegy.dataset as module
+
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 5000, seed=1))
+    if suffix == "csv":
+        lines = dataset_to_csv(dataset).split("\n")
+        cells = lines[-2].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[-2] = ",".join(cells)
+        text, load, row = "\n".join(lines), dataset_from_csv, 5001
+    else:
+        doc = json.loads(dataset_to_json(dataset))
+        doc["records"][-1][column] = value
+        text, load, row = json.dumps(doc), dataset_from_json, 5000
+    rows_parsed, alone = [], []
+
+    def counted(name, rows_of):
+        real = getattr(module, name)
+
+        def call(*args):
+            rows = rows_of(*args)
+            rows_parsed.append(rows)
+            if rows == 1 and name != "_json_row":
+                alone.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted("_csv_columns", lambda header, rows, *_: len(rows))
+    counted("_json_row", lambda *_: 1)
+    counted("_record", lambda *_: 1)
+    with pytest.raises(DataValidationError) as excinfo:
+        load(text)
+    assert str(excinfo.value) == f"row {row}: {message}"
+    assert len(alone) <= 1, alone
+    assert sum(rows_parsed) <= 5000 + 500 + 1  # one more pass over the failing chunk at most

@@ -2,15 +2,17 @@
 
 ``dataset_oracle`` holds the earlier implementations: per-feature ``Kind``
 dispatch with one scalar draw per feature and row, loaders that attached
-the row number at every check, and a CSV writer that built one row at a time.
-On random specs for all four codecs, noise levels at which the generator
-draws the noise again included, the library generator must write the same
-CSV bytes; on random datasets the library writer must write the same bytes or
-raise the same exception; and on synthetic CSV/JSON files with one cell or
-field replaced the loaders must give the same dataset bytes or the same
-exception type and message.  The oracle's CSV loader reported some errors with
-a doubled ``row N: row N:`` prefix; that is the one difference allowed, and
-the library must never produce it.
+the row number at every check, and a CSV writer that built one row at a time
+through ``csv.writer``.  On random specs for all four codecs, noise levels at
+which the generator draws the noise again included, the library generator must
+write the same CSV bytes; on random datasets without CR in a cell the library
+writer must write the same bytes or raise the same exception (a cell with CR,
+which ``csv.writer`` leaves unquoted, is quoted and must read back); and on
+synthetic CSV/JSON files with one cell or field replaced, or two or three in
+different rows of a file longer than one CSV chunk, the loaders must give the
+same dataset bytes or the same exception type and message.  The oracle's CSV
+loader reported some errors with a doubled ``row N: row N:`` prefix; that is
+the one difference allowed, and the library must never produce it.
 """
 
 import csv
@@ -25,7 +27,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import dataset_oracle  # noqa: E402
@@ -46,7 +48,8 @@ from decegy.dataset import (  # noqa: E402
     dataset_to_csv,
     dataset_to_json,
 )
-from decegy.dataset import _csv_rows  # noqa: E402
+from decegy.dataset import _CSV_CHUNK, _csv_rows  # noqa: E402
+from decegy.schema import csv_text  # noqa: E402
 from decegy.taxonomy import FeatureVector, build_feature_set  # noqa: E402
 
 _DOUBLED_ROW = re.compile(r"^(row \d+: )\1")
@@ -113,8 +116,10 @@ def test_synth_redraws_noise_at_sigma_0_9_as_the_oracle_does(monkeypatch):
     assert len(normals) > 200  # a normal below -1/0.9 makes a nonpositive energy
 
 
-#: Tag text that CSV must quote, and line breaks of str.splitlines that are not CSV's.
-_AWKWARD = st.text(st.sampled_from('a ,"\n\r\x0c\x1c\x85\u2028\u2029'), max_size=6)
+#: Tag text that CSV must quote, and line breaks of str.splitlines that are not CSV's.  CR
+#: is left out: the oracle's ``csv.writer`` leaves it unquoted, which the library quotes
+#: (``test_csv_text_is_csv_writer_and_quotes_cr``).
+_AWKWARD = st.text(st.sampled_from('a ,"\n\x0c\x1c\x85\u2028\u2029'), max_size=6)
 _INTEGER = st.none() | st.integers(1, 2**53)
 
 
@@ -153,6 +158,27 @@ def _written(write, dataset, last):
 @given(written_datasets())
 def test_csv_writer_matches_the_row_wise_oracle(drawn):
     assert _written(dataset_to_csv, *drawn) == _written(dataset_oracle.dataset_to_csv, *drawn)
+
+
+_CELLS = (st.text(st.sampled_from('a ,"\n\x0c\x1c\x85\u2028'), max_size=5) | st.none()
+          | st.integers(-10**20, 10**20) | st.floats() | st.booleans())
+
+
+def _writer_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_CELLS, min_size=2, max_size=5), max_size=4),
+       st.lists(st.lists(st.text(st.sampled_from('a,"\r\n'), max_size=4), min_size=2,
+                         max_size=4), max_size=4))
+def test_csv_text_is_csv_writer_and_quotes_cr(rows, texts):
+    """Rows of two or more cells without CR are written as ``csv.writer`` writes them;
+    text cells that hold CR, which it leaves unquoted, read back exactly."""
+    assert csv_text(rows) == _writer_text(rows)
+    assert list(csv.reader(io.StringIO(csv_text(texts)))) == texts
 
 
 @settings(max_examples=300)
@@ -290,3 +316,71 @@ def test_json_loader_matches_the_oracle_on_every_base_field():
                     _assert_same_as_oracle(
                         dataset_from_json, dataset_oracle.dataset_from_json, text, require_energy
                     )
+
+
+@lru_cache(maxsize=None)
+def _long(codec: Codec) -> Dataset:
+    """A synthetic dataset one CSV chunk and a hundred rows long."""
+    return synth_dataset(SynthSpec(codec, _CSV_CHUNK + 100, noise_sigma=0.05, seed=5))
+
+
+_MULTI_CSV_POOL = ["", "x", "-5", "0", "2", "1e400", "zz", "\ud800", "<dup>"]
+_MULTI_JSON_POOL = ["x", -5, 0, 2, None, 10**400, "", "\ud800", "<dup>"]
+
+
+def _multi_edited(codec: Codec, suffix: str, edits) -> str:
+    """The long dataset's text with each ``(row, column, value)`` of ``edits`` set in turn;
+    rows count from 0 and ``"<dup>"`` stands for the stream id of the row before."""
+    dataset = _long(codec)
+    if suffix == "csv":
+        lines = dataset_to_csv(dataset).split("\n")  # synthetic cells hold no comma or quote
+        header = lines[0].split(",")
+        for r, column, value in edits:
+            cells = lines[1 + r].split(",")
+            cells[header.index(column)] = lines[r].split(",")[0] if value == "<dup>" else value
+            lines[1 + r] = ",".join(cells)
+        return "\n".join(lines)
+    doc = json.loads(dataset_to_json(dataset))
+    records = doc["records"]
+    for r, column, value in edits:
+        value = records[r - 1]["stream_id"] if value == "<dup>" else value
+        if column in build_feature_set(codec).names:
+            records[r]["features"][column] = value
+        else:
+            records[r][column] = value
+    return json.dumps(doc)
+
+
+@st.composite
+def multi_edits(draw):
+    """Two or three cells of different rows of the long dataset, in either chunk, edited."""
+    codec = draw(st.sampled_from(list(Codec)))
+    suffix = draw(st.sampled_from(["csv", "json"]))
+    columns = [*BASE_COLUMNS, *build_feature_set(codec).names]
+    if suffix == "json":
+        columns.remove("codec")
+    rows = draw(st.lists(st.integers(1, _CSV_CHUNK + 99), min_size=2, max_size=3, unique=True))
+    pool = _MULTI_CSV_POOL if suffix == "csv" else _MULTI_JSON_POOL
+    edits = [(r, draw(st.sampled_from(columns)), draw(st.sampled_from(pool))) for r in rows]
+    return codec, suffix, edits
+
+
+@settings(max_examples=25, deadline=None)
+@given(multi_edits(), st.booleans())
+@example((Codec.HEVC, "csv", [(3, "stream_id", "<dup>"), (550, "frame", "x")]), True)
+@example((Codec.HEVC, "csv", [(3, "stream_id", "<dup>"), (550, "width", "-5")]), True)
+@example((Codec.H264, "csv", [(40, "width", "-5"), (520, "frame", "x")]), True)
+@example((Codec.H264, "csv", [(520, "width", "-5"), (40, "frame", "x")]), False)
+@example((Codec.VP9, "csv", [(480, "intra_frames", "-5"), (510, "codec", "zz")]), True)
+@example((Codec.HEVC, "json", [(3, "stream_id", "<dup>"), (550, "frame", "x")]), True)
+@example((Codec.HEVC, "json", [(40, "width", -5), (520, "height", "x")]), True)
+@example((Codec.H263, "json", [(5, "energy_joules", None), (7, "width", 0)]), False)
+def test_loaders_match_the_oracle_with_several_bad_rows(edit, require_energy):
+    codec, suffix, edits = edit
+    text = _multi_edited(codec, suffix, edits)
+    if suffix == "csv":
+        _assert_same_as_oracle(dataset_from_csv, dataset_oracle.dataset_from_csv, text,
+                               require_energy)
+    else:
+        _assert_same_as_oracle(dataset_from_json, dataset_oracle.dataset_from_json, text,
+                               require_energy)
