@@ -154,8 +154,8 @@ def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
     return FoldPartition(k=k, assignment=assignment, seed=seed)
 
 
-def mean_relative_error(estimates, measured) -> float:
-    """Mean of |estimate - measured| / measured; 0 for a perfect estimator."""
+def _relative_errors(estimates, measured) -> np.ndarray:
+    """|estimate - measured| / measured per record."""
     import numpy as np
 
     est = np.asarray(estimates, dtype=float)
@@ -166,7 +166,12 @@ def mean_relative_error(estimates, measured) -> float:
         raise ValueError("empty input")
     if np.any(meas <= 0):
         raise ValueError("measured energies must be positive")
-    return float(np.mean(np.abs(est - meas) / meas))
+    return np.abs(est - meas) / meas
+
+
+def mean_relative_error(estimates, measured) -> float:
+    """Mean of |estimate - measured| / measured; 0 for a perfect estimator."""
+    return float(_relative_errors(estimates, measured).mean())
 
 
 @dataclass
@@ -225,23 +230,26 @@ def cross_validate(
     fold_errors: list[float | None] = []
     fold_params: list[dict | None] = []
     per_stream: dict[str, float] = {}
+    estimates, measured = [], []  # of the folds that fit, in the order of `per_stream`
     failed: list[int] = []
     for fold in range(k):
-        val_idx = partition.fold_indices(fold)
+        val_idx = partition.fold_indices(fold).tolist()
         try:
             params, _ = model.fit(dataset, np.flatnonzero(partition.assignment != fold), options)
-            errors = []
-            for i, estimate in zip(val_idx.tolist(), model.predict(params, dataset, val_idx)):
-                errors.append(abs(estimate - energies[i]) / energies[i])
-                per_stream[dataset.ids[i]] = errors[-1]
-            fold_errors.append(float(np.mean(errors)))
+            fold_estimates = model.predict(params, dataset, val_idx)
+            fold_measured = [energies[i] for i in val_idx]
+            errors = _relative_errors(fold_estimates, fold_measured).tolist()
+            per_stream.update(zip([dataset.ids[i] for i in val_idx], errors))
+            fold_errors.append(mean_relative_error(fold_estimates, fold_measured))
             fold_params.append(params_to_dict(params))
+            estimates += fold_estimates
+            measured += fold_measured
         except FitError as exc:
             warnings.warn(f"fold {fold} failed: {exc}", stacklevel=2)
             failed.append(fold)
             fold_errors.append(None)
             fold_params.append(None)
-    overall = float(np.mean(list(per_stream.values()))) if per_stream else math.nan
+    overall = mean_relative_error(estimates, measured) if measured else math.nan
     return CVReport(
         model_kind=model_kind,
         k=k,

@@ -239,9 +239,9 @@ class TrustRegionOptions:
             raise ValueError("all trust-region options must be positive")
 
 
-def _dogleg_step(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
-    """Dogleg minimizer of the Gauss-Newton model within the radius."""
-    p_gn = _lstsq(J, -r)
+def _dogleg_step(J: np.ndarray, p_gn: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
+    """Dogleg minimizer of the Gauss-Newton model within the radius, given the model's
+    Gauss-Newton point ``p_gn`` (``_lstsq(J, -r)``)."""
     if np.linalg.norm(p_gn) <= radius:
         return p_gn
     Jg = J @ g
@@ -291,6 +291,7 @@ def fit_trust_region(
     radius = opts.initial_radius
     J = _jacobian(jacobian_fn, x)
     g = J.T @ r
+    p_gn = _lstsq(J, -r)  # solved again only with a new Jacobian, not after a rejected step
     gnorm0 = float(np.linalg.norm(g, np.inf))
     gradient_floor = opts.gradient_tolerance * max(1.0, gnorm0)
 
@@ -303,7 +304,7 @@ def fit_trust_region(
         if gnorm <= gradient_floor:
             diagnostics.termination = "gradient_tolerance"
             break
-        step = _dogleg_step(J, r, g, radius)
+        step = _dogleg_step(J, p_gn, g, radius)
         step_norm = float(np.linalg.norm(step))
         if step_norm <= opts.step_tolerance * (float(np.linalg.norm(x)) + opts.step_tolerance):
             diagnostics.termination = "step_tolerance"
@@ -328,6 +329,7 @@ def fit_trust_region(
             cost = cost_trial
             J = _jacobian(jacobian_fn, x)
             g = J.T @ r
+            p_gn = _lstsq(J, -r)
             diagnostics.cost_history.append(cost)
 
         if radius <= 1e-16 * max(1.0, float(np.linalg.norm(x))):

@@ -20,9 +20,9 @@ Feature identifiers serialize as lowercase names such as ``e0``, ``frame``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import DataValidationError, json_text
@@ -131,33 +131,77 @@ def counted_sizes(codec: Codec, kind: Kind) -> tuple[int, ...]:
     return table[kind][codec]
 
 
-@dataclass(frozen=True)
-class FeatureId:
+class Frozen:
+    """Base of the immutable value classes: feature ids and sets, trace events and traces.
+
+    A subclass names its fields in ``__slots__`` in constructor order (then any derived
+    values, if ``_fields`` names the fields alone) and stores them with :meth:`_set`.  It
+    gets what a frozen dataclass gives: equality and hashing over the fields within one
+    type (the hash kept once made, as ``Counter(trace.events)`` asks for it often), the
+    dataclass repr, AttributeError on assignment and deletion, and copy and pickle through
+    the constructor.  It exists because importing ``dataclasses`` (which loads ``inspect``)
+    and making frozen dataclasses cost each ``decegy analyze`` process about 15 ms of CPU.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):
+        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = attrgetter(*fields or ["__class__"])  # a fieldless type has one value
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # the first time
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FeatureId(Frozen):
     """One countable feature of one codec.
 
     ``block_size`` is present exactly for the sized kinds (intra, inter,
     trans); ``entropy_mode`` exactly for the H.264 coeff/val features.
     """
 
-    codec: Codec
-    kind: Kind
-    block_size: int | None = None
-    entropy_mode: EntropyMode | None = None
+    __slots__ = ("codec", "kind", "block_size", "entropy_mode")
 
-    def __post_init__(self):
-        if (self.block_size is not None) != (self.kind in _SIZED_KINDS):
+    def __init__(self, codec: Codec, kind: Kind, block_size: int | None = None,
+                 entropy_mode: EntropyMode | None = None):
+        if (block_size is not None) != (kind in _SIZED_KINDS):
             raise ValueError(
                 f"block_size must be present iff kind is intra/inter/trans "
-                f"(kind={self.kind.value}, block_size={self.block_size})"
+                f"(kind={kind.value}, block_size={block_size})"
             )
-        if self.block_size is not None and self.block_size not in BLOCK_SIZES:
-            raise ValueError(f"block size {self.block_size} outside {BLOCK_SIZES}")
-        wants_entropy = self.codec is Codec.H264 and self.kind in (Kind.COEFF, Kind.VAL)
-        if (self.entropy_mode is not None) != wants_entropy:
+        if block_size is not None and block_size not in BLOCK_SIZES:
+            raise ValueError(f"block size {block_size} outside {BLOCK_SIZES}")
+        wants_entropy = codec is Codec.H264 and kind in (Kind.COEFF, Kind.VAL)
+        if (entropy_mode is not None) != wants_entropy:
             raise ValueError(
                 "entropy_mode is used exactly for H.264 coeff/val features "
-                f"(codec={self.codec.value}, kind={self.kind.value})"
+                f"(codec={codec.value}, kind={kind.value})"
             )
+        self._set(codec, kind, block_size, entropy_mode)
 
     @property
     def category(self) -> Category:
@@ -185,27 +229,25 @@ def feature_category(feature: FeatureId) -> Category:
     return feature.category
 
 
-@dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(Frozen):
     """The ordered, canonical feature list of one codec."""
 
-    codec: Codec
-    features: tuple[FeatureId, ...]
+    __slots__ = ("codec", "features", "_index", "_names", "_category_columns")
+    _fields = __slots__[:2]
 
-    def __post_init__(self):
+    def __init__(self, codec: Codec, features: tuple[FeatureId, ...]):
         index: dict = {}
         columns: dict[Category, list[int]] = {cat: [] for cat in Category}
-        for i, fid in enumerate(self.features):
-            if fid.codec is not self.codec:
+        for i, fid in enumerate(features):
+            if fid.codec is not codec:
                 raise ValueError(f"feature {fid.name} belongs to {fid.codec.value}")
             if fid in index or fid.name in index:
                 raise ValueError(f"duplicate feature {fid.name}")
             index[fid] = i
             index[fid.name] = i
             columns[_KIND_CATEGORY[fid.kind]].append(i)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_names", tuple(fid.name for fid in self.features))
-        object.__setattr__(self, "_category_columns", {c: tuple(i) for c, i in columns.items()})
+        names = tuple(fid.name for fid in features)
+        self._set(codec, features, index, names, {c: tuple(i) for c, i in columns.items()})
 
     def __len__(self) -> int:
         return len(self.features)

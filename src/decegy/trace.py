@@ -57,7 +57,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product, repeat, starmap
 from typing import Iterable, Union
@@ -69,6 +68,7 @@ from .taxonomy import (
     EntropyMode,
     FeatureId,
     FeatureVector,
+    Frozen,
     Kind,
     build_feature_set,
     counted_sizes,
@@ -86,49 +86,45 @@ CODEC_DIMS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class FrameStart:
-    pass
+class FrameStart(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class IntraBlock:
-    w: int
-    h: int
+class IntraBlock(Frozen):
+    __slots__ = ("w", "h")
+
+    def __init__(self, w: int, h: int):
+        self._set(w, h)
 
 
-@dataclass(frozen=True, slots=True)
-class InterBlock:
-    w: int
-    h: int
-    bipred: bool = False
-    frac_h: bool = False
-    frac_v: bool = False
-    obmc: bool = False
+class InterBlock(Frozen):
+    __slots__ = ("w", "h", "bipred", "frac_h", "frac_v", "obmc")
+
+    def __init__(self, w: int, h: int, bipred: bool = False, frac_h: bool = False,
+                 frac_v: bool = False, obmc: bool = False):
+        self._set(w, h, bipred, frac_h, frac_v, obmc)
 
 
-@dataclass(frozen=True, slots=True)
-class TransformBlock:
-    w: int
-    h: int
+class TransformBlock(Frozen):
+    __slots__ = ("w", "h")
+
+    def __init__(self, w: int, h: int):
+        self._set(w, h)
 
 
-@dataclass(frozen=True, slots=True)
-class Coefficient:
-    value: int
-    coded_bits: int
-    entropy: EntropyMode | None = None
+class Coefficient(Frozen):
+    __slots__ = ("value", "coded_bits", "entropy")
 
-    def __post_init__(self):
-        if self.value == 0:
+    def __init__(self, value: int, coded_bits: int, entropy: EntropyMode | None = None):
+        if value == 0:
             raise ValueError("coefficient value must be non-zero")
-        if self.coded_bits <= 0:
+        if coded_bits <= 0:
             raise ValueError("coded_bits must be positive")
+        self._set(value, coded_bits, entropy)
 
 
-@dataclass(frozen=True, slots=True)
-class SaoBlock:
-    pass
+class SaoBlock(Frozen):
+    __slots__ = ()
 
 
 DecodeEvent = Union[FrameStart, IntraBlock, InterBlock, TransformBlock, Coefficient, SaoBlock]
@@ -136,20 +132,18 @@ DecodeEvent = Union[FrameStart, IntraBlock, InterBlock, TransformBlock, Coeffici
 _BLOCK_EVENTS = (IntraBlock, InterBlock, TransformBlock, Coefficient, SaoBlock)
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+class DecodeTrace(Frozen):
     """Ordered decode events of one bitstream."""
 
-    stream_id: str
-    codec: Codec
-    events: tuple[DecodeEvent, ...]
+    __slots__ = ("stream_id", "codec", "events")
 
-    def __post_init__(self):
-        for ev in self.events:
+    def __init__(self, stream_id: str, codec: Codec, events: tuple[DecodeEvent, ...]):
+        for ev in events:
             if isinstance(ev, FrameStart):
                 break
             if isinstance(ev, _BLOCK_EVENTS):
                 raise ValueError("block event before the first frame_start")
+        self._set(stream_id, codec, events)
 
 
 def _parse_codec(raw) -> Codec:

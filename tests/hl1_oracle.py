@@ -4,7 +4,8 @@
 function built the full Jacobian on every call and dropped it, recomputed
 bytes per pixel and its logarithm each time, and the distinct bytes-per-pixel
 test was ``np.unique``.  ``fit_trust_region`` is the earlier dogleg loop, which
-also set a trial cost that overflowed to infinity again.  The least-squares
+also set a trial cost that overflowed to infinity again and solved for the
+Gauss-Newton point on every iteration, a rejected step's too.  The least-squares
 kernel, the dogleg step and the Jacobian check are the package's own, so
 ``test_hl1_oracle.py`` compares only what was rewritten.
 """
@@ -51,7 +52,7 @@ def fit_trust_region(
         if gnorm <= gradient_floor:
             diagnostics.termination = "gradient_tolerance"
             break
-        step = _dogleg_step(J, r, g, radius)
+        step = _dogleg_step(J, _lstsq(J, -r), g, radius)  # solved on every iteration
         step_norm = float(np.linalg.norm(step))
         if step_norm <= opts.step_tolerance * (float(np.linalg.norm(x)) + opts.step_tolerance):
             diagnostics.termination = "step_tolerance"

@@ -27,7 +27,6 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -81,7 +80,8 @@ def _trace_text(trace) -> str:
             lines.append({"event": "coeff", "value": ev.value, "bits": ev.coded_bits,
                           "entropy": entropy})
         else:
-            lines.append({"event": _EVENT_NAMES[type(ev)], **asdict(ev)})
+            fields = {name: getattr(ev, name) for name in ev.__slots__}
+            lines.append({"event": _EVENT_NAMES[type(ev)], **fields})
     return "".join(f"{json.dumps(line)}\n" for line in lines)
 
 

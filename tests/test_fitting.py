@@ -25,6 +25,7 @@ from decegy import (
     hl1_residuals_jacobian,
     synth_dataset,
 )
+from decegy import fitting
 from decegy.models import HighLevelColumns
 from util import hl1_records, hl2_records
 
@@ -267,6 +268,38 @@ def test_trust_region_is_deterministic():
     x2, d2 = fit_trust_region(residual, jacobian, [-1.2, 1.0])
     assert np.array_equal(x1, x2)
     assert d1.iterations == d2.iterations
+
+
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls of these private ``fitting`` functions from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(fitting, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(fitting, name, counted)
+    return calls
+
+
+def test_the_gauss_newton_point_is_solved_once_per_jacobian(monkeypatch):
+    def residual(v):
+        return np.array([10.0 * (v[1] - v[0] ** 2), 1.0 - v[0]])
+
+    def jacobian(v):
+        return np.array([[-20.0 * v[0], 10.0], [-1.0, 0.0]])
+
+    calls = _count_calls(monkeypatch, "_lstsq", "_jacobian")
+    _, diagnostics = fit_trust_region(residual, jacobian, [-1.2, 1.0])
+    accepted = len(diagnostics.cost_history) - 1
+    assert diagnostics.iterations > accepted + 1  # some steps were rejected
+    assert calls == {"_lstsq": accepted + 1, "_jacobian": accepted + 1}
+
+
+def test_an_hl1_fit_solves_once_per_jacobian_and_start(monkeypatch):
+    records = hl1_records(np.random.default_rng(5), 60, TRUE_HL1, noise_sigma=0.1)
+    calls = _count_calls(monkeypatch, "_lstsq", "_jacobian")
+    fit_hl1(records)
+    assert calls["_lstsq"] == calls["_jacobian"] + 3  # a preliminary fit per start
 
 
 # ---------------------------------------------------------------------------

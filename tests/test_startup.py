@@ -6,8 +6,9 @@ scipy cannot be imported.  ``--help``, ``analyze``, ``predict`` (of every model)
 and ``report`` do not load numpy, through the console script's
 ``decegy.cli:main`` or ``python -m decegy``, and run where numpy cannot be
 imported, with the same output.  Only ``analyze`` loads ``decegy.trace``, only
-``report --svg`` loads ``html``, and no command loads ``numpy.ma``.  The package
-serves its public names lazily.
+``report --svg`` loads ``html``, and no command loads ``numpy.ma``; ``--help`` and
+``analyze`` load neither ``dataclasses`` nor ``inspect``.  The package serves its
+public names lazily.
 """
 
 import argparse
@@ -188,6 +189,11 @@ def test_only_report_with_a_chart_loads_html(modules_of, args):
 @pytest.mark.parametrize("args", _EVERY_COMMAND, ids=_command_id)
 def test_no_command_loads_numpy_ma(modules_of, args):
     assert "numpy.ma" not in modules_of(tuple(args))
+
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND[:2], ids=_command_id)
+def test_help_and_analyze_load_neither_dataclasses_nor_inspect(modules_of, args):
+    assert not {"dataclasses", "inspect"} & modules_of(tuple(args))
 
 
 _WITHOUT_NUMPY_COMMANDS = [["--help"], *(["analyze", f"{c.value}.jsonl"] for c in Codec)]
