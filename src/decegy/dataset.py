@@ -38,7 +38,6 @@ import re
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add, gt, iadd, itemgetter, mul, sub
@@ -51,12 +50,12 @@ from .errors import json_text, read_json, read_text
 from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, feature_estimate
 from .models import feature_values
 from .schema import BASE_COLUMNS, METADATA_COLUMNS, check_record, csv_text
-from .taxonomy import Codec, FeatureSet, FeatureVector, Kind, build_feature_set, float_array
+from .taxonomy import Codec, FeatureSet, FeatureVector, Frozen, Kind, build_feature_set
+from .taxonomy import float_array
 from .taxonomy import validate_vector  # noqa: F401  bench/spans.py wraps it here
 
 
-@dataclass(frozen=True)
-class BitstreamRecord:
+class BitstreamRecord(Frozen):
     """One bitstream: feature counts, high-level metadata, measured energy.
 
     The metadata and energy fields may be None for partially filled rows
@@ -64,22 +63,17 @@ class BitstreamRecord:
     metadata fields are present.
     """
 
-    stream_id: str
-    codec: Codec
-    features: FeatureVector
-    width: int | None = None
-    height: int | None = None
-    frames: int | None = None
-    file_size_bytes: int | None = None
-    intra_frames: int | None = None
-    energy_joules: float | None = None
-    tags: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("stream_id", "codec", "features", *METADATA_COLUMNS, "energy_joules", "tags")
 
-    def __post_init__(self):
-        metadata = [getattr(self, name) for name in METADATA_COLUMNS]
-        check_record(self.stream_id, self.codec, self.features, metadata, self.energy_joules,
-                     self.tags)
-        object.__setattr__(self, "tags", MappingProxyType(dict(self.tags)))
+    def __init__(self, stream_id: str, codec: Codec, features: FeatureVector,
+                 width: int | None = None, height: int | None = None, frames: int | None = None,
+                 file_size_bytes: int | None = None, intra_frames: int | None = None,
+                 energy_joules: float | None = None,
+                 tags: Mapping[str, str] = MappingProxyType({})):
+        metadata = [width, height, frames, file_size_bytes, intra_frames]
+        check_record(stream_id, codec, features, metadata, energy_joules, tags)
+        tags = MappingProxyType(dict(tags))
+        self._set(stream_id, codec, features, *metadata, energy_joules, tags)
 
     @property
     def highlevel(self) -> HighLevelInfo | None:
@@ -345,11 +339,12 @@ def dataset_to_csv(
     dataset: Dataset, last_columns: Mapping[str, Iterable[float]] = MappingProxyType({})
 ) -> str:
     """The dataset as CSV text; ``last_columns`` maps the names of number columns to
-    append, such as estimates, to their values, one per row.
+    append, such as estimates, to their values, one per row: each replaces a tag column
+    of its name, as a second ``predict`` replaces the first one's ``E_hat``.
 
     The cells are made column by column, each as the writer reads its row, so that only
     the text is held whole."""
-    tag_keys = sorted({key for tags in dataset.tags for key in tags})
+    tag_keys = sorted({key for tags in dataset.tags for key in tags} - set(last_columns))
     header = [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]
     width = dataset._width
     columns = [
@@ -628,8 +623,7 @@ def default_count_ranges(codec: Codec) -> dict[str, tuple[float, float]]:
 MAX_SYNTH_COUNT = 1_000_000
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(Frozen):
     """Recipe for a synthetic dataset with known ground truth.
 
     Feature counts are drawn uniformly from per-feature ranges (e0 fixed to
@@ -638,30 +632,27 @@ class SynthSpec:
     relative standard deviation of multiplicative Gaussian noise (0 = exact).
     """
 
-    codec: Codec
-    count: int
-    true_params: SpecificEnergies | None = None
-    count_ranges: Mapping[str, tuple[float, float]] | None = None
-    noise_sigma: float = 0.0
-    seed: int = 0
+    __slots__ = ("codec", "count", "true_params", "count_ranges", "noise_sigma", "seed")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, codec: Codec, count: int, true_params: SpecificEnergies | None = None,
+                 count_ranges: Mapping[str, tuple[float, float]] | None = None,
+                 noise_sigma: float = 0.0, seed: int = 0):
+        if count < 1:
             raise DataValidationError("count must be >= 1")
-        if self.count > MAX_SYNTH_COUNT:
-            raise DataValidationError(f"count must be <= {MAX_SYNTH_COUNT}, got {self.count}")
-        if not self.noise_sigma >= 0:
+        if count > MAX_SYNTH_COUNT:
+            raise DataValidationError(f"count must be <= {MAX_SYNTH_COUNT}, got {count}")
+        if not noise_sigma >= 0:
             raise DataValidationError("noise_sigma must be >= 0")
-        if self.noise_sigma == math.inf:
-            raise DataValidationError(f"noise_sigma must be finite, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise DataValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.true_params is not None and self.true_params.feature_set.codec is not self.codec:
+        if noise_sigma == math.inf:
+            raise DataValidationError(f"noise_sigma must be finite, got {noise_sigma}")
+        if seed < 0:
+            raise DataValidationError(f"seed must be >= 0, got {seed}")
+        if true_params is not None and true_params.feature_set.codec is not codec:
             raise ValueError("true_params codec mismatch")
-        if self.count_ranges is not None:
-            for name, (lo, hi) in self.count_ranges.items():
-                if not 0 <= lo <= hi < math.inf:
-                    raise ValueError(f"bad range for {name!r}: ({lo}, {hi})")
+        for name, (lo, hi) in (count_ranges or {}).items():
+            if not 0 <= lo <= hi < math.inf:
+                raise ValueError(f"bad range for {name!r}: ({lo}, {hi})")
+        self._set(codec, count, true_params, count_ranges, noise_sigma, seed)
 
 
 def synth_dataset(spec: SynthSpec) -> Dataset:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -24,6 +23,7 @@ from .errors import DataValidationError, FitError, json_text
 from .models import Category, ModelParams, SpecificEnergies, estimate_by_category, feature_estimate
 from .models import feature_values, params_to_dict, predict_hl1, predict_hl2
 from .models import category_breakdown, predict_feature_model  # noqa: F401  bench/spans.py wraps
+from .taxonomy import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,29 +105,26 @@ MODELS: dict[str, Model] = {
 }
 
 
-@dataclass(frozen=True)
-class FoldPartition:
+class FoldPartition(Frozen):
     """Assignment of M records to k disjoint, near-equal folds."""
 
-    k: int
-    assignment: np.ndarray
-    seed: int
+    __slots__ = ("k", "assignment", "seed")
 
-    def __post_init__(self):
+    def __init__(self, k: int, assignment: np.ndarray, seed: int):
         import numpy as np
 
-        arr = np.asarray(self.assignment, dtype=int)
+        arr = np.asarray(assignment, dtype=int)
         arr.setflags(write=False)
-        object.__setattr__(self, "assignment", arr)
-        if self.k < 2:
+        if k < 2:
             raise ValueError("k must be >= 2")
-        if arr.size < self.k:
+        if arr.size < k:
             raise ValueError("fewer records than folds")
-        sizes = np.bincount(arr, minlength=self.k)
-        if arr.min() < 0 or arr.max() >= self.k:
+        sizes = np.bincount(arr, minlength=k)
+        if arr.min() < 0 or arr.max() >= k:
             raise ValueError("fold labels out of range")
         if sizes.max() - sizes.min() > 1:
             raise ValueError("fold sizes differ by more than 1")
+        self._set(k, arr, seed)
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return (self.assignment == fold).nonzero()[0]
@@ -174,19 +171,18 @@ def mean_relative_error(estimates, measured) -> float:
     return float(_relative_errors(estimates, measured).mean())
 
 
-@dataclass
-class CVReport:
+class CVReport(Frozen):
     """Cross-validation outcome; ``overall_error`` pools all validation errors."""
 
-    model_kind: str
-    k: int
-    seed: int
-    overall_error: float
-    fold_errors: list[float | None]
-    fold_sizes: list[int]
-    fold_params: list[dict | None]
-    per_stream: dict[str, float]
-    failed_folds: list[int] = field(default_factory=list)
+    __slots__ = ("model_kind", "k", "seed", "overall_error", "fold_errors", "fold_sizes",
+                 "fold_params", "per_stream", "failed_folds")
+
+    def __init__(self, model_kind: str, k: int, seed: int, overall_error: float,
+                 fold_errors: list[float | None], fold_sizes: list[int],
+                 fold_params: list[dict | None], per_stream: dict[str, float],
+                 failed_folds: list[int] | None = None):
+        self._set(model_kind, k, seed, overall_error, fold_errors, fold_sizes, fold_params,
+                  per_stream, [] if failed_folds is None else failed_folds)
 
     def to_json(self) -> str:
         doc = {
@@ -250,17 +246,8 @@ def cross_validate(
             fold_errors.append(None)
             fold_params.append(None)
     overall = mean_relative_error(estimates, measured) if measured else math.nan
-    return CVReport(
-        model_kind=model_kind,
-        k=k,
-        seed=seed,
-        overall_error=overall,
-        fold_errors=fold_errors,
-        fold_sizes=partition.fold_sizes(),
-        fold_params=fold_params,
-        per_stream=per_stream,
-        failed_folds=failed,
-    )
+    return CVReport(model_kind, k, seed, overall, fold_errors, partition.fold_sizes(), fold_params,
+                    per_stream, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +256,16 @@ def cross_validate(
 _CATEGORY_ORDER = tuple(Category)
 
 
-@dataclass(frozen=True)
-class BreakdownRow:
-    stream_id: str
-    measured_joules: float
-    estimated_joules: float
-    category_joules: tuple[float, ...]  # in Category order
+class BreakdownRow(Frozen):
+    __slots__ = ("stream_id", "measured_joules", "estimated_joules", "category_joules")
+
+    def __init__(self, stream_id: str, measured_joules: float, estimated_joules: float,
+                 category_joules: tuple[float, ...]):  # in Category order
+        store = object.__setattr__  # not _set: made per stream, and so about 0.5 us faster
+        store(self, "stream_id", stream_id)
+        store(self, "measured_joules", measured_joules)
+        store(self, "estimated_joules", estimated_joules)
+        store(self, "category_joules", category_joules)
 
     @property
     def by_category(self) -> dict[Category, float]:
@@ -320,8 +311,6 @@ _SEGMENTS = tuple((c.value, _CATEGORY_COLORS[c]) for c in _CATEGORY_ORDER)  # la
 
 def _nice_ticks(maximum: float) -> list[float]:
     """Ticks from 0 past ``maximum`` in a round step that takes at most five to reach it."""
-    if maximum <= 0:
-        return [0.0, 1.0]
     magnitude = 10 ** math.floor(math.log10(maximum / 5))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * magnitude

@@ -18,42 +18,41 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataValidationError, FitError
 from .dataset import Dataset
 from .models import HL1Params, HL2Params, HighLevelColumns, hl1_estimate
+from .taxonomy import Frozen
 
 
 class CollinearityWarning(UserWarning):
     """Regressor columns are linearly dependent; some coefficients were zeroed."""
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(Frozen):
     """Rows of (regressor vector, target) for a least-squares fit."""
 
-    matrix: np.ndarray
-    targets: np.ndarray
-    labels: tuple[str, ...]
+    __slots__ = ("matrix", "targets", "labels")
 
-    def __post_init__(self):
+    def __init__(self, matrix: np.ndarray, targets: np.ndarray, labels: tuple[str, ...]):
         # contiguous copies of strided views, which BLAS would round differently
-        self.matrix = np.ascontiguousarray(self.matrix, dtype=float)
-        self.targets = np.ascontiguousarray(self.targets, dtype=float)
-        if self.matrix.ndim != 2:
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        targets = np.ascontiguousarray(targets, dtype=float)
+        if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        m, k = self.matrix.shape
+        m, k = matrix.shape
         if m == 0 or k == 0:
             raise FitError("empty linear system")
-        if self.targets.shape != (m,):
-            raise ValueError(f"expected {m} targets, got {self.targets.shape}")
-        if len(self.labels) != k:
-            raise ValueError(f"expected {k} labels, got {len(self.labels)}")
-        if not (np.all(np.isfinite(self.matrix)) and np.all(np.isfinite(self.targets))):
+        if targets.shape != (m,):
+            raise ValueError(f"expected {m} targets, got {targets.shape}")
+        if len(labels) != k:
+            raise ValueError(f"expected {k} labels, got {len(labels)}")
+        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(targets))):
             raise FitError("non-finite values in linear system")
+        self._set(matrix, targets, labels)
 
 
 @dataclass
@@ -225,17 +224,15 @@ def fit_linear_ls(
     return coefficients, diagnostics
 
 
-@dataclass(frozen=True)
-class TrustRegionOptions:
+class TrustRegionOptions(Frozen):
     """Dogleg iteration controls; all values must be positive."""
 
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
-    initial_radius: float = 1.0
+    __slots__ = ("max_iterations", "gradient_tolerance", "step_tolerance", "initial_radius")
 
-    def __post_init__(self):
-        if not all(getattr(self, option.name) > 0 for option in fields(self)):
+    def __init__(self, max_iterations: int = 200, gradient_tolerance: float = 1e-10,
+                 step_tolerance: float = 1e-12, initial_radius: float = 1.0):
+        self._set(max_iterations, gradient_tolerance, step_tolerance, initial_radius)
+        if not all(value > 0 for value in self._values()):
             raise ValueError("all trust-region options must be positive")
 
 
@@ -477,7 +474,7 @@ def fit_hl2(streams) -> tuple[HL2Params, FitDiagnostics]:
         raise FitError(f"under-determined: {data.energies.size} records for 4 parameters")
     intra, sizes, pixels = data.intra_rate, data.file_size_bytes, data.pixels
     matrix = np.column_stack([intra * sizes, intra * pixels, sizes, pixels])
-    system = LinearSystem(matrix, data.energies, tuple(f.name for f in fields(HL2Params)))
+    system = LinearSystem(matrix, data.energies, HL2Params._fields)
     coeffs, diagnostics = fit_linear_ls(system)
     return HL2Params(*(float(c) for c in coeffs)), diagnostics
 

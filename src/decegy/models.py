@@ -15,7 +15,6 @@ File sizes are in bytes and energies in joules throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, fields
 from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -23,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import DataValidationError, about_file, json_feature_values, json_number
 from .errors import json_text, read_json, read_text
 from .taxonomy import Category, Codec, FeatureSet, FeatureValues, FeatureVector, build_feature_set
-from .taxonomy import float_array
+from .taxonomy import Frozen, float_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,24 +42,26 @@ class SpecificEnergies(FeatureValues):
             raise DataValidationError("specific energies must be finite")
 
 
-@dataclass(frozen=True)
-class HighLevelInfo:
+class HighLevelInfo(Frozen):
     """High-level properties of one bitstream.
 
     pixels_per_frame is luma width times height; intra_rate is the number of
     intra frames divided by the total number of frames.
     """
 
-    pixels_per_frame: float
-    frames: int
-    file_size_bytes: float
-    intra_rate: float
+    __slots__ = ("pixels_per_frame", "frames", "file_size_bytes", "intra_rate")
 
-    def __post_init__(self):
-        if not (self.pixels_per_frame > 0 and self.frames > 0 and self.file_size_bytes > 0):
+    def __init__(self, pixels_per_frame: float, frames: int, file_size_bytes: float,
+                 intra_rate: float):
+        if not (pixels_per_frame > 0 and frames > 0 and file_size_bytes > 0):
             raise ValueError("pixels_per_frame, frames and file_size_bytes must be > 0")
-        if not 0.0 <= self.intra_rate <= 1.0:
-            raise ValueError(f"intra_rate must be in [0, 1], got {self.intra_rate}")
+        if not 0.0 <= intra_rate <= 1.0:
+            raise ValueError(f"intra_rate must be in [0, 1], got {intra_rate}")
+        store = object.__setattr__  # not _set: made per stream, and so about 0.5 us faster
+        store(self, "pixels_per_frame", pixels_per_frame)
+        store(self, "frames", frames)
+        store(self, "file_size_bytes", file_size_bytes)
+        store(self, "intra_rate", intra_rate)
 
 
 class HighLevelColumns(NamedTuple):
@@ -77,7 +78,7 @@ class HighLevelColumns(NamedTuple):
         """Columns as they are, or the columns of (HighLevelInfo, energy) pairs."""
         if isinstance(streams, cls):
             return streams
-        rows = [(*astuple(info), energy) for info, energy in streams]
+        rows = [(*info._values(), energy) for info, energy in streams]
         return cls(*float_array(rows).reshape(-1, 5).T)
 
     @property
@@ -87,21 +88,19 @@ class HighLevelColumns(NamedTuple):
 
 
 def _require_finite(params) -> None:
-    for name, v in params.__dict__.items():
+    for name, v in zip(params._fields, params._values()):
         if not math.isfinite(v):
             raise DataValidationError(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
-class HL1Params:
+class HL1Params(Frozen):
     """Parameters of the first high-level model, whose estimate is :func:`hl1_estimate`."""
 
-    base_joules: float
-    per_pixel_joules: float
-    rate_coeff: float
-    rate_power: float
+    __slots__ = ("base_joules", "per_pixel_joules", "rate_coeff", "rate_power")
 
-    def __post_init__(self):
+    def __init__(self, base_joules: float, per_pixel_joules: float, rate_coeff: float,
+                 rate_power: float):
+        self._set(base_joules, per_pixel_joules, rate_coeff, rate_power)
         _require_finite(self)
         if not self.rate_power > 0:
             raise DataValidationError("rate_power must be > 0")
@@ -109,8 +108,7 @@ class HL1Params:
             raise DataValidationError("rate_coeff must be >= 0")
 
 
-@dataclass(frozen=True)
-class HL2Params:
+class HL2Params(Frozen):
     """Coefficients of the intra-rate/bitrate bilinear high-level model.
 
     Estimated energy:
@@ -118,16 +116,15 @@ class HL2Params:
     intra-frame rate; fields in regressor order (c_ib, c_i, c_b, c_0).
     """
 
-    intra_bytes_coeff: float
-    intra_coeff: float
-    bytes_coeff: float
-    base_coeff: float
+    __slots__ = ("intra_bytes_coeff", "intra_coeff", "bytes_coeff", "base_coeff")
 
-    def __post_init__(self):
+    def __init__(self, intra_bytes_coeff: float, intra_coeff: float, bytes_coeff: float,
+                 base_coeff: float):
+        self._set(intra_bytes_coeff, intra_coeff, bytes_coeff, base_coeff)
         _require_finite(self)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return astuple(self)
+        return self._values()
 
 
 def feature_values(energies: SpecificEnergies, feature_set: FeatureSet) -> tuple[float, ...]:
@@ -248,7 +245,7 @@ def params_to_dict(params: ModelParams) -> dict:
     """The fitted values of a parameter file, without its model and codec fields."""
     if isinstance(params, SpecificEnergies):
         return {"specific_energies": params.as_dict()}
-    return asdict(params)
+    return dict(zip(params._fields, params._values()))
 
 
 def params_to_json(params, codec: Codec, extra: dict | None = None) -> str:
@@ -278,7 +275,7 @@ def params_from_json(text: str):
         if not isinstance(mapping, dict):
             raise DataValidationError(f"'specific_energies': not an object: {mapping!r}")
         return kind, codec, SpecificEnergies.from_dict(fs, json_feature_values(fs.names, mapping))
-    return kind, codec, cls(**{f.name: json_number(f.name, doc.get(f.name)) for f in fields(cls)})
+    return kind, codec, cls(**{name: json_number(name, doc.get(name)) for name in cls._fields})
 
 
 def save_params(params, codec: Codec, path, extra: dict | None = None) -> None:

@@ -132,15 +132,18 @@ def counted_sizes(codec: Codec, kind: Kind) -> tuple[int, ...]:
 
 
 class Frozen:
-    """Base of the immutable value classes: feature ids and sets, trace events and traces.
+    """Base of every immutable value class: feature ids and sets, trace events and traces,
+    dataset records, model inputs and parameters, folds, reports and breakdown rows.
 
     A subclass names its fields in ``__slots__`` in constructor order (then any derived
     values, if ``_fields`` names the fields alone) and stores them with :meth:`_set`.  It
     gets what a frozen dataclass gives: equality and hashing over the fields within one
     type (the hash kept once made, as ``Counter(trace.events)`` asks for it often), the
     dataclass repr, AttributeError on assignment and deletion, and copy and pickle through
-    the constructor.  It exists because importing ``dataclasses`` (which loads ``inspect``)
-    and making frozen dataclasses cost each ``decegy analyze`` process about 15 ms of CPU.
+    the constructor; :meth:`_values` gives the fields' values.  It exists because importing
+    ``dataclasses`` (which loads ``inspect``) and making dataclasses cost a process 10-15 ms
+    of CPU, which ``--help``, ``analyze``, ``predict`` and ``report`` no longer pay; only
+    ``fitting.FitDiagnostics`` stays a dataclass, loaded with numpy, which loads ``inspect``.
     """
 
     __slots__ = ("_hash",)
@@ -152,6 +155,10 @@ class Frozen:
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        """The fields' values, in constructor order."""
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
@@ -168,7 +175,7 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

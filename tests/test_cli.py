@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from decegy import (
 from decegy.cli import main
 from decegy.dataset import BitstreamRecord, Dataset
 from decegy.taxonomy import FeatureVector
+from util import replace
 
 _OVERFLOW = "estimated energy overflows the float range"
 
@@ -335,6 +335,24 @@ def test_predict_keeps_one_row_per_stream_when_tags_hold_newlines(tmp_path):
     assert [row[-2] for row in rows] == notes
     for row, rec in zip(rows, dataset):
         assert float(row[-1]) == predict_feature_model(energies, rec.features)
+
+
+def test_predict_of_its_own_output_writes_one_estimate_column(tmp_path, capsys):
+    """The second run's E_hat replaces the first one's, so what it writes loads again."""
+    data, params = _hevc_files(tmp_path, count=4)
+    doubled = tmp_path / "doubled.json"
+    energies = SpecificEnergies(HEVC, [2 * e for e in default_specific_energies(Codec.HEVC).floats])
+    save_params(energies, Codec.HEVC, doubled)
+    first, second = tmp_path / "e1.csv", tmp_path / "e2.csv"
+    for dataset, values, out in ((data, params, first), (first, doubled, second)):
+        argv = ["predict", "--dataset", str(dataset), "--params", str(values), "--out", str(out)]
+        assert main(argv) == 0
+    with open(second, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header.count("E_hat") == 1 and header[-1] == "E_hat"
+    expected = [predict_feature_model(energies, rec.features) for rec in load_dataset(data)]
+    assert [float(row[-1]) for row in rows] == expected
+    assert main(["fit", "--dataset", str(second)]) == 0, capsys.readouterr().err
 
 
 def test_json_record_that_is_not_an_object_exits_2(tmp_path, capsys):
@@ -894,6 +912,16 @@ def test_csv_cell_over_the_field_limit_exits_2_with_the_row(tmp_path, capsys):
     assert fit() == 2
     err = capsys.readouterr().err
     assert err == f"error: {data}: row 2: non-finite or nonpositive energy: 0.0\n"
+
+
+def test_csv_header_cell_over_the_field_limit_exits_2_as_row_1(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    export_dataset(synth_dataset(SynthSpec(Codec.HEVC, 3, seed=1)), data)
+    data.write_text("x" * 200_000 + "," + data.read_text(), encoding="utf-8")
+    assert main(["fit", "--dataset", str(data)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {data}: row 1: field larger than field limit (131072)\n"
+    )
 
 
 def test_each_warning_is_one_line_on_stderr(tmp_path):

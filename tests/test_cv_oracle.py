@@ -9,7 +9,6 @@ oracle's, or the same exception type and message, for the feature model
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from decegy import Codec, SynthSpec, cross_validate, synth_dataset  # noqa: E402
 from decegy.dataset import METADATA_COLUMNS, Dataset  # noqa: E402
 from decegy.evaluation import MODELS  # noqa: E402
 from decegy.models import params_to_json  # noqa: E402
+from util import replace  # noqa: E402
 
 RUNS = (("feature", False), ("feature", True), ("hl1", False), ("hl2", False))
 

@@ -18,7 +18,6 @@ from decegy import (
 )
 from decegy.dataset import (
     BASE_COLUMNS,
-    BitstreamRecord,
     Dataset,
     dataset_from_csv,
     dataset_from_json,
@@ -26,6 +25,7 @@ from decegy.dataset import (
     dataset_to_json,
 )
 from decegy.taxonomy import build_feature_set
+from util import replace
 
 HEVC_HEADER = ",".join(BASE_COLUMNS + build_feature_set(Codec.HEVC).names)
 
@@ -309,10 +309,10 @@ def test_bad_csv_integer_cell_names_its_row_once():
 def test_metadata_above_2_53_is_rejected(field):
     record = synth_dataset(SynthSpec(Codec.HEVC, 1, seed=1)).records[0]
     fields = {name: 2**53 for name in ("width", "height", "frames", "file_size_bytes")}
-    exact = BitstreamRecord(**{**record.__dict__, **fields, "intra_frames": 2**53})
+    exact = replace(record, **fields, intra_frames=2**53)
     assert exact.highlevel.file_size_bytes == 2.0**53
     with pytest.raises(DataValidationError, match=f"^{field} must be at most 2\\*\\*53$"):
-        BitstreamRecord(**{**record.__dict__, field: 2**53 + 1})
+        replace(record, **{field: 2**53 + 1})
 
 
 def test_synth_rejects_non_finite_ranges():

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +50,7 @@ from decegy.dataset import (  # noqa: E402
 from decegy.dataset import _CSV_CHUNK, _csv_rows  # noqa: E402
 from decegy.schema import csv_text  # noqa: E402
 from decegy.taxonomy import FeatureVector, build_feature_set  # noqa: E402
+from util import replace  # noqa: E402
 
 _DOUBLED_ROW = re.compile(r"^(row \d+: )\1")
 

@@ -2,7 +2,6 @@
 
 import itertools
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -176,7 +175,7 @@ def test_fits_are_deterministic():
 
 
 def _values(params) -> bytes:
-    return np.array(params if isinstance(params, np.ndarray) else astuple(params)).tobytes()
+    return np.array(params if isinstance(params, np.ndarray) else params._values()).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["feature", "hl1", "hl2"])

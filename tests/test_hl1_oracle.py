@@ -10,7 +10,6 @@ last bit, or fail with the same message.
 
 import math
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -63,7 +62,7 @@ def _outcome(fit, data, options=None) -> str:
             params, diagnostics = fit(data, options)
         except FitError as exc:
             return f"FitError: {exc}"
-    return repr((astuple(params), diagnostics.as_dict(), diagnostics.cost_history))
+    return repr((params._values(), diagnostics.as_dict(), diagnostics.cost_history))
 
 
 @settings(max_examples=120)

@@ -14,7 +14,6 @@ different ones; the fitted values must then agree.
 """
 
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -143,7 +142,7 @@ def test_hl1_fit_and_its_design_match_the_scipy_path(seed, n, noise):
         # compare the fitted energies, which the HL1 terms give as residual + energy
         _assert_close(_hl1_fitted(params, data), _hl1_fitted(params_ref, data))
     else:
-        mine, theirs = np.array(astuple(params)), np.array(astuple(params_ref))
+        mine, theirs = np.array(params._values()), np.array(params_ref._values())
         assert np.all(np.abs(mine - theirs) <= RTOL * np.abs(theirs)), (mine, theirs)
     # the preliminary design at exponent 1, as a linear system of its own
     design = np.column_stack([np.ones(n), data.pixels, data.file_size_bytes])
@@ -167,7 +166,7 @@ def test_hl2_fit_matches_the_scipy_path(seed, n, all_intra):
     (params, diag), (params_ref, diag_ref) = _both(fit_hl2, data)
     intra, sizes, pixels = data.intra_rate, data.file_size_bytes, data.pixels
     A = np.column_stack([intra * sizes, intra * pixels, sizes, pixels])
-    system = LinearSystem(A, data.energies, tuple(params.__dict__))
+    system = LinearSystem(A, data.energies, params._fields)
     x, x_ref = np.array(params.as_tuple()), np.array(params_ref.as_tuple())
     _assert_same_fit(system, (x, diag), (x_ref, diag_ref))
 

@@ -6,9 +6,10 @@ scipy cannot be imported.  ``--help``, ``analyze``, ``predict`` (of every model)
 and ``report`` do not load numpy, through the console script's
 ``decegy.cli:main`` or ``python -m decegy``, and run where numpy cannot be
 imported, with the same output.  Only ``analyze`` loads ``decegy.trace``, only
-``report --svg`` loads ``html``, and no command loads ``numpy.ma``; ``--help`` and
-``analyze`` load neither ``dataclasses`` nor ``inspect``.  The package serves its
-public names lazily.
+``report --svg`` loads ``html``, and no command loads ``numpy.ma``; ``--help``,
+``analyze``, ``predict`` and ``report`` load neither ``dataclasses`` nor ``inspect``, and
+``synth`` (whose numpy loads ``inspect``) does not load ``dataclasses``.  The package
+serves its public names lazily.
 """
 
 import argparse
@@ -191,11 +192,6 @@ def test_no_command_loads_numpy_ma(modules_of, args):
     assert "numpy.ma" not in modules_of(tuple(args))
 
 
-@pytest.mark.parametrize("args", _EVERY_COMMAND[:2], ids=_command_id)
-def test_help_and_analyze_load_neither_dataclasses_nor_inspect(modules_of, args):
-    assert not {"dataclasses", "inspect"} & modules_of(tuple(args))
-
-
 _WITHOUT_NUMPY_COMMANDS = [["--help"], *(["analyze", f"{c.value}.jsonl"] for c in Codec)]
 
 
@@ -236,6 +232,19 @@ def _label(args) -> str:
 @pytest.mark.parametrize("args", _PREDICT_AND_REPORT, ids=_label)
 def test_predict_and_report_start_without_numpy(inputs, args, probe):
     assert "numpy" not in _loaded_modules(args, inputs, probe)
+
+
+@pytest.mark.parametrize(
+    "args", [*_EVERY_COMMAND[:2], *_PREDICT_AND_REPORT],
+    ids=[*map(_command_id, _EVERY_COMMAND[:2]), *map(_label, _PREDICT_AND_REPORT)],
+)
+def test_help_and_analyze_load_neither_dataclasses_nor_inspect(modules_of, args):
+    """Nor do predict (of every model) and report, with and without a chart."""
+    assert not {"dataclasses", "inspect"} & modules_of(tuple(args))
+
+
+def test_synth_does_not_load_dataclasses(modules_of):
+    assert "dataclasses" not in modules_of(tuple(_EVERY_COMMAND[2]))
 
 
 @pytest.mark.parametrize("args", _PREDICT_AND_REPORT, ids=_label)

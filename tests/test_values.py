@@ -1,16 +1,27 @@
-"""Value semantics of the feature ids and sets, trace events and traces.
+"""Value semantics of the package's immutable values: feature ids and sets, trace
+events and traces, dataset records and synth specs, high-level inputs and parameters,
+folds, cross-validation reports and breakdown rows, linear systems and trust-region
+options.
 
-They were frozen dataclasses and are plain slotted classes on ``taxonomy.Frozen``
-now; each must still construct, compare, hash, print, refuse changes, copy and
-pickle as the dataclass did, with the same validation messages.
+They were dataclasses and are plain slotted classes on ``taxonomy.Frozen`` now; each
+must still construct, compare, hash, print, copy and pickle as the dataclass did, with
+the same validation messages, and refuse changes (``CVReport`` and ``LinearSystem``,
+which were not frozen, now do too).
 """
 
 import copy
+import math
 import pickle
 
+import numpy as np
 import pytest
 
-from decegy.taxonomy import Codec, EntropyMode, FeatureId, FeatureSet, Kind, build_feature_set
+from decegy.dataset import BitstreamRecord, SynthSpec, default_specific_energies
+from decegy.evaluation import BreakdownRow, CVReport, FoldPartition
+from decegy.fitting import LinearSystem, TrustRegionOptions
+from decegy.models import HighLevelInfo, HL1Params, HL2Params
+from decegy.taxonomy import Codec, EntropyMode, FeatureId, FeatureSet, FeatureVector, Kind
+from decegy.taxonomy import build_feature_set
 from decegy.trace import (
     Coefficient,
     DecodeTrace,
@@ -22,6 +33,12 @@ from decegy.trace import (
 )
 
 E0, SAO = FeatureId(Codec.HEVC, Kind.E0), FeatureId(Codec.HEVC, Kind.SAO)
+VEC = FeatureVector(build_feature_set(Codec.H263), [1.0, 2.0] + [0.0] * 9)
+# one array object for every value of a case: == on two distinct arrays is ambiguous
+FOLDS, EYE, TARGETS = np.array([0, 1, 1, 0]), np.eye(2), np.array([1.0, 2.0])
+CV_ARGS = ("hl2", 2, 5, 0.125, [0.1, None], [2, 2], [{"a": 1.0}, None], {"s1": 0.1})
+CV_FIELDS = ("model_kind", "k", "seed", "overall_error", "fold_errors", "fold_sizes",
+             "fold_params", "per_stream")
 
 #: Per class: positional arguments, the same as keywords with every default left out,
 #: the defaults, a value that differs in one field, and the repr the dataclass gave.
@@ -66,7 +83,84 @@ CASES = {
         "DecodeTrace(stream_id='s1', codec=<Codec.HEVC: 'hevc'>, "
         "events=(FrameStart(), IntraBlock(w=8, h=8)))",
     ),
+    "BitstreamRecord": (
+        BitstreamRecord, ("s1", Codec.H263, VEC, 416, 240, 2, 900, 1),
+        {"stream_id": "s1", "codec": Codec.H263, "features": VEC, "width": 416, "height": 240,
+         "frames": 2, "file_size_bytes": 900, "intra_frames": 1},
+        {"energy_joules": None, "tags": {}}, BitstreamRecord("s2", Codec.H263, VEC),
+        "BitstreamRecord(stream_id='s1', codec=<Codec.H263: 'h263'>, features=FeatureVector("
+        "h263, array([1., 2., 0., 0., 0., 0., 0., 0., 0., 0., 0.])), width=416, height=240, "
+        "frames=2, file_size_bytes=900, intra_frames=1, energy_joules=None, tags=mappingproxy({}))",
+    ),
+    "SynthSpec": (
+        SynthSpec, (Codec.HEVC, 3), {"codec": Codec.HEVC, "count": 3},
+        {"true_params": None, "count_ranges": None, "noise_sigma": 0.0, "seed": 0},
+        SynthSpec(Codec.HEVC, 3, seed=1),
+        "SynthSpec(codec=<Codec.HEVC: 'hevc'>, count=3, true_params=None, count_ranges=None, "
+        "noise_sigma=0.0, seed=0)",
+    ),
+    "HighLevelInfo": (
+        HighLevelInfo, (99840.0, 8, 5000.0, 0.25),
+        {"pixels_per_frame": 99840.0, "frames": 8, "file_size_bytes": 5000.0, "intra_rate": 0.25},
+        {}, HighLevelInfo(99840.0, 8, 5000.0, 0.5),
+        "HighLevelInfo(pixels_per_frame=99840.0, frames=8, file_size_bytes=5000.0, "
+        "intra_rate=0.25)",
+    ),
+    "HL1Params": (
+        HL1Params, (0.4, 2.1e-8, 1.3e-7, 0.7),
+        {"base_joules": 0.4, "per_pixel_joules": 2.1e-8, "rate_coeff": 1.3e-7, "rate_power": 0.7},
+        {}, HL1Params(0.4, 2.1e-8, 1.3e-7, 0.8),
+        "HL1Params(base_joules=0.4, per_pixel_joules=2.1e-08, rate_coeff=1.3e-07, rate_power=0.7)",
+    ),
+    "HL2Params": (
+        HL2Params, (2e-9, 5e-8, 3e-9, 1e-8),
+        {"intra_bytes_coeff": 2e-9, "intra_coeff": 5e-8, "bytes_coeff": 3e-9, "base_coeff": 1e-8},
+        {}, HL2Params(2e-9, 5e-8, 3e-9, 2e-8),
+        "HL2Params(intra_bytes_coeff=2e-09, intra_coeff=5e-08, bytes_coeff=3e-09, "
+        "base_coeff=1e-08)",
+    ),
+    "FoldPartition": (
+        FoldPartition, (2, FOLDS, 3), {"k": 2, "assignment": FOLDS, "seed": 3}, {},
+        FoldPartition(2, FOLDS, 4), "FoldPartition(k=2, assignment=array([0, 1, 1, 0]), seed=3)",
+    ),
+    "CVReport": (
+        CVReport, CV_ARGS, dict(zip(CV_FIELDS, CV_ARGS)), {"failed_folds": []},
+        CVReport(*CV_ARGS[:3], 0.25, *CV_ARGS[4:]),
+        "CVReport(model_kind='hl2', k=2, seed=5, overall_error=0.125, fold_errors=[0.1, None], "
+        "fold_sizes=[2, 2], fold_params=[{'a': 1.0}, None], per_stream={'s1': 0.1}, "
+        "failed_folds=[])",
+    ),
+    "BreakdownRow": (
+        BreakdownRow, ("s1", 1.5, 1.25, (0.5, 0.25, 0.5, 0.0, 0.0, 0.0)),
+        {"stream_id": "s1", "measured_joules": 1.5, "estimated_joules": 1.25,
+         "category_joules": (0.5, 0.25, 0.5, 0.0, 0.0, 0.0)},
+        {}, BreakdownRow("s2", 1.5, 1.25, (0.5, 0.25, 0.5, 0.0, 0.0, 0.0)),
+        "BreakdownRow(stream_id='s1', measured_joules=1.5, estimated_joules=1.25, "
+        "category_joules=(0.5, 0.25, 0.5, 0.0, 0.0, 0.0))",
+    ),
+    "LinearSystem": (
+        LinearSystem, (EYE, TARGETS, ("a", "b")),
+        {"matrix": EYE, "targets": TARGETS, "labels": ("a", "b")}, {},
+        LinearSystem(EYE, TARGETS, ("a", "c")),
+        "LinearSystem(matrix=array([[1., 0.],\n       [0., 1.]]), targets=array([1., 2.]), "
+        "labels=('a', 'b'))",
+    ),
+    "TrustRegionOptions": (
+        TrustRegionOptions, (), {},
+        {"max_iterations": 200, "gradient_tolerance": 1e-10, "step_tolerance": 1e-12,
+         "initial_radius": 1.0},
+        TrustRegionOptions(initial_radius=2.0),
+        "TrustRegionOptions(max_iterations=200, gradient_tolerance=1e-10, step_tolerance=1e-12, "
+        "initial_radius=1.0)",
+    ),
 }
+
+#: The classes whose values hold an unhashable field, as their dataclasses did: a feature
+#: vector, an array or a list.
+UNHASHABLE = (BitstreamRecord, FoldPartition, CVReport, LinearSystem)
+
+ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+ROUND_TRIP_IDS = ["copy", "deepcopy", "pickle"]
 
 by_class = pytest.mark.parametrize("case", CASES.values(), ids=list(CASES))
 
@@ -74,6 +168,13 @@ by_class = pytest.mark.parametrize("case", CASES.values(), ids=list(CASES))
 def _value(case):
     cls, args, *_ = case
     return cls(*args)
+
+
+def _same(value, other) -> bool:
+    """Whether two values are equal, arrays compared element by element."""
+    if isinstance(value, (FoldPartition, LinearSystem)):  # == of two arrays is ambiguous
+        return all(map(np.array_equal, value._values(), other._values()))
+    return value == other
 
 
 @by_class
@@ -89,7 +190,11 @@ def test_equal_values_are_equal_and_hash_alike(case):
     value, other = _value(case), _value(case)
     assert value is not other
     assert value == other and not value != other
-    assert hash(value) == hash(other)
+    if isinstance(value, UNHASHABLE):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(value)
+    else:
+        assert hash(value) == hash(other)
 
 
 @by_class
@@ -105,6 +210,9 @@ def test_equality_holds_within_one_type_only():
     assert FrameStart() != SaoBlock()
     assert len({IntraBlock(8, 8), TransformBlock(8, 8), FrameStart(), SaoBlock()}) == 4
     assert IntraBlock(8, 8) != (8, 8)
+    assert HL1Params(1.0, 2.0, 3.0, 4.0) != HL2Params(1.0, 2.0, 3.0, 4.0)
+    assert HL2Params(1.0, 2.0, 3.0, 4.0) != (1.0, 2.0, 3.0, 4.0)
+    assert len({HL1Params(1.0, 2.0, 3.0, 4.0), HL2Params(1.0, 2.0, 3.0, 4.0)}) == 2
 
 
 def test_a_feature_set_compares_and_hashes_on_its_codec_and_features():
@@ -131,17 +239,25 @@ def test_assignment_and_deletion_raise_attribute_error(case):
 
 
 @by_class
-@pytest.mark.parametrize(
-    "round_trip",
-    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
-    ids=["copy", "deepcopy", "pickle"],
-)
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
 def test_copy_and_pickle_round_trips(case, round_trip):
     value = _value(case)
+    if isinstance(value, BitstreamRecord) and round_trip is not copy.copy:
+        with pytest.raises(TypeError, match="cannot pickle 'mappingproxy' object"):
+            round_trip(value)  # a record's tags never pickled, as a dataclass either
+        return
     again = round_trip(value)
     assert type(again) is type(value)
-    assert again == value and hash(again) == hash(value)
+    assert _same(again, value)
+    assert isinstance(value, UNHASHABLE) or hash(again) == hash(value)
     assert repr(again) == repr(value)
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+def test_a_fold_assignment_stays_read_only(round_trip):
+    folds = FoldPartition(2, np.array([0, 1, 1, 0]), 3)
+    assert not folds.assignment.flags.writeable
+    assert not round_trip(folds).assignment.flags.writeable
 
 
 def test_a_pickled_feature_set_keeps_its_index():
@@ -166,9 +282,37 @@ def test_a_pickled_feature_set_keeps_its_index():
          "entropy_mode is used exactly for H.264 coeff/val features (codec=hevc, kind=val)"),
         (lambda: DecodeTrace("s", Codec.VP9, (IntraBlock(8, 8), FrameStart())),
          "block event before the first frame_start"),
+        (lambda: BitstreamRecord("", Codec.H263, VEC), "empty stream_id"),
+        (lambda: BitstreamRecord("s", Codec.HEVC, VEC),
+         "feature vector is for h263, record says hevc"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, frames=2, intra_frames=3),
+         "intra_frames exceeds frames"),
+        (lambda: SynthSpec(Codec.HEVC, 0), "count must be >= 1"),
+        (lambda: SynthSpec(Codec.HEVC, 3, noise_sigma=math.nan), "noise_sigma must be >= 0"),
+        (lambda: SynthSpec(Codec.HEVC, 3, default_specific_energies(Codec.VP9)),
+         "true_params codec mismatch"),
+        (lambda: SynthSpec(Codec.HEVC, 3, count_ranges={"pel": (2.0, 1.0)}),
+         "bad range for 'pel': (2.0, 1.0)"),
+        (lambda: HighLevelInfo(0.0, 8, 5000.0, 0.25),
+         "pixels_per_frame, frames and file_size_bytes must be > 0"),
+        (lambda: HighLevelInfo(1.0, 8, 5000.0, 1.5), "intra_rate must be in [0, 1], got 1.5"),
+        (lambda: HL1Params(math.nan, 0.0, 0.0, 1.0), "base_joules must be finite, got nan"),
+        (lambda: HL1Params(0.0, 0.0, 0.0, 0.0), "rate_power must be > 0"),
+        (lambda: HL1Params(0.0, 0.0, -1.0, 1.0), "rate_coeff must be >= 0"),
+        (lambda: HL2Params(0.0, math.inf, 0.0, 0.0), "intra_coeff must be finite, got inf"),
+        (lambda: FoldPartition(1, [0, 0], 0), "k must be >= 2"),
+        (lambda: FoldPartition(2, [0, 2], 0), "fold labels out of range"),
+        (lambda: FoldPartition(2, [0, 0, 0], 0), "fold sizes differ by more than 1"),
+        (lambda: LinearSystem(np.ones(3), np.ones(3), ("a",)), "matrix must be 2-D"),
+        (lambda: LinearSystem(np.ones((2, 2)), np.ones(2), ("a",)), "expected 2 labels, got 1"),
+        (lambda: TrustRegionOptions(step_tolerance=0.0),
+         "all trust-region options must be positive"),
     ],
     ids=["zero-value", "zero-bits", "unsized-inter", "sized-e0", "odd-size", "h264-no-mode",
-         "hevc-mode", "block-first"],
+         "hevc-mode", "block-first", "empty-id", "record-codec", "intra-above-frames",
+         "zero-count", "nan-sigma", "params-codec", "bad-range", "zero-pixels", "intra-rate",
+         "nan-base", "zero-power", "negative-coeff", "inf-coeff", "one-fold", "fold-label",
+         "fold-sizes", "1-d-matrix", "labels", "zero-tolerance"],
 )
 def test_validation_messages_are_unchanged(make, message):
     with pytest.raises(ValueError) as caught:

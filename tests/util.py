@@ -1,4 +1,4 @@
-"""Shared helpers for the test suite: random traces and high-level records."""
+"""Shared helpers for the test suite: random traces, high-level records and changed values."""
 
 from __future__ import annotations
 
@@ -77,6 +77,12 @@ def shuffle_within_frames(trace: DecodeTrace, rng: np.random.Generator) -> Decod
         shuffled.append(head)
         shuffled.extend(rest[i] for i in order)
     return DecodeTrace(trace.stream_id, trace.codec, tuple(shuffled))
+
+
+def replace(value, **changes):
+    """A value of a ``taxonomy.Frozen`` class with some fields changed, made again through
+    its constructor, which checks it."""
+    return type(value)(**{**dict(zip(value._fields, value._values())), **changes})
 
 
 def hl1_records(rng: np.random.Generator, n: int, params, noise_sigma: float = 0.0):
