@@ -26,16 +26,31 @@ _EXPORTS = {
     "trace": "Coefficient DecodeTrace FrameStart InterBlock IntraBlock SaoBlock TransformBlock"
     " analyze coeff_value_contribution map_inter_block parse_trace pel_and_frac_counts",
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-__all__ = list(_MODULE_OF)
+
+
+def _lazy(namespace: dict, table: dict[str, str]):
+    """``bind(*modules)``, which puts the names ``table`` lists for each module of this package
+    in ``namespace`` but keeps a name bound already (bench/spans.py wraps some so), and a
+    module ``__getattr__`` that binds the module of a name not bound yet."""
+    module_of = {name: module for module, names in table.items() for name in names.split()}
+
+    def bind(*modules: str) -> None:
+        for module in modules:
+            for name in table[module].split():
+                namespace.setdefault(name, getattr(import_module(f"{__name__}.{module}"), name))
+
+    def __getattr__(name: str):
+        if name not in module_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        bind(module_of[name])
+        return namespace[name]
+
+    return bind, __getattr__
+
+
+__all__ = " ".join(_EXPORTS.values()).split()
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    return value
+__getattr__ = _lazy(globals(), _EXPORTS)[1]
 
 
 def __dir__() -> list[str]:

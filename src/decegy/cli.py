@@ -11,9 +11,9 @@ import argparse
 import sys
 import warnings
 from contextlib import nullcontext
-from importlib import import_module
 from pathlib import Path
 
+from . import _lazy
 from .errors import DataValidationError, DecegyError, FitError, about_file
 from .schema import BASE_COLUMNS, check_record, csv_row, csv_text
 from .taxonomy import Codec, build_feature_set
@@ -22,30 +22,16 @@ from .taxonomy import Codec, build_feature_set
 # access (bench/spans.py wraps them so); a name bound already is kept.  Of them, only
 # `fitting` and `synth_dataset` load numpy, and only `analyze` needs `trace`.
 _LAZY = {
-    "trace": ("analyze", "analyze_lines", "parse_trace"),
-    "dataset": ("SynthSpec", "about_rows", "dataset_to_csv", "default_specific_energies",
-                "export_dataset", "load_dataset", "synth_dataset"),
-    "evaluation": ("MODELS", "breakdown_csv", "breakdown_report", "breakdown_svg",
-                   "cross_validate"),
-    "models": ("SpecificEnergies", "load_params", "params_to_json", "predict_feature_model",
-               "predict_hl1", "predict_hl2"),
-    "fitting": ("feature_linear_system", "fit_hl1", "fit_hl2", "fit_linear_ls"),
+    "trace": "analyze analyze_lines parse_trace",
+    "dataset": "SynthSpec about_rows dataset_to_csv default_specific_energies export_dataset"
+    " load_dataset synth_dataset",
+    "evaluation": "MODELS breakdown_csv breakdown_report breakdown_svg cross_validate",
+    "models": "SpecificEnergies load_params params_to_json predict_feature_model predict_hl1"
+    " predict_hl2",
+    "fitting": "feature_linear_system fit_hl1 fit_hl2 fit_linear_ls",
 }
+_bind, __getattr__ = _lazy(globals(), _LAZY)
 _MODEL_KINDS = ("feature", "hl1", "hl2")  # the keys of evaluation.MODELS, the default first
-
-
-def _bind(*modules: str) -> None:
-    for module in modules:
-        for name in _LAZY[module]:
-            globals().setdefault(name, getattr(import_module(f".{module}", __package__), name))
-
-
-def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):

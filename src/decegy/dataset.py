@@ -75,6 +75,9 @@ class BitstreamRecord(Frozen):
         tags = MappingProxyType(dict(tags))
         self._set(stream_id, codec, features, *metadata, energy_joules, tags)
 
+    def __reduce__(self):  # a mappingproxy does not pickle; the constructor wraps a dict again
+        return type(self), (*self._values()[:-1], dict(self.tags))
+
     @property
     def highlevel(self) -> HighLevelInfo | None:
         """High-level model input, or None while metadata is incomplete."""
@@ -199,7 +202,7 @@ class Dataset:
             [rec.features.tolist() for rec in records],
             [rec.energy_joules for rec in records],
             [[getattr(rec, name) for rec in records] for name in METADATA_COLUMNS],
-            [rec.tags for rec in records],
+            [dict(rec.tags) for rec in records],
         )
 
     @classmethod
@@ -274,6 +277,9 @@ class Dataset:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dataset) and self.records == other.records
+
+    def __reduce__(self):  # copied and pickled as its records
+        return type(self), (self.records,)
 
     def get(self, stream_id: str) -> BitstreamRecord:
         if stream_id not in self._index:

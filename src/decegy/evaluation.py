@@ -18,6 +18,7 @@ import warnings
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
+from . import _lazy
 from .dataset import Dataset, csv_text
 from .errors import DataValidationError, FitError, json_text
 from .models import Category, ModelParams, SpecificEnergies, estimate_by_category, feature_estimate
@@ -30,23 +31,10 @@ if TYPE_CHECKING:
 
     from .fitting import FitDiagnostics
 
-_SOLVERS = ("feature_linear_system", "fit_hl1", "fit_hl2", "fit_linear_ls")
-
-
-def _solver(name: str) -> Callable:
-    """A solver of decegy.fitting, bound here on first use (bench/spans.py wraps them here),
-    so that numpy loads only for a fit; a name bound already is kept."""
-    if name not in _SOLVERS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in globals():
-        from . import fitting
-
-        for solver in _SOLVERS:
-            globals().setdefault(solver, getattr(fitting, solver))
-    return globals()[name]
-
-
-__getattr__ = _solver
+# The solvers of decegy.fitting, bound here on first use (bench/spans.py wraps them here),
+# so that numpy loads only for a fit; a name bound already is kept.
+_SOLVERS = {"fitting": "feature_linear_system fit_hl1 fit_hl2 fit_linear_ls"}
+_solver = __getattr__ = _lazy(globals(), _SOLVERS)[1]
 
 
 def _fit_feature(dataset: Dataset, rows, nonneg: bool) -> tuple[SpecificEnergies, FitDiagnostics]:

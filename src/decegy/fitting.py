@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -55,30 +55,25 @@ class LinearSystem(Frozen):
         self._set(matrix, targets, labels)
 
 
-@dataclass
-class FitDiagnostics:
+class FitDiagnostics(Frozen):
     """Solver bookkeeping, serializable as JSON via :meth:`as_dict`."""
 
-    iterations: int = 0
-    termination: str = "direct"
-    residual_norm: float = 0.0
-    gradient_norm: float | None = None
-    condition: float | None = None
-    rank: int | None = None
-    dropped: tuple[str, ...] = ()
-    kkt: dict | None = None
-    notes: tuple[str, ...] = ()
-    cost_history: list[float] = field(default_factory=list)
+    __slots__ = ("iterations", "termination", "residual_norm", "gradient_norm", "condition",
+                 "rank", "dropped", "kkt", "notes", "cost_history")
+
+    def __init__(self, iterations: int = 0, termination: str = "direct",
+                 residual_norm: float = 0.0, gradient_norm: float | None = None,
+                 condition: float | None = None, rank: int | None = None,
+                 dropped: tuple[str, ...] = (), kkt: dict | None = None,
+                 notes: tuple[str, ...] = (), cost_history: Iterable[float] = ()):
+        self._set(iterations, termination, residual_norm, gradient_norm, condition, rank,
+                  dropped, kkt, notes, list(cost_history))
 
     def as_dict(self) -> dict:
         """Every field but the cost history, leaving out the unset and empty ones."""
-        values = {
-            "iterations": self.iterations, "termination": self.termination,
-            "residual_norm": self.residual_norm, "gradient_norm": self.gradient_norm,
-            "condition": self.condition, "rank": self.rank, "dropped": list(self.dropped) or None,
-            "kkt": self.kkt, "notes": list(self.notes) or None,
-        }
-        return {name: value for name, value in values.items() if value is not None}
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in zip(self._fields[:-1], self._values())
+                if value is not None and value != ()}
 
 
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,9 +168,9 @@ def fit_linear_ls(
     scale_safe = np.where(zero_cols, 1.0, scale)
     As = A / scale_safe
 
-    diagnostics = FitDiagnostics()
     coeffs_scaled = np.zeros(k)
     dropped: list[str] = []
+    rank = condition = kkt = None
 
     if nonneg:
         x, w = _nnls_active_set(As, y)
@@ -185,11 +180,10 @@ def fit_linear_ls(
             for j in range(k)
             if x[j] == 0.0
         ]
-        diagnostics.kkt = {
+        kkt = {
             "clamped": clamped,
             "max_free_gradient": float(np.max(np.abs(w[x > 0]))) if np.any(x > 0) else 0.0,
         }
-        diagnostics.termination = "active_set"
         dropped = [system.labels[j] for j in np.flatnonzero(zero_cols)]
     else:
         active = np.flatnonzero(~zero_cols)
@@ -198,11 +192,10 @@ def fit_linear_ls(
             # each column holds a 1, so diag[0], the largest column norm, is >= 1: rank >= 1
             diag = np.abs(np.diag(R))
             rank = int(np.sum(diag > max(m, k) * np.finfo(float).eps * diag[0]))
-            diagnostics.rank = rank
             qty = Q.T @ y
             coeffs_scaled[active[piv[:rank]]] = _back_substitute(R[:rank, :rank], qty[:rank])
             dropped = [system.labels[active[j]] for j in piv[rank:]]
-            diagnostics.condition = float(diag[0] / diag[rank - 1])
+            condition = float(diag[0] / diag[rank - 1])
         dropped += [system.labels[j] for j in np.flatnonzero(zero_cols)]
 
     if dropped:
@@ -212,16 +205,17 @@ def fit_linear_ls(
             CollinearityWarning,
             stacklevel=2,
         )
-        diagnostics.dropped = tuple(dropped)
 
     coefficients = coeffs_scaled / scale_safe
     with np.errstate(all="ignore"):  # infinite coefficients give a NaN residual
         residual = A @ coefficients - y
     norm = float(np.linalg.norm(residual))  # its sum of squares overflows past about 1e154
-    diagnostics.residual_norm = norm if norm < math.inf else math.hypot(*residual)
-    if not (np.all(np.isfinite(coefficients)) and math.isfinite(diagnostics.residual_norm)):
+    residual_norm = norm if norm < math.inf else math.hypot(*residual)
+    if not (np.all(np.isfinite(coefficients)) and math.isfinite(residual_norm)):
         raise FitError("coefficients overflow the float range")  # or the fit's residual does
-    return coefficients, diagnostics
+    termination = "active_set" if nonneg else "direct"
+    return coefficients, FitDiagnostics(0, termination, residual_norm, None, condition, rank,
+                                        tuple(dropped), kkt)
 
 
 class TrustRegionOptions(Frozen):
@@ -292,19 +286,17 @@ def fit_trust_region(
     gnorm0 = float(np.linalg.norm(g, np.inf))
     gradient_floor = opts.gradient_tolerance * max(1.0, gnorm0)
 
-    diagnostics = FitDiagnostics(termination="max_iterations")
-    diagnostics.cost_history.append(cost)
-    iteration = 0
+    termination, cost_history, iteration = "max_iterations", [cost], 0
     while iteration < opts.max_iterations:
         iteration += 1
         gnorm = float(np.linalg.norm(g, np.inf))
         if gnorm <= gradient_floor:
-            diagnostics.termination = "gradient_tolerance"
+            termination = "gradient_tolerance"
             break
         step = _dogleg_step(J, p_gn, g, radius)
         step_norm = float(np.linalg.norm(step))
         if step_norm <= opts.step_tolerance * (float(np.linalg.norm(x)) + opts.step_tolerance):
-            diagnostics.termination = "step_tolerance"
+            termination = "step_tolerance"
             break
         with np.errstate(all="ignore"):
             r_trial = np.asarray(residual_fn(x + step), dtype=float)
@@ -327,19 +319,17 @@ def fit_trust_region(
             J = _jacobian(jacobian_fn, x)
             g = J.T @ r
             p_gn = _lstsq(J, -r)
-            diagnostics.cost_history.append(cost)
+            cost_history.append(cost)
 
         if radius <= 1e-16 * max(1.0, float(np.linalg.norm(x))):
-            diagnostics.termination = "radius_collapse"
+            termination = "radius_collapse"
             break
 
-    diagnostics.iterations = iteration
-    diagnostics.residual_norm = math.sqrt(2.0 * cost)
-    diagnostics.gradient_norm = float(np.linalg.norm(g, np.inf))
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(J))
-    diagnostics.condition = cond if math.isfinite(cond) else None
-    return x, diagnostics
+    gnorm = float(np.linalg.norm(g, np.inf))
+    return x, FitDiagnostics(iteration, termination, math.sqrt(2.0 * cost), gnorm,
+                             cond if math.isfinite(cond) else None, cost_history=cost_history)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +445,9 @@ def fit_hl1(
         / max(np.mean(np.abs(energies)), 1e-300)
     )
     if power_share < 1e-9:
-        diagnostics.notes = diagnostics.notes + (
-            "power-law term negligible: rate_power is unidentifiable",
-        )
+        *head, notes, history = diagnostics._values()
+        notes += ("power-law term negligible: rate_power is unidentifiable",)
+        diagnostics = FitDiagnostics(*head, notes, history)
     return params, diagnostics
 
 

@@ -132,28 +132,30 @@ def counted_sizes(codec: Codec, kind: Kind) -> tuple[int, ...]:
 
 
 class Frozen:
-    """Base of every immutable value class: feature ids and sets, trace events and traces,
-    dataset records, model inputs and parameters, folds, reports and breakdown rows.
+    """Base of every immutable value class: feature ids, sets and values, trace events and
+    traces, dataset records, model inputs and parameters, folds, reports, breakdown rows and
+    fit diagnostics.
 
     A subclass names its fields in ``__slots__`` in constructor order (then any derived
-    values, if ``_fields`` names the fields alone) and stores them with :meth:`_set`.  It
-    gets what a frozen dataclass gives: equality and hashing over the fields within one
-    type (the hash kept once made, as ``Counter(trace.events)`` asks for it often), the
-    dataclass repr, AttributeError on assignment and deletion, and copy and pickle through
-    the constructor; :meth:`_values` gives the fields' values.  It exists because importing
-    ``dataclasses`` (which loads ``inspect``) and making dataclasses cost a process 10-15 ms
-    of CPU, which ``--help``, ``analyze``, ``predict`` and ``report`` no longer pay; only
-    ``fitting.FitDiagnostics`` stays a dataclass, loaded with numpy, which loads ``inspect``.
+    values, if ``_fields`` names the fields alone), or keeps its parent's with empty
+    ``__slots__``, and stores them with :meth:`_set`.  It gets equality and hashing over the
+    fields within one type (the hash kept once made, as ``Counter(trace.events)`` asks for
+    it often), the repr ``Name(field=value, ...)``, AttributeError on assignment and
+    deletion, and copy and pickle through the constructor; :meth:`_values` gives the
+    fields' values.  It stands in for the standard library's generated classes, whose
+    module loads ``inspect``: importing and making them cost a process 10-15 ms of CPU.
     """
 
     __slots__ = ("_hash",)
+    _slots = _fields = ()
 
     def __init_subclass__(cls):
-        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._slots = cls.__slots__ or cls._slots
+        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__ or cls._fields)
         cls._key = attrgetter(*fields or ["__class__"])  # a fieldless type has one value
 
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._slots, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -321,23 +323,23 @@ def build_feature_set(codec: Codec) -> FeatureSet:
     return FeatureSet(codec, tuple(feats))
 
 
-class FeatureValues:
+class FeatureValues(Frozen):
     """One number per feature of a codec's feature set, as Python floats in :attr:`floats`.
 
     Numbers given as a list or tuple get their read-only float64 array when it is first
     read, so that numpy is not needed."""
 
     __slots__ = ("feature_set", "floats", "_array")
+    _fields = __slots__[:2]
 
     def __init__(self, feature_set: FeatureSet, values):
-        self.feature_set = feature_set
         listed = isinstance(values, (list, tuple))
-        self._array = None if listed else float_array(values)
-        self.floats = tuple(map(float, values) if listed else self._array.tolist())
+        array = None if listed else float_array(values)
+        self._set(feature_set, tuple(map(float, values) if listed else array.tolist()), array)
 
     def _read(self):
         if self._array is None:
-            self._array = float_array(self.floats)
+            object.__setattr__(self, "_array", float_array(self.floats))
         return self._array
 
     @classmethod
@@ -357,11 +359,6 @@ class FeatureValues:
 
     def __len__(self) -> int:
         return len(self.floats)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.feature_set == other.feature_set and self.floats == other.floats
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.feature_set.codec.value}, {self._read()!r})"

@@ -43,19 +43,17 @@ def fit_trust_region(
     gnorm0 = float(np.linalg.norm(g, np.inf))
     gradient_floor = opts.gradient_tolerance * max(1.0, gnorm0)
 
-    diagnostics = FitDiagnostics(termination="max_iterations")
-    diagnostics.cost_history.append(cost)
-    iteration = 0
+    termination, cost_history, iteration = "max_iterations", [cost], 0
     while iteration < opts.max_iterations:
         iteration += 1
         gnorm = float(np.linalg.norm(g, np.inf))
         if gnorm <= gradient_floor:
-            diagnostics.termination = "gradient_tolerance"
+            termination = "gradient_tolerance"
             break
         step = _dogleg_step(J, _lstsq(J, -r), g, radius)  # solved on every iteration
         step_norm = float(np.linalg.norm(step))
         if step_norm <= opts.step_tolerance * (float(np.linalg.norm(x)) + opts.step_tolerance):
-            diagnostics.termination = "step_tolerance"
+            termination = "step_tolerance"
             break
         with np.errstate(all="ignore"):
             r_trial = np.asarray(residual_fn(x + step), dtype=float)
@@ -81,22 +79,20 @@ def fit_trust_region(
             cost = cost_trial
             J = _jacobian(jacobian_fn, x)
             g = J.T @ r
-            diagnostics.cost_history.append(cost)
+            cost_history.append(cost)
             if cost < best_cost:
                 best_cost = cost
                 best_x = x.copy()
 
         if radius <= 1e-16 * max(1.0, float(np.linalg.norm(x))):
-            diagnostics.termination = "radius_collapse"
+            termination = "radius_collapse"
             break
 
-    diagnostics.iterations = iteration
-    diagnostics.residual_norm = math.sqrt(2.0 * best_cost)
-    diagnostics.gradient_norm = float(np.linalg.norm(g, np.inf))
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(J))
-    diagnostics.condition = cond if math.isfinite(cond) else None
-    return best_x, diagnostics
+    gnorm = float(np.linalg.norm(g, np.inf))
+    return best_x, FitDiagnostics(iteration, termination, math.sqrt(2.0 * best_cost), gnorm,
+                                  cond if math.isfinite(cond) else None, cost_history=cost_history)
 
 
 def one_value(x: np.ndarray) -> bool:
@@ -200,7 +196,7 @@ def fit_hl1(
         / max(np.mean(np.abs(energies)), 1e-300)
     )
     if power_share < 1e-9:
-        diagnostics.notes = diagnostics.notes + (
-            "power-law term negligible: rate_power is unidentifiable",
-        )
+        *head, notes, history = diagnostics._values()
+        notes += ("power-law term negligible: rate_power is unidentifiable",)
+        diagnostics = FitDiagnostics(*head, notes, history)
     return params, diagnostics

@@ -242,6 +242,16 @@ def test_objective_never_increases_over_accepted_steps():
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+def test_a_jacobian_of_the_wrong_sign_ends_in_radius_collapse():
+    # every step goes downhill on the model and uphill on the cost, so each is rejected
+    # and quarters the radius until it falls below 1e-16
+    x, diagnostics = fit_trust_region(lambda v: v - 1.0, lambda v: -np.ones((1, 1)), [0.0])
+    assert x.tolist() == [0.0]
+    assert diagnostics.termination == "radius_collapse"
+    assert diagnostics.iterations == 27
+    assert diagnostics.cost_history == [0.5]
+
+
 def test_nonfinite_start_rejected():
     with pytest.raises(FitError):
         fit_trust_region(

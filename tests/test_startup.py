@@ -6,10 +6,9 @@ scipy cannot be imported.  ``--help``, ``analyze``, ``predict`` (of every model)
 and ``report`` do not load numpy, through the console script's
 ``decegy.cli:main`` or ``python -m decegy``, and run where numpy cannot be
 imported, with the same output.  Only ``analyze`` loads ``decegy.trace``, only
-``report --svg`` loads ``html``, and no command loads ``numpy.ma``; ``--help``,
-``analyze``, ``predict`` and ``report`` load neither ``dataclasses`` nor ``inspect``, and
-``synth`` (whose numpy loads ``inspect``) does not load ``dataclasses``.  The package
-serves its public names lazily.
+``report --svg`` loads ``html``, and no command loads ``numpy.ma`` or ``dataclasses``;
+``--help``, ``analyze``, ``predict`` and ``report`` do not load ``inspect`` either (numpy,
+which the other commands load, does).  The package serves its public names lazily.
 """
 
 import argparse
@@ -243,8 +242,9 @@ def test_help_and_analyze_load_neither_dataclasses_nor_inspect(modules_of, args)
     assert not {"dataclasses", "inspect"} & modules_of(tuple(args))
 
 
-def test_synth_does_not_load_dataclasses(modules_of):
-    assert "dataclasses" not in modules_of(tuple(_EVERY_COMMAND[2]))
+@pytest.mark.parametrize("args", _EVERY_COMMAND, ids=_command_id)
+def test_no_command_loads_dataclasses(modules_of, args):
+    assert "dataclasses" not in modules_of(tuple(args))
 
 
 @pytest.mark.parametrize("args", _PREDICT_AND_REPORT, ids=_label)

@@ -1,27 +1,30 @@
-"""Value semantics of the package's immutable values: feature ids and sets, trace
-events and traces, dataset records and synth specs, high-level inputs and parameters,
-folds, cross-validation reports and breakdown rows, linear systems and trust-region
-options.
+"""Value semantics of the package's immutable values: feature ids, sets and vectors, trace
+events and traces, dataset records and synth specs, high-level inputs, specific energies
+and parameters, folds, cross-validation reports and breakdown rows, linear systems,
+trust-region options and fit diagnostics.
 
-They were dataclasses and are plain slotted classes on ``taxonomy.Frozen`` now; each
-must still construct, compare, hash, print, copy and pickle as the dataclass did, with
-the same validation messages, and refuse changes (``CVReport`` and ``LinearSystem``,
-which were not frozen, now do too).
+They were dataclasses or plain slotted classes and are plain slotted classes on
+``taxonomy.Frozen`` now; each must still construct, compare, hash, print, copy and pickle
+as before, with the same validation messages, and refuse changes (``CVReport``,
+``LinearSystem``, ``FitDiagnostics``, ``FeatureVector`` and ``SpecificEnergies``, which
+could be changed, now do too).  A dataset copies and pickles as its records.
 """
 
 import copy
 import math
 import pickle
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from decegy.dataset import BitstreamRecord, SynthSpec, default_specific_energies
+from decegy.dataset import BitstreamRecord, Dataset, SynthSpec, default_specific_energies
+from decegy.dataset import synth_dataset
 from decegy.evaluation import BreakdownRow, CVReport, FoldPartition
-from decegy.fitting import LinearSystem, TrustRegionOptions
-from decegy.models import HighLevelInfo, HL1Params, HL2Params
-from decegy.taxonomy import Codec, EntropyMode, FeatureId, FeatureSet, FeatureVector, Kind
-from decegy.taxonomy import build_feature_set
+from decegy.fitting import FitDiagnostics, LinearSystem, TrustRegionOptions
+from decegy.models import HighLevelInfo, HL1Params, HL2Params, SpecificEnergies
+from decegy.taxonomy import Codec, EntropyMode, FeatureId, FeatureSet, FeatureValues
+from decegy.taxonomy import FeatureVector, Kind, build_feature_set
 from decegy.trace import (
     Coefficient,
     DecodeTrace,
@@ -33,7 +36,9 @@ from decegy.trace import (
 )
 
 E0, SAO = FeatureId(Codec.HEVC, Kind.E0), FeatureId(Codec.HEVC, Kind.SAO)
-VEC = FeatureVector(build_feature_set(Codec.H263), [1.0, 2.0] + [0.0] * 9)
+H263 = build_feature_set(Codec.H263)
+COUNTS, JOULES = [1.0, 2.0] + [0.0] * 9, [0.5, 1e-9] + [2.5e-8] * 9
+VEC = FeatureVector(H263, COUNTS)
 # one array object for every value of a case: == on two distinct arrays is ambiguous
 FOLDS, EYE, TARGETS = np.array([0, 1, 1, 0]), np.eye(2), np.array([1.0, 2.0])
 CV_ARGS = ("hl2", 2, 5, 0.125, [0.1, None], [2, 2], [{"a": 1.0}, None], {"s1": 0.1})
@@ -41,7 +46,8 @@ CV_FIELDS = ("model_kind", "k", "seed", "overall_error", "fold_errors", "fold_si
              "fold_params", "per_stream")
 
 #: Per class: positional arguments, the same as keywords with every default left out,
-#: the defaults, a value that differs in one field, and the repr the dataclass gave.
+#: the defaults, a value that differs in one field, and the repr the class gave before
+#: it was a ``Frozen``.
 CASES = {
     "FeatureId": (
         FeatureId, (Codec.HEVC, Kind.INTER, 32), {"codec": Codec.HEVC, "kind": Kind.INTER,
@@ -49,6 +55,11 @@ CASES = {
         {"entropy_mode": None}, FeatureId(Codec.HEVC, Kind.INTER, 16),
         "FeatureId(codec=<Codec.HEVC: 'hevc'>, kind=<Kind.INTER: 'inter'>, block_size=32, "
         "entropy_mode=None)",
+    ),
+    "FeatureVector": (
+        FeatureVector, (H263, COUNTS), {"feature_set": H263, "values": COUNTS}, {},
+        FeatureVector(H263, [1.0, 3.0] + [0.0] * 9),
+        "FeatureVector(h263, array([1., 2., 0., 0., 0., 0., 0., 0., 0., 0., 0.]))",
     ),
     "FeatureSet": (
         FeatureSet, (Codec.HEVC, (E0, SAO)), {"codec": Codec.HEVC, "features": (E0, SAO)},
@@ -119,6 +130,12 @@ CASES = {
         "HL2Params(intra_bytes_coeff=2e-09, intra_coeff=5e-08, bytes_coeff=3e-09, "
         "base_coeff=1e-08)",
     ),
+    "SpecificEnergies": (
+        SpecificEnergies, (H263, JOULES), {"feature_set": H263, "values": JOULES}, {},
+        SpecificEnergies(H263, JOULES[:-1] + [3e-8]),
+        "SpecificEnergies(h263, array([5.0e-01, 1.0e-09, 2.5e-08, 2.5e-08, 2.5e-08, 2.5e-08, "
+        "2.5e-08,\n       2.5e-08, 2.5e-08, 2.5e-08, 2.5e-08]))",
+    ),
     "FoldPartition": (
         FoldPartition, (2, FOLDS, 3), {"k": 2, "assignment": FOLDS, "seed": 3}, {},
         FoldPartition(2, FOLDS, 4), "FoldPartition(k=2, assignment=array([0, 1, 1, 0]), seed=3)",
@@ -153,11 +170,21 @@ CASES = {
         "TrustRegionOptions(max_iterations=200, gradient_tolerance=1e-10, step_tolerance=1e-12, "
         "initial_radius=1.0)",
     ),
+    "FitDiagnostics": (
+        FitDiagnostics, (3, "gradient_tolerance", 0.5, 1e-11, 4.0, None, (), None, (), [1.0, 0.5]),
+        {"iterations": 3, "termination": "gradient_tolerance", "residual_norm": 0.5,
+         "gradient_norm": 1e-11, "condition": 4.0, "cost_history": [1.0, 0.5]},
+        {"rank": None, "dropped": (), "kkt": None, "notes": ()},
+        FitDiagnostics(3, "gradient_tolerance", 0.5, 1e-11, 4.0, cost_history=[1.0, 0.25]),
+        "FitDiagnostics(iterations=3, termination='gradient_tolerance', residual_norm=0.5, "
+        "gradient_norm=1e-11, condition=4.0, rank=None, dropped=(), kkt=None, notes=(), "
+        "cost_history=[1.0, 0.5])",
+    ),
 }
 
 #: The classes whose values hold an unhashable field, as their dataclasses did: a feature
 #: vector, an array or a list.
-UNHASHABLE = (BitstreamRecord, FoldPartition, CVReport, LinearSystem)
+UNHASHABLE = (BitstreamRecord, FoldPartition, CVReport, LinearSystem, FitDiagnostics)
 
 ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
 ROUND_TRIP_IDS = ["copy", "deepcopy", "pickle"]
@@ -213,6 +240,9 @@ def test_equality_holds_within_one_type_only():
     assert HL1Params(1.0, 2.0, 3.0, 4.0) != HL2Params(1.0, 2.0, 3.0, 4.0)
     assert HL2Params(1.0, 2.0, 3.0, 4.0) != (1.0, 2.0, 3.0, 4.0)
     assert len({HL1Params(1.0, 2.0, 3.0, 4.0), HL2Params(1.0, 2.0, 3.0, 4.0)}) == 2
+    values, energies = FeatureValues(H263, JOULES), SpecificEnergies(H263, JOULES)
+    assert values != FeatureVector(H263, JOULES) != energies != values
+    assert len({values, FeatureVector(H263, JOULES), energies}) == 3
 
 
 def test_a_feature_set_compares_and_hashes_on_its_codec_and_features():
@@ -229,7 +259,7 @@ def test_repr_is_the_dataclass_repr(case):
 
 @by_class
 def test_assignment_and_deletion_raise_attribute_error(case):
-    value, fields = _value(case), (*case[2], *case[3])
+    value, fields = _value(case), (*case[2], *case[3], *case[0]._fields)
     for name in (*fields, "no_such_field"):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(value, name, 1)
@@ -242,10 +272,6 @@ def test_assignment_and_deletion_raise_attribute_error(case):
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
 def test_copy_and_pickle_round_trips(case, round_trip):
     value = _value(case)
-    if isinstance(value, BitstreamRecord) and round_trip is not copy.copy:
-        with pytest.raises(TypeError, match="cannot pickle 'mappingproxy' object"):
-            round_trip(value)  # a record's tags never pickled, as a dataclass either
-        return
     again = round_trip(value)
     assert type(again) is type(value)
     assert _same(again, value)
@@ -258,6 +284,28 @@ def test_a_fold_assignment_stays_read_only(round_trip):
     folds = FoldPartition(2, np.array([0, 1, 1, 0]), 3)
     assert not folds.assignment.flags.writeable
     assert not round_trip(folds).assignment.flags.writeable
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+def test_feature_values_round_trip_after_their_array_was_read(round_trip):
+    vector, energies = FeatureVector(H263, COUNTS), SpecificEnergies(H263, np.array(JOULES))
+    for value, read in ((vector, attrgetter("counts")), (energies, attrgetter("values"))):
+        array = read(value)
+        again = round_trip(value)
+        assert again == value and hash(again) == hash(value)
+        assert np.array_equal(read(again), array) and not read(again).flags.writeable
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+def test_a_dataset_round_trips_with_its_tags(round_trip):
+    synthetic = synth_dataset(SynthSpec(Codec.HEVC, 3))
+    dataset = Dataset([BitstreamRecord(*record._values()[:-1], {"take": str(i)})
+                       for i, record in enumerate(synthetic)])
+    again = round_trip(dataset)
+    assert type(again) is Dataset and again == dataset
+    assert again.ids == dataset.ids and again.tags == dataset.tags
+    assert repr(again.tags) == repr(dataset.tags)
+    assert np.array_equal(again.counts, dataset.counts)
 
 
 def test_a_pickled_feature_set_keeps_its_index():
