@@ -7,21 +7,20 @@ energy.  The CSV schema is
     stream_id,codec,width,height,frames,file_size_bytes,intra_frames,
     energy_joules,<feature columns in canonical order>
 
-with unknown extra columns preserved as free-form tags.  Numbers are decimal,
-files UTF-8 with LF line endings.  The metadata and energy cells may be empty
-(e.g. rows produced by trace analysis before measurements are merged in);
-metadata integers may not exceed 2**53.
+with unknown extra columns preserved as free-form tags.  Numbers are ASCII
+decimal without ``_``, files UTF-8 with LF line endings.  The metadata and
+energy cells may be empty (e.g. rows produced by trace analysis before
+measurements are merged in); metadata integers may not exceed 2**53.
 
-A :class:`Dataset` keeps its rows as columns and checks each column once,
-whichever way it is built.  A check tests its whole column at once, and walks
-the column for its first bad row only when that test fails; the CSV parse
-checks do the same per chunk of rows.  Of the record checks' first bad rows,
-the first is the only row built alone, as a :class:`BitstreamRecord`, so the
-error names the first bad row in the words it always had.  A row that does
-not parse is reported once the rows before it pass their record checks, and
-a repeated id only when no row fails.  :func:`_numbered` numbers a row's error
-for both loaders and for :func:`about_rows` (CSV rows count the header line,
-JSON rows count records).
+A :class:`Dataset` keeps its rows as columns and runs the row rules of
+:data:`~decegy.schema.RULES` once, whichever way it is built.  Each rule tests
+the whole columns at once, and halves them down to its first bad row only when
+that test fails; the CSV parse checks walk a column per chunk of rows when its
+test fails.  The error is the first rule's message on the first bad row, as a
+:class:`BitstreamRecord` of that row would say it.  A row that does not parse
+is reported once the rows before it pass the rules, and a repeated id only when
+no row fails.  :func:`_numbered` numbers a row's error for both loaders and for
+:func:`about_rows` (CSV rows count the header line, JSON rows count records).
 
 The synthetic generator replaces physical measurements: it draws feature
 counts, computes the exact feature-model energy under known specific energies
@@ -40,16 +39,16 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import add, gt, iadd, itemgetter, mul, sub
+from operator import add, iadd, itemgetter, mul, sub
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DataValidationError, about_file, json_feature_values, json_number
 from .errors import json_text, read_json, read_text
 from .models import HighLevelColumns, HighLevelInfo, SpecificEnergies, feature_estimate
 from .models import feature_values
-from .schema import BASE_COLUMNS, METADATA_COLUMNS, check_record, csv_text
+from .schema import BASE_COLUMNS, METADATA_COLUMNS, Rows, check_record, csv_text, first_fault
 from .taxonomy import Codec, FeatureSet, FeatureVector, Frozen, Kind, build_feature_set
 from .taxonomy import float_array
 from .taxonomy import validate_vector  # noqa: F401  bench/spans.py wraps it here
@@ -111,66 +110,20 @@ def _doubles(values) -> array:
     return array("d", [math.nan if v is None else v for v in values] if None in values else values)
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
 #: A line as io.StringIO yields it, with its LF (the last maybe without), but made only when
 #: read: StringIO holds the whole text at 4 bytes per character, a list of lines all at once.
 _LINE = re.compile(".*\n|.+")
 
 
-def _first_not(ok: Callable, values) -> int:
-    """The index of the first of ``values`` that is not ``ok``, or their count if none."""
-    return next((i for i, value in enumerate(values) if not ok(value)), len(values))
-
-
-def _at_row(i: int, make: Callable, *args):
-    """``make(*args)``, whose DataValidationError gets the row ``index`` i."""
-    try:
-        return make(*args)
-    except DataValidationError as exc:
-        exc.index = i
-        raise
-
-
-def _texts(ids, tags) -> str:
-    """The stream ids, tag keys and tag values as one string."""
-    return "".join(chain(ids, *tags, map(str, chain(*(t.values() for t in tags)))))
-
-
-def _check_rows(codec, ids, counts: array, energies, metadata, tags) -> list[array]:
-    """The metadata columns as arrays of doubles, once every row passes its record check.
-
-    Each column is tested whole, and walked for its first bad row only when that test
-    fails; the first of those rows is built as a record, which raises its error with the
-    row's ``index``."""
-    m = len(ids)
-    width = len(counts) // m if m else 0
-    e0 = counts[build_feature_set(codec).index_of("e0")::width] if m else array("d")
-    lowest = [0 if name == "intra_frames" else 1 for name in METADATA_COLUMNS]
-    given = [v if None not in v else [x for x in v if x is not None] for v in metadata]
-    in_range = all(not v or low <= min(v) and max(v) <= 2**53 for v, low in zip(given, lowest))
-    meta = [_doubles(values) for values in metadata] if in_range else []  # exact as doubles
-    # a finite sum holds no NaN or infinity, and then the least count is exact
-    finite = math.isfinite(sum(counts)) or all(map(math.isfinite, counts))
-    firsts = [  # the first bad row of each column, m when its test passes
-        m if all(ids) else ids.index(""),
-        m if finite and min(counts, default=0.0) >= 0
-        else _first_not(lambda c: 0 <= c < math.inf, counts) // width,
-        m if e0.count(1.0) == m else _first_not((1.0).__eq__, e0),
-        _first_not(lambda e: e is None or 0 < e < math.inf, energies),
-        *(m if in_range else _first_not(lambda x: x is None or low <= x <= 2**53, v)
-          for v, low in zip(metadata, lowest)),
-        m if in_range and not any(map(gt, meta[4], meta[2]))  # intra_frames <= frames
-        else _first_not(lambda pair: None in pair or pair[0] <= pair[1],
-                        [*zip(metadata[4], metadata[2])]),
-        m if not _SURROGATE.search(_texts(ids, tags)) else _first_not(
-            lambda i: not _SURROGATE.search(_texts(ids[i:i + 1], tags[i:i + 1])), range(m)),
-    ]
-    i = min(firsts)
-    if i < m:
-        _at_row(i, _record, codec, ids[i], counts[i * width:(i + 1) * width].tolist(),
-                energies[i], [v[i] for v in metadata], tags[i])
-        raise AssertionError(f"row {i} passes the record check that its columns fail")
-    return meta
+def _check_rows(codec, ids, counts: array, energies, metadata, tags) -> None:
+    """Raise the error of the first row that breaks a row rule, with the row's ``index``:
+    each rule of :data:`~decegy.schema.RULES` tests the whole columns, and a rule that fails
+    finds its first bad row (:func:`~decegy.schema.first_fault`)."""
+    if ids:
+        rows = Rows(codec, build_feature_set(codec), ids, counts, energies, metadata, tags)
+        fault = first_fault(rows)
+        if fault:
+            raise DataValidationError(fault[1], index=fault[0])
 
 
 class Dataset:
@@ -216,18 +169,19 @@ class Dataset:
         array of doubles, ``energies`` M floats or None, ``metadata`` per metadata column M
         integers or None, ``tags`` M mappings.
 
-        The first row that fails its record check raises its error (:func:`_check_rows`);
-        a repeated id is raised only when none does."""
+        The first row that breaks a row rule raises its error (:func:`_check_rows`); a
+        repeated id is raised only when none does."""
         counts = counts if isinstance(counts, array) else _flat(counts)
         m = len(ids)
-        meta = _check_rows(codec, ids, counts, energies, metadata, tags)
+        _check_rows(codec, ids, counts, energies, metadata, tags)
         self._index = dict(zip(ids, range(m)))
         if len(self._index) < m:
             seen: set[str] = set()
             repeated = next(sid for sid in ids if sid in seen or seen.add(sid))  # add gives None
             raise DataValidationError(f"duplicate stream_id {repeated!r}")
         self._codec = codec if m else None
-        self.ids, self._counts, self._metadata = tuple(ids), counts, meta
+        self.ids, self._counts = tuple(ids), counts
+        self._metadata = [_doubles(values) for values in metadata]  # exact: at most 2**53
         self._width = len(counts) // m if m else 0
         self._energies, self._arrays = _doubles(energies), None
         self.tags = tuple(map(MappingProxyType, tags))  # callers hand over fresh mappings
@@ -275,11 +229,16 @@ class Dataset:
         """Every row as a record, built on each access."""
         return tuple(self)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Dataset) and self.records == other.records
+    def _columns(self) -> tuple:
+        """The columns as :meth:`_from_columns` takes them: empty cells None, tags dicts."""
+        *metadata, energies = map(list, _numbers(self))
+        return self._codec, self.ids, self._counts, energies, metadata, list(map(dict, self.tags))
 
-    def __reduce__(self):  # copied and pickled as its records
-        return type(self), (self.records,)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dataset) and self._columns() == other._columns()
+
+    def __reduce__(self):  # copied and pickled as its columns
+        return type(self)._from_columns, self._columns()
 
     def get(self, stream_id: str) -> BitstreamRecord:
         if stream_id not in self._index:
@@ -415,9 +374,9 @@ def load_dataset(path, require_energy: bool = True) -> Dataset:
 
 
 def _loaded(columns: tuple | None, json: bool, failed: DataValidationError | None) -> Dataset:
-    """The dataset of the rows read, ``columns`` (None for none), unless a row fails its
-    record check or ``failed``, the error of the next row, is given; a repeated id is raised
-    only when no row fails."""
+    """The dataset of the rows read, ``columns`` (None for none), unless a row breaks a row
+    rule or ``failed``, the error of the next row, is given; a repeated id is raised only
+    when no row fails."""
     with _numbered(json):
         if failed is None:
             return Dataset._from_columns(*columns) if columns else Dataset()
@@ -440,43 +399,58 @@ def _first_csv_codec(row: list[str], header: list[str]) -> Codec | None:
     return codec
 
 
-def _parse_column(cells, column: str, parse=float, blank: str | None = None) -> list:
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII without ``_``: ``int`` and ``float`` read digits of other
+    scripts and ``_`` between digits too, which a CSV number, as a JSON one, may not hold."""
+    return text.isascii() and "_" not in text
+
+
+def _parse_column(cells, column: str, parse=float, blank: str | None = None,
+                  plain: bool = True) -> list:
     """CSV number cells read by ``parse`` (int or float); a blank cell is None, or an
-    error that says ``blank`` when given.  An error has the ``index`` of its cell."""
+    error that says ``blank`` when given.  An error has the ``index`` of its cell.  ``plain``
+    says that every cell is known to be :func:`_plain`."""
     try:
-        return list(map(parse, cells))
+        values = list(map(parse, cells))
+        if plain or _plain("".join(cells)):
+            return values
     except ValueError:  # a blank cell, or one that is not a number
         pass
     values = []
     for i, raw in enumerate(cells):
         if blank and not raw.strip():
             raise DataValidationError(f"column {column!r}: {blank}", index=i)
-        try:
-            values.append(parse(raw) if raw.strip() else None)
+        try:  # a cell that is not plain is read as "", which is not a number
+            values.append(parse(raw if _plain(raw) else "") if raw.strip() else None)
         except ValueError:
             what = "an integer" if parse is int else "a number"
             raise DataValidationError(f"column {column!r}: not {what}: {raw!r}", index=i) from None
     return values
 
 
-def _csv_columns(header: list[str], rows: list[list[str]], codec, require_energy: bool) -> tuple:
-    """The columns of CSV rows of ``codec``.  A cell's error names its column and has the
-    ``index`` of its row: each check tests the whole column, and walks its cells for the
-    first bad one only when that test fails."""
+def _csv_columns(header: list[str], rows: list[list[str]], codec, require_energy: bool,
+                 plain: bool) -> tuple:
+    """The columns of CSV rows of ``codec``; ``plain`` says that every cell is ASCII without
+    ``_``.  A cell's error names its column and has the ``index`` of its row: each check tests
+    the whole column, and walks its cells for the first bad one only when that test fails."""
     width = len(header)
     rows = [row if len(row) == width else (row + [""] * width)[:width] for row in rows]
     column = dict(zip(header, zip(*rows)))  # a short row reads as empty cells
     cells, wanted = column["codec"], getattr(codec, "value", None)  # None: row 0's is unreadable
     if {cell.strip().lower() for cell in set(cells)} != {wanted}:
-        i = _first_not(lambda cell: cell.strip().lower() == wanted, cells)
-        found = _at_row(i, Codec.from_name, cells[i].strip())
+        i = next(i for i, cell in enumerate(cells) if cell.strip().lower() != wanted)
+        try:
+            found = Codec.from_name(cells[i].strip())
+        except DataValidationError as exc:
+            exc.index = i
+            raise
         raise DataValidationError(f"mixed codecs: {codec.value} and {found.value}", index=i)
     fs = build_feature_set(codec)
-    counts = [_parse_column(column[name], name, blank="empty count") for name in fs.names]
-    energies = _parse_column(column["energy_joules"], "energy_joules")
+    counts = [_parse_column(column[name], name, float, "empty count", plain) for name in fs.names]
+    energies = _parse_column(column["energy_joules"], "energy_joules", plain=plain)
     if require_energy and None in energies:
         raise DataValidationError("missing energy value", index=energies.index(None))
-    metadata = [_parse_column(column[name], name, int) for name in METADATA_COLUMNS]
+    metadata = [_parse_column(column[name], name, int, plain=plain) for name in METADATA_COLUMNS]
     known = set(BASE_COLUMNS) | set(fs.names)
     tag_keys = [key for key in header if key not in known]
     tags = [dict(zip(tag_keys, cells)) for cells in zip(*(column[key] for key in tag_keys))]
@@ -508,6 +482,7 @@ def _csv_rows(text: str) -> tuple[list[str], Iterator[list[str]]]:
 
 def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
     header, reader = _csv_rows(text)
+    plain = text.isascii() and text.find("_", text.find("\n") + 1) < 0  # past the header line
     parts, failed = [], None
     while failed is None:
         rows = []
@@ -521,7 +496,7 @@ def dataset_from_csv(text: str, require_energy: bool = True) -> Dataset:
         end = len(rows)
         while end:  # the rows before the first that does not parse
             try:
-                parts.append(_csv_columns(header, rows[:end], codec, require_energy))
+                parts.append(_csv_columns(header, rows[:end], codec, require_energy, plain))
                 break
             except DataValidationError as exc:
                 end, failed = exc.index, exc

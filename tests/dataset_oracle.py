@@ -8,7 +8,9 @@ loader's row number into one place, and the CSV writer that built each row
 through ``schema.csv_row`` (which then also appended the tag and number cells) and
 wrote them with ``csv.writer``, before ``dataset_to_csv`` built the cells column by
 column and ``schema.csv_text`` joined them itself.  Records, datasets and specs are the
-library's own types.  ``test_dataset_oracle.py`` requires the library to give the same
+library's own types.  A CSV number cell must be ASCII without ``_``, as in the
+library (``int`` and ``float`` read other scripts' digits and ``1_000``, JSON does not).
+``test_dataset_oracle.py`` requires the library to give the same
 bytes or the same exception type and message, with this CSV loader's doubled
 ``row N: row N:`` prefix collapsed.
 """
@@ -58,6 +60,8 @@ def _parse_optional_int(raw: str | None, column: str, row: int) -> int | None:
     if raw is None or raw.strip() == "":
         return None
     try:
+        if not raw.isascii() or "_" in raw:  # digits of other scripts, or 1_000
+            raise ValueError(raw)
         return int(raw)
     except ValueError:
         raise DataValidationError(f"column {column!r}: not an integer: {raw!r}", row=row) from None
@@ -67,6 +71,8 @@ def _parse_optional_float(raw: str | None, column: str, row: int) -> float | Non
     if raw is None or raw.strip() == "":
         return None
     try:
+        if not raw.isascii() or "_" in raw:  # digits of other scripts, or 1_000
+            raise ValueError(raw)
         return float(raw)
     except ValueError:
         raise DataValidationError(f"column {column!r}: not a number: {raw!r}", row=row) from None

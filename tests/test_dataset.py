@@ -305,6 +305,34 @@ def test_bad_csv_integer_cell_names_its_row_once():
     assert str(excinfo.value) == "row 3: column 'width': not an integer: 'abc'"
 
 
+@pytest.mark.parametrize(
+    "column, cell, what",
+    [("energy_joules", "0_5", "a number"), ("width", "1_280", "an integer"),
+     ("pel", "\u0661\u0665", "a number"), ("frames", "\u0664\u0660", "an integer"),
+     ("e0", "\uff11", "a number")],
+    ids=["underscore-energy", "underscore-width", "arabic-count", "arabic-frames", "fullwidth-e0"],
+)
+def test_a_csv_number_cell_must_be_ascii_decimal(column, cell, what):
+    """int and float read these cells (as 5.0, 1280, 15.0, 40 and 1.0); JSON does not."""
+    header = HEVC_HEADER.split(",")
+    cells = _hevc_row("b").split(",")
+    cells[header.index(column)] = cell
+    text = "\n".join([HEVC_HEADER, _hevc_row("a"), ",".join(cells)])
+    with pytest.raises(DataValidationError) as excinfo:
+        dataset_from_csv(text)
+    assert str(excinfo.value) == f"row 3: column {column!r}: not {what}: {cell!r}"
+
+
+def test_underscores_and_non_ascii_text_outside_number_cells_still_load():
+    """A text that is not ASCII, or holds ``_`` past its header, has its number cells
+    checked one by one; a blank cell of other whitespace is still empty."""
+    row = _hevc_row("a_\u00e9").replace(",2.5,", ",\u00a0,", 1)
+    dataset = dataset_from_csv("\n".join([HEVC_HEADER + ",note", row + ",x_y"]),
+                               require_energy=False)
+    assert dataset.ids == ("a_\u00e9",) and dict(dataset.tags[0]) == {"note": "x_y"}
+    assert dataset[0].energy_joules is None and dataset[0].width == 416
+
+
 @pytest.mark.parametrize("field", ["width", "height", "frames", "file_size_bytes", "intra_frames"])
 def test_metadata_above_2_53_is_rejected(field):
     record = synth_dataset(SynthSpec(Codec.HEVC, 1, seed=1)).records[0]

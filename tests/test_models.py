@@ -61,6 +61,14 @@ def test_hand_summed_example():
     assert predict_feature_model(energies, vector) == pytest.approx(0.5, rel=1e-14)
 
 
+def test_specific_energies_need_one_finite_value_per_feature():
+    with pytest.raises(ValueError) as caught:
+        SpecificEnergies(HEVC, [1.0])
+    assert type(caught.value) is ValueError and str(caught.value) == "expected 19 values, got 1"
+    with pytest.raises(DataValidationError, match="^specific energies must be finite$"):
+        SpecificEnergies(HEVC, [math.nan] * 19)
+
+
 def test_feature_set_mismatch_rejected():
     energies = _energies({"e0": 0.1})
     vector = _vec({"e0": 1.0}, codec=Codec.VP9)

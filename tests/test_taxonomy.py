@@ -166,6 +166,14 @@ def test_validate_vector_length_mismatch():
     assert any("length mismatch" in v for v in violations)
 
 
+def test_validate_vector_reports_a_vector_of_another_codec():
+    hevc, vp9 = build_feature_set(Codec.HEVC), build_feature_set(Codec.VP9)
+    vector = FeatureVector.from_dict(vp9, {"e0": 1.0})
+    assert validate_vector(hevc, vector) == [
+        "feature set mismatch: vector is for vp9, expected hevc"
+    ]
+
+
 def test_validate_vector_e0_must_be_one():
     fs = build_feature_set(Codec.VP9)
     vec = FeatureVector(fs, np.zeros(19))

@@ -7,7 +7,8 @@ They were dataclasses or plain slotted classes and are plain slotted classes on
 ``taxonomy.Frozen`` now; each must still construct, compare, hash, print, copy and pickle
 as before, with the same validation messages, and refuse changes (``CVReport``,
 ``LinearSystem``, ``FitDiagnostics``, ``FeatureVector`` and ``SpecificEnergies``, which
-could be changed, now do too).  A dataset copies and pickles as its records.
+could be changed, now do too).  A dataset copies, pickles and compares by its columns,
+without building a record.
 """
 
 import copy
@@ -308,6 +309,15 @@ def test_a_dataset_round_trips_with_its_tags(round_trip):
     assert np.array_equal(again.counts, dataset.counts)
 
 
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+def test_a_dataset_copies_and_compares_without_building_a_record(monkeypatch, round_trip):
+    import decegy.dataset as module
+
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 3))
+    monkeypatch.setattr(module, "_record", None)  # building a record raises TypeError
+    assert round_trip(dataset) == dataset
+
+
 def test_a_pickled_feature_set_keeps_its_index():
     again = pickle.loads(pickle.dumps(build_feature_set(Codec.H264)))
     assert again.index_of("coeff_cabac") == build_feature_set(Codec.H264).index_of("coeff_cabac")
@@ -335,6 +345,12 @@ def test_a_pickled_feature_set_keeps_its_index():
          "feature vector is for h263, record says hevc"),
         (lambda: BitstreamRecord("s", Codec.H263, VEC, frames=2, intra_frames=3),
          "intra_frames exceeds frames"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, width=3.0),
+         "width must be an integer, got 3.0"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, width=True),
+         "width must be an integer, got True"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, intra_frames=-1),
+         "intra_frames must be >= 0"),
         (lambda: SynthSpec(Codec.HEVC, 0), "count must be >= 1"),
         (lambda: SynthSpec(Codec.HEVC, 3, noise_sigma=math.nan), "noise_sigma must be >= 0"),
         (lambda: SynthSpec(Codec.HEVC, 3, default_specific_energies(Codec.VP9)),
@@ -358,6 +374,7 @@ def test_a_pickled_feature_set_keeps_its_index():
     ],
     ids=["zero-value", "zero-bits", "unsized-inter", "sized-e0", "odd-size", "h264-no-mode",
          "hevc-mode", "block-first", "empty-id", "record-codec", "intra-above-frames",
+         "float-width", "bool-width", "negative-intra",
          "zero-count", "nan-sigma", "params-codec", "bad-range", "zero-pixels", "intra-rate",
          "nan-base", "zero-power", "negative-coeff", "inf-coeff", "one-fold", "fold-label",
          "fold-sizes", "1-d-matrix", "labels", "zero-tolerance"],
