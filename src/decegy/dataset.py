@@ -95,9 +95,11 @@ def _highlevel(width, height, frames, file_size_bytes, intra_frames) -> HighLeve
 
 
 def _record(codec: Codec, stream_id, counts, energy, metadata, tags) -> BitstreamRecord:
-    """One row as a record, which runs the record check."""
+    """A row of a dataset, whose columns are checked, as a record without the record check."""
+    record = BitstreamRecord.__new__(BitstreamRecord)
     features = FeatureVector(build_feature_set(codec), counts)
-    return BitstreamRecord(stream_id, codec, features, *metadata, energy, tags)
+    record._set(stream_id, codec, features, *metadata, energy, tags)
+    return record
 
 
 def _flat(rows) -> array:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _lazy
 from .dataset import Dataset, csv_text
@@ -123,8 +123,57 @@ class FoldPartition(Frozen):
         return np.bincount(self.assignment, minlength=self.k).tolist()
 
 
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULTIPLIER = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def _hasher(const: int, multiplier: int) -> Callable[[int], int]:
+    """numpy SeedSequence's 32-bit hash, whose constant advances on each call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value, const = value ^ const, const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _pcg64(seed: int) -> Iterator[int]:
+    """The 64-bit outputs of numpy's PCG64 as ``default_rng(seed)`` seeds it: a SeedSequence
+    mixes the seed's 32-bit words into 4 and hashes them into the 128-bit state and stream."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]] + words[4:]  # these mix in last
+    for source, target in ((s, t) for s in range(len(pool)) for t in range(4) if s != t):
+        value = (0xCA01F9DD * pool[target] - 0x4973F715 * hashmix(pool[source])) & _MASK32
+        pool[target] = value ^ value >> 16
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    w = [hashmix(pool[i % 4]) for i in range(8)]  # four 64-bit words, each low half first
+    state, stream = (w[i] << 64 | w[i + 1] << 96 | w[i + 2] | w[i + 3] << 32 for i in (0, 4))
+    inc = (stream << 1 | 1) & _MASK128
+    state = ((inc + state) * _PCG64_MULTIPLIER + inc) & _MASK128  # one step from 0, one after
+    while True:  # a 128-bit LCG step, then the XSL-RR output of the new state
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        yield (x >> rot | x << 64 - rot) & _MASK64
+
+
+def _permutation(n: int, seed: int) -> list[int]:
+    """``numpy.random.default_rng(seed).permutation(n)`` as a list: Generator.shuffle's
+    Fisher-Yates, each index drawn by mask rejection from 32-bit draws while they suffice."""
+    outputs = _pcg64(seed)
+    halves = chain.from_iterable((x & _MASK32, x >> 32) for x in outputs)  # 64-bit draws first
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask, draws = (1 << i.bit_length()) - 1, outputs if i > _MASK32 else halves
+        while (j := next(draws) & mask) > i:
+            pass
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
-    """Deal a seeded random permutation round-robin into k folds."""
+    """Deal numpy's ``default_rng(seed).permutation``, computed in pure Python, round-robin
+    into k folds, so a seed's folds do not depend on the installed numpy's ``Generator``."""
     if k < 2:
         raise DataValidationError(f"k must be >= 2, got {k}")
     if k > record_count:
@@ -133,7 +182,7 @@ def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
         raise DataValidationError(f"seed must be >= 0, got {seed}")
     import numpy as np
 
-    perm = np.random.default_rng(seed).permutation(record_count)
+    perm = _permutation(record_count, seed)
     assignment = np.empty(record_count, dtype=int)
     assignment[perm] = np.arange(record_count) % k
     return FoldPartition(k=k, assignment=assignment, seed=seed)

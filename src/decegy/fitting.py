@@ -188,7 +188,7 @@ def fit_linear_ls(
     else:
         active = np.flatnonzero(~zero_cols)
         if active.size:
-            Q, R, piv = _pivoted_qr(As[:, active])
+            Q, R, piv = _pivoted_qr(As if active.size == k else As[:, active])
             # each column holds a 1, so diag[0], the largest column norm, is >= 1: rank >= 1
             diag = np.abs(np.diag(R))
             rank = int(np.sum(diag > max(m, k) * np.finfo(float).eps * diag[0]))
@@ -478,5 +478,7 @@ def feature_linear_system(dataset, rows=None) -> LinearSystem:
         dataset = Dataset(dataset)
     if not len(dataset):
         raise FitError("no records")
-    rows = slice(None) if rows is None else rows
+    rows = range(len(dataset)) if rows is None else rows
+    if isinstance(rows, range) and rows.step == 1 and 0 <= rows.start <= rows.stop <= len(dataset):
+        rows = slice(rows.start, rows.stop)  # a view of the counts, where a range copies them
     return LinearSystem(dataset.counts[rows], dataset.energies[rows], dataset.feature_set.names)

@@ -6,6 +6,9 @@ codecs, some with one metadata field of one row left empty, the library's
 parameter files and cross-validation reports must be the same bytes as the
 oracle's, or the same exception type and message, for the feature model
 (free and non-negative), HL1 and HL2.
+
+numpy's ``default_rng(seed).permutation``, which ``make_folds`` dealt before the
+permutation was computed in pure Python, is the oracle of the fold generator.
 """
 
 import warnings
@@ -15,13 +18,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import cv_oracle  # noqa: E402
-from decegy import Codec, SynthSpec, cross_validate, synth_dataset  # noqa: E402
+from decegy import Codec, SynthSpec, cross_validate, make_folds, synth_dataset  # noqa: E402
 from decegy.dataset import METADATA_COLUMNS, Dataset  # noqa: E402
-from decegy.evaluation import MODELS  # noqa: E402
+from decegy.evaluation import MODELS, _pcg64, _permutation  # noqa: E402
 from decegy.models import params_to_json  # noqa: E402
 from util import replace  # noqa: E402
 
@@ -74,3 +77,33 @@ def test_fit_and_crossval_match_the_oracle(dataset, k, seed):
         validated = _outcome(_cv_json, cross_validate, dataset, kind, nonneg, k, seed)
         oracle = _outcome(_cv_json, cv_oracle.cross_validate, dataset, kind, nonneg, k, seed)
         assert validated == oracle
+
+
+SEEDS = st.integers(0, 2**130)  # seeds of one to five 32-bit words
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6000), SEEDS)
+@example(5000, 0)
+@example(5000, 2**32)
+@example(4097, 2**64 + 3)
+@example(17, 10**30)
+def test_permutation_is_numpy_default_rng_permutation(n, seed):
+    """Draws below 2**32 only: a 64-bit draw needs more than 2**32 rows."""
+    assert _permutation(n, seed) == np.random.default_rng(seed).permutation(n).tolist()
+
+
+@settings(max_examples=50)
+@given(SEEDS)
+def test_pcg64_outputs_are_numpy_pcg64_raw_outputs(seed):
+    outputs = _pcg64(seed)
+    assert [next(outputs) for _ in range(9)] == np.random.PCG64(seed).random_raw(9).tolist()
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 300).flatmap(lambda m: st.tuples(st.just(m), st.integers(2, m))), SEEDS)
+def test_make_folds_deals_the_numpy_permutation(m_and_k, seed):
+    m, k = m_and_k
+    assignment = np.empty(m, dtype=int)
+    assignment[np.random.default_rng(seed).permutation(m)] = np.arange(m) % k
+    assert make_folds(m, k, seed).assignment.tolist() == assignment.tolist()

@@ -1,6 +1,7 @@
 """Dataset schema, CSV/JSON round trips, synthetic generator behavior."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -341,6 +342,19 @@ def test_metadata_above_2_53_is_rejected(field):
     assert exact.highlevel.file_size_bytes == 2.0**53
     with pytest.raises(DataValidationError, match=f"^{field} must be at most 2\\*\\*53$"):
         replace(record, **{field: 2**53 + 1})
+
+
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda codec: codec.value)
+def test_records_equal_records_built_through_the_constructor(codec):
+    """A dataset builds its records without the record check, from rows it has checked."""
+    records = [replace(record) for record in synth_dataset(SynthSpec(codec, 12, seed=2))]
+    records[3] = replace(records[3], width=None, energy_joules=None, tags={"qp": "32"})
+    records[7] = replace(records[7], frames=None, intra_frames=None, tags={"note": "a,b"})
+    dataset = Dataset(records)
+    assert dataset.records == tuple(records) == tuple(dataset)
+    assert list(map(repr, dataset.records)) == list(map(repr, records))  # ints stay ints
+    assert [dataset[i] for i in range(len(dataset))] == records
+    assert pickle.loads(pickle.dumps(dataset.records)) == tuple(records)
 
 
 def test_synth_rejects_non_finite_ranges():

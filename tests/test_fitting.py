@@ -22,6 +22,7 @@ from decegy import (
     fit_linear_ls,
     fit_trust_region,
     hl1_residuals_jacobian,
+    build_feature_set,
     synth_dataset,
 )
 from decegy import fitting
@@ -94,6 +95,35 @@ def test_all_zero_column_is_dropped():
         coeffs, _ = fit_linear_ls(LinearSystem(A, np.full(5, 3.0), ("c", "z")))
     assert coeffs[1] == 0.0
     assert coeffs[0] == pytest.approx(3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("nonneg", [False, True], ids=["qr", "nnls"])
+@pytest.mark.parametrize("zeroed", [False, True], ids=["every-column", "a-zero-column"])
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda codec: codec.value)
+def test_a_view_and_a_copy_of_the_counts_fit_bit_equal(codec, zeroed, nonneg):
+    """``fit`` solves on a read-only view of the counts, cross-validation on copies of rows."""
+    zero = build_feature_set(codec).names[3]
+    ranges = {zero: (0.0, 0.0)} if zeroed else {}
+    dataset = synth_dataset(SynthSpec(codec, 80, noise_sigma=0.05, seed=3, count_ranges=ranges))
+    view = feature_linear_system(dataset, range(len(dataset)))
+    copy = feature_linear_system(dataset, np.arange(len(dataset)))
+    assert np.shares_memory(view.matrix, dataset.counts)
+    assert not np.shares_memory(copy.matrix, dataset.counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollinearityWarning)
+        (on_view, view_diagnostics), (on_copy, copy_diagnostics) = (
+            fit_linear_ls(view, nonneg=nonneg), fit_linear_ls(copy, nonneg=nonneg))
+    assert on_view.tobytes() == on_copy.tobytes()
+    assert view_diagnostics == copy_diagnostics
+    assert (zero in view_diagnostics.dropped) == zeroed
+
+
+def test_a_range_of_rows_past_the_counts_is_still_an_index_error():
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 5, seed=1))
+    system = feature_linear_system(dataset, range(2, 4))
+    assert system.matrix.tolist() == dataset.counts[2:4].tolist()
+    with pytest.raises(IndexError):
+        feature_linear_system(dataset, range(3, 6))
 
 
 def _nnls_oracle(A, y):

@@ -6,7 +6,8 @@ scipy cannot be imported.  ``--help``, ``analyze``, ``predict`` (of every model)
 and ``report`` do not load numpy, through the console script's
 ``decegy.cli:main`` or ``python -m decegy``, and run where numpy cannot be
 imported, with the same output.  Only ``analyze`` loads ``decegy.trace``, only
-``report --svg`` loads ``html``, and no command loads ``numpy.ma`` or ``dataclasses``;
+``report --svg`` loads ``html``, only ``synth`` loads ``numpy.random``, and no command
+loads ``numpy.ma`` or ``dataclasses``;
 ``--help``, ``analyze``, ``predict`` and ``report`` do not load ``inspect`` either (numpy,
 which the other commands load, does).  The package serves its public names lazily.
 """
@@ -189,6 +190,12 @@ def test_only_report_with_a_chart_loads_html(modules_of, args):
 @pytest.mark.parametrize("args", _EVERY_COMMAND, ids=_command_id)
 def test_no_command_loads_numpy_ma(modules_of, args):
     assert "numpy.ma" not in modules_of(tuple(args))
+
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND, ids=_command_id)
+def test_only_synth_loads_numpy_random(modules_of, args):
+    """crossval deals its folds without it."""
+    assert ("numpy.random" in modules_of(tuple(args))) == (args[0] == "synth")
 
 
 _WITHOUT_NUMPY_COMMANDS = [["--help"], *(["analyze", f"{c.value}.jsonl"] for c in Codec)]
