@@ -12,7 +12,8 @@ decimal without ``_``, files UTF-8 with LF line endings.  The metadata and
 energy cells may be empty (e.g. rows produced by trace analysis before
 measurements are merged in); metadata integers may not exceed 2**53.
 
-A :class:`Dataset` keeps its rows as columns and runs the row rules of
+A :class:`Dataset` keeps its rows as one :class:`~decegy.schema.Rows` (None for
+an empty cell, NaN only in its numpy matrices) and runs the row rules of
 :data:`~decegy.schema.RULES` once, whichever way it is built.  Each rule tests
 the whole columns at once, and halves them down to its first bad row only when
 that test fails; the CSV parse checks walk a column per chunk of rows when its
@@ -39,7 +40,8 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import add, iadd, itemgetter, mul, sub
+from numbers import Integral, Real
+from operator import add, attrgetter, iadd, itemgetter, mul, sub
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -84,11 +86,8 @@ class BitstreamRecord(Frozen):
         return None if None in metadata else _highlevel(*metadata)
 
 
-_HIGHLEVEL_INPUTS = f"high-level metadata ({'/'.join(METADATA_COLUMNS)})"
-
-
 def _highlevel(width, height, frames, file_size_bytes, intra_frames) -> HighLevelInfo:
-    """The high-level model input of complete metadata, given as integers or their floats."""
+    """The high-level model input of complete metadata."""
     return HighLevelInfo(
         float(width * height), int(frames), float(file_size_bytes), intra_frames / frames
     )
@@ -102,14 +101,14 @@ def _record(codec: Codec, stream_id, counts, energy, metadata, tags) -> Bitstrea
     return record
 
 
+def _as(kind, convert, values) -> list:
+    """The values, each ``kind`` that is not a bool made ``convert``; the rules judge the rest."""
+    return [convert(v) if isinstance(v, kind) and not isinstance(v, bool) else v for v in values]
+
+
 def _flat(rows) -> array:
     """Rows of floats as one array of doubles, in row order."""
     return array("d", list(chain.from_iterable(rows)))
-
-
-def _doubles(values) -> array:
-    """Numbers as an array of doubles, NaN for None (an empty cell)."""
-    return array("d", [math.nan if v is None else v for v in values] if None in values else values)
 
 
 #: A line as io.StringIO yields it, with its LF (the last maybe without), but made only when
@@ -117,34 +116,36 @@ def _doubles(values) -> array:
 _LINE = re.compile(".*\n|.+")
 
 
-def _check_rows(codec, ids, counts: array, energies, metadata, tags) -> None:
-    """Raise the error of the first row that breaks a row rule, with the row's ``index``:
-    each rule of :data:`~decegy.schema.RULES` tests the whole columns, and a rule that fails
-    finds its first bad row (:func:`~decegy.schema.first_fault`)."""
-    if ids:
-        rows = Rows(codec, build_feature_set(codec), ids, counts, energies, metadata, tags)
-        fault = first_fault(rows)
-        if fault:
-            raise DataValidationError(fault[1], index=fault[0])
+def _check_rows(codec, ids, counts: array, energies, metadata, tags) -> Rows:
+    """The rows of the columns, checked, as one :class:`~decegy.schema.Rows`: ids, energies,
+    metadata columns and tags tuples and each tag mapping read-only.  The first row that
+    breaks a row rule raises its error, with the row's ``index``: each rule of
+    :data:`~decegy.schema.RULES` tests the whole columns, and a rule that fails finds its
+    first bad row (:func:`~decegy.schema.first_fault`)."""
+    rows = Rows(codec, codec and build_feature_set(codec), tuple(ids), counts, tuple(energies),
+                tuple(map(tuple, metadata)), tuple(map(MappingProxyType, tags)))
+    fault = first_fault(rows)
+    if fault:
+        raise DataValidationError(fault[1], index=fault[0])
+    return rows
 
 
 class Dataset:
-    """Streams of one codec with unique stream ids, held as columns.
+    """Streams of one codec with unique stream ids, held as one checked
+    :class:`~decegy.schema.Rows`, in which an empty cell is None.
 
-    ``counts`` is the read-only M x F count matrix in the codec's feature
-    order, ``energies`` the M energies and ``metadata`` the M x 5 matrix of
-    :data:`METADATA_COLUMNS`, all float64 with NaN for an empty cell (the
-    metadata integers are at most 2**53, so their floats are exact); ``ids``
-    and ``tags`` hold one stream id and one tag mapping per row.  Those matrices
-    are built with numpy on first read from columns kept as arrays of doubles.
+    ``ids`` and ``tags`` hold one stream id and one read-only tag mapping per row.
+    ``counts`` is the read-only M x F count matrix in the codec's feature order (a view of
+    the rows' counts), ``energies`` the M energies and ``metadata`` the M x 5 matrix of
+    :data:`METADATA_COLUMNS`: float64, with NaN for an empty cell (the metadata integers are
+    at most 2**53, so their floats are exact), each built with numpy on its first read.
 
-    ``Dataset(records)`` builds one from records; the loaders and the
-    generator fill the columns directly.  Records (``dataset[i]``, iteration,
-    :attr:`records`) are built on demand.
+    ``Dataset(records)`` builds one from records; the loaders and the generator give the
+    columns directly.  Records (``dataset[i]``, iteration, :attr:`records`) are built on
+    demand.
     """
 
-    __slots__ = ("_codec", "ids", "tags", "_index", "_counts", "_width", "_energies", "_metadata",
-                 "_arrays")
+    __slots__ = ("_rows", "_index", "_arrays")
 
     def __init__(self, records: Iterable[BitstreamRecord] = ()):
         records = tuple(records)
@@ -154,9 +155,9 @@ class Dataset:
         self._fill(
             records[0].codec if records else None,
             [rec.stream_id for rec in records],
-            [rec.features.tolist() for rec in records],
-            [rec.energy_joules for rec in records],
-            [[getattr(rec, name) for rec in records] for name in METADATA_COLUMNS],
+            _flat(rec.features.floats for rec in records),
+            _as(Real, float, [rec.energy_joules for rec in records]),
+            [_as(Integral, int, map(attrgetter(name), records)) for name in METADATA_COLUMNS],
             [dict(rec.tags) for rec in records],
         )
 
@@ -167,61 +168,55 @@ class Dataset:
         return dataset
 
     def _fill(self, codec, ids, counts, energies, metadata, tags) -> None:
-        """Check and keep M rows: ``counts`` M rows of floats, or all their floats in an
-        array of doubles, ``energies`` M floats or None, ``metadata`` per metadata column M
-        integers or None, ``tags`` M mappings.
+        """Check and keep M rows: ``counts`` all their floats in an array of doubles,
+        ``energies`` M floats or None, ``metadata`` per metadata column M integers or None,
+        ``tags`` M mappings.
 
         The first row that breaks a row rule raises its error (:func:`_check_rows`); a
         repeated id is raised only when none does."""
-        counts = counts if isinstance(counts, array) else _flat(counts)
-        m = len(ids)
-        _check_rows(codec, ids, counts, energies, metadata, tags)
-        self._index = dict(zip(ids, range(m)))
-        if len(self._index) < m:
+        self._rows = rows = _check_rows(codec, ids, counts, energies, metadata, tags)
+        self._index = dict(zip(rows.ids, range(len(rows))))
+        if len(self._index) < len(rows):
             seen: set[str] = set()
             repeated = next(sid for sid in ids if sid in seen or seen.add(sid))  # add gives None
             raise DataValidationError(f"duplicate stream_id {repeated!r}")
-        self._codec = codec if m else None
-        self.ids, self._counts = tuple(ids), counts
-        self._metadata = [_doubles(values) for values in metadata]  # exact: at most 2**53
-        self._width = len(counts) // m if m else 0
-        self._energies, self._arrays = _doubles(energies), None
-        self.tags = tuple(map(MappingProxyType, tags))  # callers hand over fresh mappings
+        self._arrays = None
 
     def _numpy(self) -> tuple:
         """The read-only count, energy and metadata matrices, built on the first read of one."""
         if self._arrays is None:
             import numpy as np
 
-            counts = np.frombuffer(self._counts).reshape(len(self), -1 if len(self) else 0)
-            energies = np.frombuffer(self._energies)
-            for matrix in (counts, energies):
-                matrix.setflags(write=False)  # views of the columns, which stay as they are
-            self._arrays = counts, energies, float_array(self._metadata).T
+            rows = self._rows
+            counts = np.frombuffer(rows.counts).reshape(len(rows), -1 if len(rows) else 0)
+            counts.setflags(write=False)  # a view of the rows' counts, which stay as they are
+            self._arrays = counts, float_array(rows.energies), float_array(rows.metadata).T
         return self._arrays
 
     counts = property(lambda self: self._numpy()[0])
     energies = property(lambda self: self._numpy()[1])
     metadata = property(lambda self: self._numpy()[2])
+    ids = property(lambda self: self._rows.ids)
+    tags = property(lambda self: self._rows.tags)
 
     @property
     def codec(self) -> Codec:
-        if self._codec is None:
+        if self._rows.codec is None:
             raise DataValidationError("empty dataset has no codec")
-        return self._codec
+        return self._rows.codec
 
     @property
     def feature_set(self) -> FeatureSet:
         return build_feature_set(self.codec)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._rows)
 
     def __getitem__(self, i: int) -> BitstreamRecord:
-        metadata = [None if math.isnan(column[i]) else int(column[i]) for column in self._metadata]
-        energy = None if math.isnan(self._energies[i]) else self._energies[i]
+        rows = self._rows
+        metadata = [column[i] for column in rows.metadata]
         counts = next(self.count_rows([i])).tolist()
-        return _record(self.codec, self.ids[i], counts, energy, metadata, self.tags[i])
+        return _record(self.codec, rows.ids[i], counts, rows.energies[i], metadata, rows.tags[i])
 
     def __iter__(self) -> Iterator[BitstreamRecord]:
         return map(self.__getitem__, range(len(self)))
@@ -231,16 +226,12 @@ class Dataset:
         """Every row as a record, built on each access."""
         return tuple(self)
 
-    def _columns(self) -> tuple:
-        """The columns as :meth:`_from_columns` takes them: empty cells None, tags dicts."""
-        *metadata, energies = map(list, _numbers(self))
-        return self._codec, self.ids, self._counts, energies, metadata, list(map(dict, self.tags))
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Dataset) and self._columns() == other._columns()
+        return isinstance(other, Dataset) and self._rows == other._rows
 
-    def __reduce__(self):  # copied and pickled as its columns
-        return type(self)._from_columns, self._columns()
+    def __reduce__(self):  # copied and pickled as its rows; a mappingproxy does not pickle
+        codec, _, *columns, tags = self._rows._values()
+        return type(self)._from_columns, (codec, *columns, list(map(dict, tags)))
 
     def get(self, stream_id: str) -> BitstreamRecord:
         if stream_id not in self._index:
@@ -249,14 +240,14 @@ class Dataset:
 
     def count_rows(self, rows) -> Iterator[array]:
         """The counts of each of ``rows`` as arrays of doubles; IndexError past either end."""
-        starts, width = range(0, len(self._counts), self._width), self._width
-        return (self._counts[start:start + width] for start in map(starts.__getitem__, rows))
+        counts, width = self._rows.counts, len(self.feature_set)
+        return (counts[j:j + width] for j in map(range(0, len(counts), width).__getitem__, rows))
 
     def energy(self, i: int) -> float:
         """The measured energy of row ``i``; a row without one is an error."""
-        if math.isnan(self._energies[i]):
+        if (energy := self._rows.energies[i]) is None:
             raise DataValidationError(f"record {self.ids[i]!r} has no measured energy")
-        return self._energies[i]
+        return energy
 
     def highlevel(self, rows) -> HighLevelColumns:
         """The high-level inputs of ``rows`` as arrays; every row needs all five metadata fields."""
@@ -270,10 +261,10 @@ class Dataset:
     def infos(self, rows) -> Iterator[HighLevelInfo]:
         """The :class:`HighLevelInfo` of each of ``rows``, the values of :meth:`highlevel`."""
         for i in rows:
-            metadata = [column[i] for column in self._metadata]
-            if math.isnan(sum(metadata)):  # an empty cell
-                lacks = f"record {self.ids[i]!r} lacks {_HIGHLEVEL_INPUTS}"
-                raise DataValidationError(lacks, index=int(i))
+            metadata = [column[i] for column in self._rows.metadata]
+            if None in metadata:
+                lacks = f"lacks high-level metadata ({'/'.join(METADATA_COLUMNS)})"
+                raise DataValidationError(f"record {self.ids[i]!r} {lacks}", index=int(i))
             yield _highlevel(*metadata)
 
 
@@ -296,12 +287,6 @@ def export_dataset(dataset: Dataset, path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _numbers(dataset: Dataset) -> list[Iterator]:
-    """The five metadata columns as integers and the energy column, None where empty."""
-    metadata = [(None if math.isnan(v) else int(v) for v in column) for column in dataset._metadata]
-    return [*metadata, (None if math.isnan(v) else v for v in dataset._energies)]
-
-
 def dataset_to_csv(
     dataset: Dataset, last_columns: Mapping[str, Iterable[float]] = MappingProxyType({})
 ) -> str:
@@ -311,24 +296,24 @@ def dataset_to_csv(
 
     The cells are made column by column, each as the writer reads its row, so that only
     the text is held whole."""
-    tag_keys = sorted({key for tags in dataset.tags for key in tags} - set(last_columns))
-    header = [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]
-    width = dataset._width
+    rows, names = dataset._rows, dataset.feature_set.names
+    tag_keys = sorted({key for tags in rows.tags for key in tags} - set(last_columns))
+    header = [*BASE_COLUMNS, *names, *tag_keys, *last_columns]
     columns = [
-        dataset.ids,
-        repeat(dataset.codec.value, len(dataset)),
-        *(("" if v is None else repr(v) for v in column) for column in _numbers(dataset)),
-        *(map(repr, dataset._counts[j::width]) for j in range(width)),
-        *([tags.get(key, "") for tags in dataset.tags] for key in tag_keys),
+        rows.ids,
+        repeat(rows.codec.value, len(rows)),
+        *(("" if v is None else repr(v) for v in c) for c in (*rows.metadata, rows.energies)),
+        *(map(repr, rows.counts[j::len(names)]) for j in range(len(names))),
+        *([tags.get(key, "") for tags in rows.tags] for key in tag_keys),
         *(map(repr, map(float, values)) for values in last_columns.values()),
     ]
     return csv_text(chain([header], zip(*columns, strict=True)))
 
 
 def dataset_to_json(dataset: Dataset) -> str:
-    names = dataset.feature_set.names
-    every_row = dataset.count_rows(range(len(dataset)))
-    rows = zip(dataset.ids, zip(*_numbers(dataset)), every_row, dataset.tags)
+    names, rows = dataset.feature_set.names, dataset._rows
+    every_row = dataset.count_rows(range(len(rows)))
+    rows = zip(rows.ids, zip(*rows.metadata, rows.energies), every_row, rows.tags)
     records = [
         {
             "stream_id": stream_id,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import chain, repeat
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _lazy
@@ -178,6 +179,10 @@ def make_folds(record_count: int, k: int, seed: int) -> FoldPartition:
         raise DataValidationError(f"k must be >= 2, got {k}")
     if k > record_count:
         raise DataValidationError(f"dataset has {record_count} records, fewer than k={k}")
+    try:
+        seed = index(seed)
+    except TypeError:
+        raise DataValidationError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise DataValidationError(f"seed must be >= 0, got {seed}")
     import numpy as np
@@ -283,8 +288,8 @@ def cross_validate(
             fold_errors.append(None)
             fold_params.append(None)
     overall = mean_relative_error(estimates, measured) if measured else math.nan
-    return CVReport(model_kind, k, seed, overall, fold_errors, partition.fold_sizes(), fold_params,
-                    per_stream, failed)
+    return CVReport(model_kind, k, partition.seed, overall, fold_errors, partition.fold_sizes(),
+                    fold_params, per_stream, failed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from operator import gt
 from typing import Iterable
 
@@ -21,7 +21,8 @@ BASE_COLUMNS = ("stream_id", "codec", *METADATA_COLUMNS, "energy_joules")
 class Rows(Frozen):
     """A run of dataset rows as columns: the rows' codec, the feature set of their counts,
     all counts row after row, and per row an id, an energy or None, per metadata column an
-    integer or None, and a tag mapping."""
+    integer or None, and a tag mapping.  A ``Dataset`` keeps its rows as one checked ``Rows``;
+    an empty cell is None there, and NaN only in the dataset's numpy matrices."""
 
     __slots__ = ("codec", "feature_set", "ids", "counts", "energies", "metadata", "tags")
     __init__ = Frozen._set
@@ -59,6 +60,11 @@ def _given(values):
     return [value for value in values if value is not None] if None in values else values
 
 
+def _of(kind, values) -> bool:
+    """Whether every value is a ``kind`` (a number type such as Integral) and not a bool."""
+    return all(t is not bool and issubclass(t, kind) for t in set(map(type, values)))
+
+
 def _finite(values) -> bool:
     """Whether every value is finite: a finite sum holds no NaN or infinity."""
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
@@ -78,15 +84,13 @@ def _metadata_rule(j: int, name: str) -> tuple:
     low = int(name != "intra_frames")
 
     def test(rows: Rows) -> bool:
-        kinds = set(map(type, rows.metadata[j]))
-        values = _given(rows.metadata[j]) if type(None) in kinds else rows.metadata[j]
-        integers = all(kind is type(None) or kind is not bool and issubclass(kind, Integral)
-                       for kind in kinds)
-        return integers and low <= min(values, default=low) and max(values, default=0) <= 2**53
+        values = _given(rows.metadata[j])
+        return (_of(Integral, values) and low <= min(values, default=low)
+                and max(values, default=0) <= 2**53)
 
     def message(row: Rows) -> str:
         value = row.metadata[j][0]
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        if not _of(Integral, [value]):
             return f"{name} must be an integer, got {value!r}"
         if value > 2**53:
             return f"{name} must be at most 2**53"
@@ -114,6 +118,8 @@ RULES = (
      f"record says {row.codec.value}"),
     (_counts_pass, lambda row: "; ".join(validate_vector(
         row.feature_set, FeatureVector(row.feature_set, list(row.counts))))),
+    (lambda rows: _of(Real, _given(rows.energies)),
+     lambda row: f"energy must be a number, got {row.energies[0]!r}"),
     (lambda rows: _finite(_given(rows.energies)) and min(_given(rows.energies), default=1) > 0,
      lambda row: f"non-finite or nonpositive energy: {row.energies[0]}"),
     *map(_metadata_rule, range(len(METADATA_COLUMNS)), METADATA_COLUMNS),

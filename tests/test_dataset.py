@@ -19,6 +19,7 @@ from decegy import (
 )
 from decegy.dataset import (
     BASE_COLUMNS,
+    METADATA_COLUMNS,
     Dataset,
     dataset_from_csv,
     dataset_from_json,
@@ -258,6 +259,9 @@ def test_export_load_roundtrip_is_bitwise(tmp_path, fmt):
     for original, reloaded in zip(dataset, loaded):
         assert np.array_equal(original.features.counts, reloaded.features.counts)
         assert original.energy_joules == reloaded.energy_joules
+    other = tmp_path / ("data.json" if fmt == "csv" else "data.csv")
+    export_dataset(dataset, other)
+    assert load_dataset(other) == loaded  # the same rows from the other format
 
 
 def test_tags_survive_the_roundtrip(tmp_path):
@@ -350,11 +354,30 @@ def test_records_equal_records_built_through_the_constructor(codec):
     records = [replace(record) for record in synth_dataset(SynthSpec(codec, 12, seed=2))]
     records[3] = replace(records[3], width=None, energy_joules=None, tags={"qp": "32"})
     records[7] = replace(records[7], frames=None, intra_frames=None, tags={"note": "a,b"})
+    records[5] = replace(records[5], energy_joules=3.0)
     dataset = Dataset(records)
     assert dataset.records == tuple(records) == tuple(dataset)
     assert list(map(repr, dataset.records)) == list(map(repr, records))  # ints stay ints
     assert [dataset[i] for i in range(len(dataset))] == records
     assert pickle.loads(pickle.dumps(dataset.records)) == tuple(records)
+    # numpy metadata, and numpy or int energies, make the dataset of the Python numbers
+    typed = Dataset(map(_numpy_numbers, records))
+    assert typed == dataset == pickle.loads(pickle.dumps(typed))
+    assert list(map(repr, typed.records)) == list(map(repr, records))
+    assert dataset_to_csv(typed) == dataset_to_csv(dataset)
+    assert dataset_to_json(typed) == dataset_to_json(dataset)
+    assert dataset_from_json(dataset_to_json(typed), require_energy=False) == dataset
+
+
+def _numpy_numbers(record):
+    """The record with numpy integer metadata, and its energy a numpy float or, when it is
+    whole, an int."""
+    metadata = {name: getattr(record, name) for name in METADATA_COLUMNS}
+    metadata = {name: v if v is None else np.int64(v) for name, v in metadata.items()}
+    energy = record.energy_joules
+    if energy is not None:
+        energy = int(energy) if energy.is_integer() else np.float64(energy)
+    return replace(record, **metadata, energy_joules=energy)
 
 
 def test_synth_rejects_non_finite_ranges():

@@ -46,6 +46,10 @@ def test_folds_are_deterministic_per_seed():
     assert np.array_equal(a.assignment, b.assignment)
     c = make_folds(37, 10, seed=43)
     assert not np.array_equal(a.assignment, c.assignment)
+    for seed in (np.int64(42), np.uint32(42)):  # any integer type deals the folds of its value
+        same = make_folds(37, 10, seed=seed)
+        assert np.array_equal(same.assignment, a.assignment) and same.k == a.k
+        assert type(same.seed) is int and same.seed == a.seed
 
 
 def test_fold_argument_validation():
@@ -53,6 +57,8 @@ def test_fold_argument_validation():
         make_folds(5, 10, seed=0)
     with pytest.raises(ValueError):
         make_folds(5, 1, seed=0)
+    with pytest.raises(DataValidationError, match=r"^seed must be an integer, got 2\.0$"):
+        make_folds(5, 2, seed=2.0)
 
 
 def test_fold_partition_properties_random():
@@ -123,6 +129,8 @@ def test_cv_is_deterministic_per_seed():
     a = cross_validate(dataset, "feature", k=5, seed=11)
     b = cross_validate(dataset, "feature", k=5, seed=11)
     assert a.to_json() == b.to_json()
+    for seed in (np.int64(11), np.uint32(11)):
+        assert cross_validate(dataset, "feature", k=5, seed=seed).to_json() == a.to_json()
 
 
 def test_cv_validates_every_stream_exactly_once():

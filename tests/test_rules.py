@@ -172,7 +172,7 @@ def test_check_rows_raises_the_first_error_of_the_rows_built_one_by_one(columns)
 
 def _dataset(columns) -> Dataset:
     codec, ids, counts, energies, metadata, tags = columns
-    return Dataset._from_columns(codec, ids, [*map(list, counts)], energies, metadata, tags)
+    return Dataset._from_columns(codec, ids, _rows(*columns).counts, energies, metadata, tags)
 
 
 @st.composite

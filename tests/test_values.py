@@ -7,7 +7,7 @@ They were dataclasses or plain slotted classes and are plain slotted classes on
 ``taxonomy.Frozen`` now; each must still construct, compare, hash, print, copy and pickle
 as before, with the same validation messages, and refuse changes (``CVReport``,
 ``LinearSystem``, ``FitDiagnostics``, ``FeatureVector`` and ``SpecificEnergies``, which
-could be changed, now do too).  A dataset copies, pickles and compares by its columns,
+could be changed, now do too).  A dataset copies, pickles and compares by its rows,
 without building a record.
 """
 
@@ -324,6 +324,15 @@ def test_a_pickled_feature_set_keeps_its_index():
     assert again.names == build_feature_set(Codec.H264).names
 
 
+def _forged(**changes) -> BitstreamRecord:
+    """A record whose fields are changed past the record check, as any object that a dataset
+    is built from may hold them."""
+    record = BitstreamRecord("s", Codec.H263, VEC)
+    for name, value in changes.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -351,6 +360,13 @@ def test_a_pickled_feature_set_keeps_its_index():
          "width must be an integer, got True"),
         (lambda: BitstreamRecord("s", Codec.H263, VEC, intra_frames=-1),
          "intra_frames must be >= 0"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, energy_joules="5"),
+         "energy must be a number, got '5'"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, energy_joules=True),
+         "energy must be a number, got True"),
+        (lambda: Dataset([_forged(energy_joules="5")]), "energy must be a number, got '5'"),
+        (lambda: Dataset([_forged(energy_joules=True)]), "energy must be a number, got True"),
+        (lambda: Dataset([_forged(width=3.0)]), "width must be an integer, got 3.0"),
         (lambda: SynthSpec(Codec.HEVC, 0), "count must be >= 1"),
         (lambda: SynthSpec(Codec.HEVC, 3, noise_sigma=math.nan), "noise_sigma must be >= 0"),
         (lambda: SynthSpec(Codec.HEVC, 3, default_specific_energies(Codec.VP9)),
@@ -374,7 +390,8 @@ def test_a_pickled_feature_set_keeps_its_index():
     ],
     ids=["zero-value", "zero-bits", "unsized-inter", "sized-e0", "odd-size", "h264-no-mode",
          "hevc-mode", "block-first", "empty-id", "record-codec", "intra-above-frames",
-         "float-width", "bool-width", "negative-intra",
+         "float-width", "bool-width", "negative-intra", "text-energy", "bool-energy",
+         "dataset-text-energy", "dataset-bool-energy", "dataset-float-width",
          "zero-count", "nan-sigma", "params-codec", "bad-range", "zero-pixels", "intra-rate",
          "nan-base", "zero-power", "negative-coeff", "inf-coeff", "one-fold", "fold-label",
          "fold-sizes", "1-d-matrix", "labels", "zero-tolerance"],
