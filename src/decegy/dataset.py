@@ -102,8 +102,14 @@ def _record(codec: Codec, stream_id, counts, energy, metadata, tags) -> Bitstrea
 
 
 def _as(kind, convert, values) -> list:
-    """The values, each ``kind`` that is not a bool made ``convert``; the rules judge the rest."""
-    return [convert(v) if isinstance(v, kind) and not isinstance(v, bool) else v for v in values]
+    """The values, each ``kind`` that is not a bool made ``convert``; the rules judge the rest,
+    and all of them as given when one cannot be made (an int too large for a float)."""
+    values = list(values)
+    try:
+        return [convert(v) if isinstance(v, kind) and not isinstance(v, bool) else v
+                for v in values]
+    except OverflowError:
+        return values
 
 
 def _flat(rows) -> array:
@@ -281,9 +287,19 @@ def export_dataset(dataset: Dataset, path) -> None:
     """Write a dataset; loading the file back reproduces it exactly.
 
     Counts and energies are written with full precision so the round trip is
-    bitwise.  The format is taken from the file suffix.
+    bitwise.  The format is taken from the file suffix.  A JSON file holds any
+    dataset; a CSV file only one whose rows have the same tag keys, each with a
+    text value, and any other dataset is a DataValidationError.
     """
-    text = dataset_to_json(dataset) if _is_json(path) else dataset_to_csv(dataset)
+    tags = dataset.tags
+    if _is_json(path):
+        text = dataset_to_json(dataset)
+    elif len(set(map(frozenset, tags))) < 2 and all(
+            isinstance(value, str) for row in tags for value in row.values()):
+        text = dataset_to_csv(dataset)
+    else:
+        raise DataValidationError(f"{path}: a CSV file cannot hold rows with different tag keys "
+                                  "or tag values that are not text; export to .json instead")
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 

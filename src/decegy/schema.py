@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from itertools import chain
 from numbers import Integral, Real
 from operator import gt
@@ -66,8 +67,17 @@ def _of(kind, values) -> bool:
 
 
 def _finite(values) -> bool:
-    """Whether every value is finite: a finite sum holds no NaN or infinity."""
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+    """Whether every value is finite: a finite float sum holds no NaN or infinity."""
+    return math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))
+
+
+def _floats(values) -> bool:
+    """Whether every value converts to a float, as an int too large for one does not."""
+    try:
+        array("d", values)
+    except OverflowError:
+        return False
+    return True
 
 
 def _counts_pass(rows: Rows) -> bool:
@@ -120,6 +130,7 @@ RULES = (
         row.feature_set, FeatureVector(row.feature_set, list(row.counts))))),
     (lambda rows: _of(Real, _given(rows.energies)),
      lambda row: f"energy must be a number, got {row.energies[0]!r}"),
+    (lambda rows: _floats(_given(rows.energies)), lambda row: "energy too large for a float"),
     (lambda rows: _finite(_given(rows.energies)) and min(_given(rows.energies), default=1) > 0,
      lambda row: f"non-finite or nonpositive energy: {row.energies[0]}"),
     *map(_metadata_rule, range(len(METADATA_COLUMNS)), METADATA_COLUMNS),

@@ -13,6 +13,10 @@ and parameter files stay stable across runs:
 * within a block-sized kind, descending block size;
 * for the duplicated H.264 residual features, CAVLC before CABAC.
 
+The per-codec facts are said once, in the layout table ``_LAYOUT``: the counted
+sizes of each sized kind and the entropy modes that split the residual features.
+Every other per-codec table derives from it or from the codec's feature set.
+
 Feature identifiers serialize as lowercase names such as ``e0``, ``frame``,
 ``inter32``, ``coeff_cavlc`` or ``sao``.
 """
@@ -99,36 +103,25 @@ _KIND_CATEGORY = {
     Kind.SAO: Category.SAO,
 }
 
-_SIZED_KINDS = frozenset({Kind.INTRA, Kind.INTER, Kind.TRANS})
+#: The kinds whose features carry a block size.
+SIZED_KINDS = (Kind.INTRA, Kind.INTER, Kind.TRANS)
+_RESIDUAL_KINDS = (Kind.COEFF, Kind.VAL)
 
-# Counted block sizes per codec and kind, largest first.  Only square sizes
-# are counted; rectangular blocks are folded onto these by the analyzer.
-_INTRA_SIZES = {
-    Codec.H263: (16,),
-    Codec.H264: (16, 4),
-    Codec.HEVC: (32, 16, 8, 4),
-    Codec.VP9: (32, 16, 8, 4),
-}
-_INTER_SIZES = {
-    Codec.H263: (16, 8),
-    Codec.H264: (16, 8, 4),
-    Codec.HEVC: (64, 32, 16, 8),
-    Codec.VP9: (64, 32, 16, 8, 4),
-}
-_TRANS_SIZES = {
-    Codec.H263: (8,),
-    Codec.H264: (4,),
-    Codec.HEVC: (32, 16, 8, 4),
-    Codec.VP9: (32, 16, 8, 4),
+#: Per codec, the block sizes counted for each of :data:`SIZED_KINDS`, largest first (only
+#: square ones: the analyzer folds rectangular blocks onto them), then the entropy modes.
+_LAYOUT = {
+    Codec.H263: ((16,), (16, 8), (8,), (None,)),
+    Codec.H264: ((16, 4), (16, 8, 4), (4,), tuple(EntropyMode)),
+    Codec.HEVC: ((32, 16, 8, 4), (64, 32, 16, 8), (32, 16, 8, 4), (None,)),
+    Codec.VP9: ((32, 16, 8, 4), (64, 32, 16, 8, 4), (32, 16, 8, 4), (None,)),
 }
 
 
 def counted_sizes(codec: Codec, kind: Kind) -> tuple[int, ...]:
     """Block sizes counted for a sized kind, in descending order."""
-    table = {Kind.INTRA: _INTRA_SIZES, Kind.INTER: _INTER_SIZES, Kind.TRANS: _TRANS_SIZES}
-    if kind not in table:
+    if kind not in SIZED_KINDS:
         raise ValueError(f"kind {kind.value!r} has no block sizes")
-    return table[kind][codec]
+    return _LAYOUT[codec][SIZED_KINDS.index(kind)]
 
 
 class Frozen:
@@ -197,14 +190,14 @@ class FeatureId(Frozen):
 
     def __init__(self, codec: Codec, kind: Kind, block_size: int | None = None,
                  entropy_mode: EntropyMode | None = None):
-        if (block_size is not None) != (kind in _SIZED_KINDS):
+        if (block_size is not None) != (kind in SIZED_KINDS):
             raise ValueError(
                 f"block_size must be present iff kind is intra/inter/trans "
                 f"(kind={kind.value}, block_size={block_size})"
             )
         if block_size is not None and block_size not in BLOCK_SIZES:
             raise ValueError(f"block size {block_size} outside {BLOCK_SIZES}")
-        wants_entropy = codec is Codec.H264 and kind in (Kind.COEFF, Kind.VAL)
+        wants_entropy = kind in _RESIDUAL_KINDS and None not in _LAYOUT[codec][-1]
         if (entropy_mode is not None) != wants_entropy:
             raise ValueError(
                 "entropy_mode is used exactly for H.264 coeff/val features "
@@ -239,9 +232,11 @@ def feature_category(feature: FeatureId) -> Category:
 
 
 class FeatureSet(Frozen):
-    """The ordered, canonical feature list of one codec."""
+    """The ordered, canonical feature list of one codec, with the features' ``names`` and
+    ``category_columns``: per category, in :class:`Category` order, the indices of its
+    features (maybe none)."""
 
-    __slots__ = ("codec", "features", "_index", "_names", "_category_columns")
+    __slots__ = ("codec", "features", "_index", "names", "category_columns")
     _fields = __slots__[:2]
 
     def __init__(self, codec: Codec, features: tuple[FeatureId, ...]):
@@ -263,15 +258,6 @@ class FeatureSet(Frozen):
 
     def __iter__(self) -> Iterator[FeatureId]:
         return iter(self.features)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
-
-    @property
-    def category_columns(self) -> dict[Category, tuple[int, ...]]:
-        """Per category, in :class:`Category` order, the indices of its features (maybe none)."""
-        return self._category_columns
 
     def index_of(self, feature: FeatureId | str) -> int:
         """Index of a feature (by id or canonical name) in the set."""
@@ -299,25 +285,16 @@ def build_feature_set(codec: Codec) -> FeatureSet:
     Cardinalities are fixed: 11 for H.263, 14 for H.264, 19 for HEVC and
     19 for VP9.  Repeated calls return the same object.
     """
-    feats: list[FeatureId] = [
-        FeatureId(codec, Kind.E0),
-        FeatureId(codec, Kind.FRAME),
-    ]
-    feats += [FeatureId(codec, Kind.INTRA, s) for s in _INTRA_SIZES[codec]]
-    feats += [FeatureId(codec, Kind.INTER, s) for s in _INTER_SIZES[codec]]
+    intra, inter, trans, modes = _LAYOUT[codec]
+    feats = [FeatureId(codec, Kind.E0), FeatureId(codec, Kind.FRAME)]
+    feats += [FeatureId(codec, Kind.INTRA, s) for s in intra]
+    feats += [FeatureId(codec, Kind.INTER, s) for s in inter]
     if codec is Codec.H263:
         feats.append(FeatureId(codec, Kind.OBMC))
     feats += [FeatureId(codec, Kind.PEL), FeatureId(codec, Kind.FRAC)]
-    feats += [FeatureId(codec, Kind.TRANS, s) for s in _TRANS_SIZES[codec]]
-    if codec is Codec.H264:
-        feats += [
-            FeatureId(codec, Kind.COEFF, entropy_mode=EntropyMode.CAVLC),
-            FeatureId(codec, Kind.COEFF, entropy_mode=EntropyMode.CABAC),
-            FeatureId(codec, Kind.VAL, entropy_mode=EntropyMode.CAVLC),
-            FeatureId(codec, Kind.VAL, entropy_mode=EntropyMode.CABAC),
-        ]
-    else:
-        feats += [FeatureId(codec, Kind.COEFF), FeatureId(codec, Kind.VAL)]
+    feats += [FeatureId(codec, Kind.TRANS, s) for s in trans]
+    feats += [FeatureId(codec, kind, entropy_mode=mode)
+              for kind in _RESIDUAL_KINDS for mode in modes]
     if codec is Codec.HEVC:
         feats.append(FeatureId(codec, Kind.SAO))
     return FeatureSet(codec, tuple(feats))

@@ -33,12 +33,13 @@ Counting rules applied by :func:`analyze`:
 * ``sao`` counts SAO-filtered 64x64 luma blocks (HEVC only); the trace
   producer is responsible for the geometry.
 
-The block rules live in one table per codec, built once, that maps a block to
-its feature index and weight.  One counting core takes a trace as ``(event,
-multiplicity)`` pairs and adds each contribution times its multiplicity.
-Every contribution except ``val`` is a multiple of 0.5, so these products and
-sums are exact in any order; ``val`` goes to ``math.fsum`` as that many
-copies, the same multiset as one copy per event.
+Every table derives from the codec's feature set and counted sizes, such as the
+block table, built once per codec, that maps a block to its feature index and
+weight.  One counting core takes a trace as ``(event, multiplicity)`` pairs and
+adds each contribution times its multiplicity.  Every contribution except
+``val`` is a multiple of 0.5, so these products and sums are exact in any
+order; ``val`` goes to ``math.fsum`` as that many copies, the same multiset as
+one copy per event.
 
 An event depends only on its line's text, so a trace's vector depends only on
 the multiset of its lines.  :func:`analyze_lines` counts a file's lines and
@@ -70,6 +71,7 @@ from .taxonomy import (
     FeatureVector,
     Frozen,
     Kind,
+    SIZED_KINDS,
     build_feature_set,
     counted_sizes,
 )
@@ -77,13 +79,9 @@ from .taxonomy import (
 #: Distinct trace lines whose decoded events are kept for reuse.
 LINE_MEMO_SIZE = 4096
 
-# Block edge lengths a codec can emit at all (before merging).
-CODEC_DIMS = {
-    Codec.H263: frozenset({8, 16}),
-    Codec.H264: frozenset({4, 8, 16}),
-    Codec.HEVC: frozenset(BLOCK_SIZES),
-    Codec.VP9: frozenset(BLOCK_SIZES),
-}
+# Block edge lengths a codec can emit at all (before merging): those it counts.
+CODEC_DIMS = {c: frozenset(s for s in BLOCK_SIZES for k in SIZED_KINDS if s in counted_sizes(c, k))
+              for c in Codec}
 
 
 class FrameStart(Frozen):
@@ -316,22 +314,22 @@ def analyze_lines(source: Iterable[str], codec: Codec | None = None):
 def _block_table(codec: Codec) -> dict[tuple[Kind, int, int], tuple[int, float]]:
     """``(kind, w, h) -> (feature index, weight)`` for every block the codec can emit.
 
-    Kinds are intra, inter and trans, plus obmc for H.263.
+    Kinds are intra, inter and trans, plus obmc where the feature set has it.
     """
-    index_of, table = build_feature_set(codec).index_of, {}
+    fs, table = build_feature_set(codec), {}
     for w, h in product(CODEC_DIMS[codec], repeat=2):
         weight = 1.0 if w == h else 0.5
-        for kind in (Kind.INTRA, Kind.INTER, Kind.TRANS):
+        for kind in SIZED_KINDS:
             sizes = counted_sizes(codec, kind)
             size = min((s for s in sizes if s >= max(w, h)), default=sizes[0])
-            table[kind, w, h] = (index_of(FeatureId(codec, kind, size)), weight)
-        if codec is Codec.H263:
-            table[Kind.OBMC, w, h] = (index_of(FeatureId(codec, Kind.OBMC)), weight)
+            table[kind, w, h] = (fs.index_of(FeatureId(codec, kind, size)), weight)
+        if "obmc" in fs:
+            table[Kind.OBMC, w, h] = (fs.index_of("obmc"), weight)
     return table
 
 
 def _illegal_block(codec: Codec, kind: Kind, w: int, h: int) -> IllegalEventError:
-    if kind is Kind.OBMC and codec is not Codec.H263:
+    if kind is Kind.OBMC and "obmc" not in build_feature_set(codec):
         return IllegalEventError(f"obmc flag illegal for {codec.value} (h263 only)")
     return IllegalEventError(
         f"{w}x{h} block illegal for {codec.value} "
@@ -374,20 +372,17 @@ def pel_and_frac_counts(block: InterBlock) -> tuple[float, float]:
     Pels are counted twice under biprediction.  Fractional filterings count
     one per pel per fractional dimension, with the same doubling.
     """
-    base = float(block.w * block.h)
-    factor = 2.0 if block.bipred else 1.0
-    pels = base * factor
-    fracs = base * (int(block.frac_h) + int(block.frac_v)) * factor
-    return pels, fracs
+    pels = float(block.w * block.h) * (2.0 if block.bipred else 1.0)
+    return pels, pels * (block.frac_h + block.frac_v)
 
 
 def _tally(codec: Codec, pairs: Iterable[tuple[DecodeEvent, int]]) -> FeatureVector:
     """The counting core: the vector of a trace given as ``(event, multiplicity)`` pairs
     (see the module docstring)."""
     fs, blocks = build_feature_set(codec), _block_table(codec)
-    modes = [(m, f"_{m.value}") for m in EntropyMode] if codec is Codec.H264 else [(None, "")]
-    residual = {m: (fs.index_of(f"coeff{x}"), fs.index_of(f"val{x}")) for m, x in modes}
-    sao = fs.index_of("sao") if codec is Codec.HEVC else None
+    residual = {f.entropy_mode: (fs.index_of(f), fs.index_of(f.name.replace("coeff", "val")))
+                for f in fs if f.kind is Kind.COEFF}
+    sao = fs.index_of("sao") if "sao" in fs else None
     pel, frac, frame = fs.index_of("pel"), fs.index_of("frac"), fs.index_of("frame")
     counts = [0.0] * len(fs)
     counts[fs.index_of("e0")] = 1.0
@@ -408,8 +403,8 @@ def _tally(codec: Codec, pairs: Iterable[tuple[DecodeEvent, int]]) -> FeatureVec
         elif isinstance(ev, Coefficient):
             if ev.entropy not in residual:
                 raise IllegalEventError(
-                    "h264 coefficient requires an entropy mode (cavlc or cabac)"
-                    if codec is Codec.H264
+                    f"{codec.value} coefficient requires an entropy mode (cavlc or cabac)"
+                    if None not in residual
                     else f"entropy mode illegal for {codec.value} (h264 only)"
                 )
             counts[residual[ev.entropy][0]] += m

@@ -249,9 +249,16 @@ def test_default_tables_cover_every_feature():
 # round trips
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_export_load_roundtrip_is_bitwise(tmp_path, fmt):
+@pytest.mark.parametrize(
+    "fmt, tags",
+    [pytest.param("csv", None, id="csv"), pytest.param("json", None, id="json"),
+     pytest.param("json", [{"qp": "1"}, {}], id="json-different-tag-keys"),
+     pytest.param("json", [{"qp": 32}], id="json-number-tag")],
+)
+def test_export_load_roundtrip_is_bitwise(tmp_path, fmt, tags):
     dataset = synth_dataset(SynthSpec(Codec.H264, 40, noise_sigma=0.05, seed=9))
+    if tags:  # the rows tagged in turn, as only a JSON file holds them
+        dataset = Dataset([replace(rec, tags=tags[i % len(tags)]) for i, rec in enumerate(dataset)])
     path = tmp_path / f"data.{fmt}"
     export_dataset(dataset, path)
     loaded = load_dataset(path)
@@ -259,9 +266,18 @@ def test_export_load_roundtrip_is_bitwise(tmp_path, fmt):
     for original, reloaded in zip(dataset, loaded):
         assert np.array_equal(original.features.counts, reloaded.features.counts)
         assert original.energy_joules == reloaded.energy_joules
+        assert original.tags == reloaded.tags
     other = tmp_path / ("data.json" if fmt == "csv" else "data.csv")
-    export_dataset(dataset, other)
-    assert load_dataset(other) == loaded  # the same rows from the other format
+    if tags:
+        with pytest.raises(DataValidationError) as excinfo:
+            export_dataset(dataset, other)
+        assert str(excinfo.value) == (
+            f"{other}: a CSV file cannot hold rows with different tag keys or tag values that "
+            "are not text; export to .json instead")
+        assert not other.exists()
+    else:
+        export_dataset(dataset, other)
+        assert load_dataset(other) == loaded  # the same rows from the other format
 
 
 def test_tags_survive_the_roundtrip(tmp_path):

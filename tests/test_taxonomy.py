@@ -139,10 +139,20 @@ def test_feature_id_invariants():
         FeatureId(Codec.HEVC, Kind.INTRA)  # sized kind without size
     with pytest.raises(ValueError):
         FeatureId(Codec.HEVC, Kind.INTRA, block_size=12)
-    with pytest.raises(ValueError):
-        FeatureId(Codec.HEVC, Kind.COEFF, entropy_mode=EntropyMode.CABAC)
-    with pytest.raises(ValueError):
-        FeatureId(Codec.H264, Kind.COEFF, entropy_mode=None)
+
+
+@pytest.mark.parametrize("mode", [None, *EntropyMode], ids=["no-mode", "cavlc", "cabac"])
+@pytest.mark.parametrize("kind", [Kind.COEFF, Kind.VAL], ids=lambda kind: kind.value)
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda codec: codec.value)
+def test_entropy_mode_is_given_exactly_for_the_h264_residual_features(codec, kind, mode):
+    if (mode is not None) == (codec is Codec.H264):
+        fid = FeatureId(codec, kind, entropy_mode=mode)
+        assert fid.entropy_mode is mode and fid in build_feature_set(codec)
+    else:
+        with pytest.raises(ValueError) as caught:
+            FeatureId(codec, kind, entropy_mode=mode)
+        assert str(caught.value) == ("entropy_mode is used exactly for H.264 coeff/val features "
+                                     f"(codec={codec.value}, kind={kind.value})")
 
 
 def test_validate_vector_ok_for_zero_vector_with_e0():

@@ -367,6 +367,15 @@ def _forged(**changes) -> BitstreamRecord:
         (lambda: Dataset([_forged(energy_joules="5")]), "energy must be a number, got '5'"),
         (lambda: Dataset([_forged(energy_joules=True)]), "energy must be a number, got True"),
         (lambda: Dataset([_forged(width=3.0)]), "width must be an integer, got 3.0"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, energy_joules=10**400),
+         "energy too large for a float"),
+        (lambda: BitstreamRecord("s", Codec.H263, VEC, energy_joules=10**5000),
+         "energy too large for a float"),
+        (lambda: Dataset([_forged(energy_joules=10**400)]), "energy too large for a float"),
+        (lambda: Dataset([_forged(energy_joules=10**5000)]), "energy too large for a float"),
+        (lambda: Dataset([_forged(stream_id=i, energy_joules=e)
+                          for i, e in (("a", 10**308), ("b", 10**308), ("c", 10**400))]),
+         "energy too large for a float"),
         (lambda: SynthSpec(Codec.HEVC, 0), "count must be >= 1"),
         (lambda: SynthSpec(Codec.HEVC, 3, noise_sigma=math.nan), "noise_sigma must be >= 0"),
         (lambda: SynthSpec(Codec.HEVC, 3, default_specific_energies(Codec.VP9)),
@@ -392,6 +401,8 @@ def _forged(**changes) -> BitstreamRecord:
          "hevc-mode", "block-first", "empty-id", "record-codec", "intra-above-frames",
          "float-width", "bool-width", "negative-intra", "text-energy", "bool-energy",
          "dataset-text-energy", "dataset-bool-energy", "dataset-float-width",
+         "huge-energy", "huger-energy", "dataset-huge-energy", "dataset-huger-energy",
+         "dataset-huge-energy-after-big-ints",
          "zero-count", "nan-sigma", "params-codec", "bad-range", "zero-pixels", "intra-rate",
          "nan-base", "zero-power", "negative-coeff", "inf-coeff", "one-fold", "fold-label",
          "fold-sizes", "1-d-matrix", "labels", "zero-tolerance"],
