@@ -110,7 +110,9 @@ def cmd_predict(args) -> None:
     _check_codec(dataset, codec, args.params)
     with about_rows(args.dataset):
         estimates = MODELS[kind].predict(params, dataset, range(len(dataset)))
-    _emit(dataset_to_csv(dataset, last_columns={"E_hat": estimates}), args.out)
+    with about_file(args.out or args.dataset):
+        text = dataset_to_csv(dataset, last_columns={"E_hat": estimates})
+    _emit(text, args.out)
     if args.out:
         print(f"predicted {len(estimates)} stream(s) with the {kind} model -> {args.out}")
 

@@ -288,18 +288,14 @@ def export_dataset(dataset: Dataset, path) -> None:
 
     Counts and energies are written with full precision so the round trip is
     bitwise.  The format is taken from the file suffix.  A JSON file holds any
-    dataset; a CSV file only one whose rows have the same tag keys, each with a
-    text value, and any other dataset is a DataValidationError.
+    dataset; a CSV file only those that :func:`dataset_to_csv` writes, and any
+    other dataset is a DataValidationError that names ``path``.
     """
-    tags = dataset.tags
     if _is_json(path):
         text = dataset_to_json(dataset)
-    elif len(set(map(frozenset, tags))) < 2 and all(
-            isinstance(value, str) for row in tags for value in row.values()):
-        text = dataset_to_csv(dataset)
     else:
-        raise DataValidationError(f"{path}: a CSV file cannot hold rows with different tag keys "
-                                  "or tag values that are not text; export to .json instead")
+        with about_file(path):
+            text = dataset_to_csv(dataset)
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
@@ -310,20 +306,31 @@ def dataset_to_csv(
     append, such as estimates, to their values, one per row: each replaces a tag column
     of its name, as a second ``predict`` replaces the first one's ``E_hat``.
 
-    The cells are made column by column, each as the writer reads its row, so that only
-    the text is held whole."""
+    Other tags must be text under the same keys in every row, none named like a column,
+    or the text would not load back as the rows: a DataValidationError.  The cells are
+    made column by column, each as the writer reads its row, so only the text is whole."""
     rows, names = dataset._rows, dataset.feature_set.names
-    tag_keys = sorted({key for tags in rows.tags for key in tags} - set(last_columns))
+    key_sets = {frozenset(tags).difference(last_columns) for tags in rows.tags}
+    tag_keys = sorted(set().union(*key_sets))
+    if len(key_sets) > 1 or not all(isinstance(t[key], str) for t in rows.tags for key in tag_keys):
+        raise DataValidationError(_NOT_CSV % "rows with different tag keys or tag values that "
+                                  "are not text")
+    named = [key for key in tag_keys if key in BASE_COLUMNS or key in names]
+    if named:
+        raise DataValidationError(_NOT_CSV % f"a tag named like its column {named[0]!r}")
     header = [*BASE_COLUMNS, *names, *tag_keys, *last_columns]
     columns = [
         rows.ids,
         repeat(rows.codec.value, len(rows)),
         *(("" if v is None else repr(v) for v in c) for c in (*rows.metadata, rows.energies)),
         *(map(repr, rows.counts[j::len(names)]) for j in range(len(names))),
-        *([tags.get(key, "") for tags in rows.tags] for key in tag_keys),
+        *([tags[key] for tags in rows.tags] for key in tag_keys),
         *(map(repr, map(float, values)) for values in last_columns.values()),
     ]
     return csv_text(chain([header], zip(*columns, strict=True)))
+
+
+_NOT_CSV = "a CSV file cannot hold %s; export to .json instead"
 
 
 def dataset_to_json(dataset: Dataset) -> str:

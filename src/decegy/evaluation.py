@@ -268,26 +268,24 @@ def cross_validate(
     fold_errors: list[float | None] = []
     fold_params: list[dict | None] = []
     per_stream: dict[str, float] = {}
-    estimates, measured = [], []  # of the folds that fit, in the order of `per_stream`
+    errors_of_fits: list[np.ndarray] = []  # of the folds that fit, in the order of `per_stream`
     failed: list[int] = []
     for fold in range(k):
         val_idx = partition.fold_indices(fold).tolist()
         try:
             params, _ = model.fit(dataset, np.flatnonzero(partition.assignment != fold), options)
-            fold_estimates = model.predict(params, dataset, val_idx)
-            fold_measured = [energies[i] for i in val_idx]
-            errors = _relative_errors(fold_estimates, fold_measured).tolist()
-            per_stream.update(zip([dataset.ids[i] for i in val_idx], errors))
-            fold_errors.append(mean_relative_error(fold_estimates, fold_measured))
+            errors = _relative_errors(model.predict(params, dataset, val_idx),
+                                      [energies[i] for i in val_idx])
+            per_stream.update(zip([dataset.ids[i] for i in val_idx], errors.tolist()))
+            fold_errors.append(float(errors.mean()))
             fold_params.append(params_to_dict(params))
-            estimates += fold_estimates
-            measured += fold_measured
+            errors_of_fits.append(errors)
         except FitError as exc:
             warnings.warn(f"fold {fold} failed: {exc}", stacklevel=2)
             failed.append(fold)
             fold_errors.append(None)
             fold_params.append(None)
-    overall = mean_relative_error(estimates, measured) if measured else math.nan
+    overall = float(np.concatenate(errors_of_fits).mean()) if errors_of_fits else math.nan
     return CVReport(model_kind, k, partition.seed, overall, fold_errors, partition.fold_sizes(),
                     fold_params, per_stream, failed)
 
@@ -303,11 +301,7 @@ class BreakdownRow(Frozen):
 
     def __init__(self, stream_id: str, measured_joules: float, estimated_joules: float,
                  category_joules: tuple[float, ...]):  # in Category order
-        store = object.__setattr__  # not _set: made per stream, and so about 0.5 us faster
-        store(self, "stream_id", stream_id)
-        store(self, "measured_joules", measured_joules)
-        store(self, "estimated_joules", estimated_joules)
-        store(self, "category_joules", category_joules)
+        self._set(stream_id, measured_joules, estimated_joules, category_joules)
 
     @property
     def by_category(self) -> dict[Category, float]:

@@ -9,6 +9,11 @@ The two baselines estimate energy from high-level stream properties only:
 * HL2 additionally from the rate of intra frames, as a bilinear form scaled
   by total pixels.
 
+The feature model's sum has one core: :func:`feature_estimate`, and
+:func:`estimate_by_category`, which also splits the same products by category.
+``predict``, ``report`` and ``synth`` call it on dataset rows, and
+:func:`predict_feature_model` and :func:`category_breakdown` on one checked vector.
+
 File sizes are in bytes and energies in joules throughout.
 """
 
@@ -57,11 +62,7 @@ class HighLevelInfo(Frozen):
             raise ValueError("pixels_per_frame, frames and file_size_bytes must be > 0")
         if not 0.0 <= intra_rate <= 1.0:
             raise ValueError(f"intra_rate must be in [0, 1], got {intra_rate}")
-        store = object.__setattr__  # not _set: made per stream, and so about 0.5 us faster
-        store(self, "pixels_per_frame", pixels_per_frame)
-        store(self, "frames", frames)
-        store(self, "file_size_bytes", file_size_bytes)
-        store(self, "intra_rate", intra_rate)
+        self._set(pixels_per_frame, frames, file_size_bytes, intra_rate)
 
 
 class HighLevelColumns(NamedTuple):
@@ -137,16 +138,6 @@ def feature_values(energies: SpecificEnergies, feature_set: FeatureSet) -> tuple
     return energies.floats
 
 
-def _products(energies: SpecificEnergies, vector: FeatureVector) -> list[float]:
-    """Count times specific energy per feature: Python's float product is IEEE's, as numpy's is."""
-    counts, values = vector.floats, feature_values(energies, vector.feature_set)
-    if len(counts) != len(values):
-        raise ValueError(
-            f"vector length {len(counts)} does not match feature set size {len(values)}"
-        )
-    return list(map(mul, values, counts))
-
-
 _OVERFLOW = "estimated energy overflows the float range"
 
 
@@ -171,9 +162,19 @@ def feature_estimate(values, counts) -> float:
     return _fsum(map(mul, values, counts))
 
 
+def _checked(energies: SpecificEnergies, vector: FeatureVector) -> tuple[tuple, tuple]:
+    """The specific energies and counts as floats, once they are of one feature set and size."""
+    values, counts = feature_values(energies, vector.feature_set), vector.floats
+    if len(counts) != len(values):
+        raise ValueError(
+            f"vector length {len(counts)} does not match feature set size {len(values)}"
+        )
+    return values, counts
+
+
 def predict_feature_model(energies: SpecificEnergies, vector: FeatureVector) -> float:
     """Estimated decoding energy of a vector, as :func:`feature_estimate` sums it."""
-    return _fsum(_products(energies, vector))
+    return feature_estimate(*_checked(energies, vector))
 
 
 def category_breakdown(
@@ -189,19 +190,15 @@ def category_breakdown(
 
 def category_sums(energies: SpecificEnergies, vector: FeatureVector) -> tuple[float, ...]:
     """The values of :func:`category_breakdown`, in :class:`Category` order."""
-    return _category_sums(energies.feature_set, _products(energies, vector))
-
-
-def _category_sums(feature_set: FeatureSet, products: list[float]) -> tuple[float, ...]:
-    return tuple(_fsum([products[i] for i in columns])
-                 for columns in feature_set.category_columns.values())
+    return estimate_by_category(energies.feature_set, *_checked(energies, vector))[1]
 
 
 def estimate_by_category(feature_set: FeatureSet, values, counts) -> tuple[float, tuple]:
-    """The :func:`feature_estimate` of one stream and its :func:`category_sums`, from one
-    pass over the products."""
+    """The :func:`feature_estimate` of one stream and its sum per category, in
+    :class:`Category` order, from one pass over the products."""
     products = list(map(mul, values, counts))
-    return _fsum(products), _category_sums(feature_set, products)
+    return _fsum(products), tuple(_fsum([products[i] for i in columns])
+                                  for columns in feature_set.category_columns.values())
 
 
 def hl1_estimate(params: HL1Params, pixels, bytes_per_pixel):

@@ -38,8 +38,8 @@ block table, built once per codec, that maps a block to its feature index and
 weight.  One counting core takes a trace as ``(event, multiplicity)`` pairs and
 adds each contribution times its multiplicity.  Every contribution except
 ``val`` is a multiple of 0.5, so these products and sums are exact in any
-order; ``val`` goes to ``math.fsum`` as that many copies, the same multiset as
-one copy per event.
+order; ``val`` maps each distinct contribution to its summed multiplicity and
+goes to ``math.fsum`` as that many copies, the same multiset as one per event.
 
 An event depends only on its line's text, so a trace's vector depends only on
 the multiset of its lines.  :func:`analyze_lines` counts a file's lines and
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import chain, product, repeat, starmap
 from typing import Iterable, Union
@@ -386,7 +386,7 @@ def _tally(codec: Codec, pairs: Iterable[tuple[DecodeEvent, int]]) -> FeatureVec
     pel, frac, frame = fs.index_of("pel"), fs.index_of("frac"), fs.index_of("frame")
     counts = [0.0] * len(fs)
     counts[fs.index_of("e0")] = 1.0
-    vals = {mode: [] for mode in residual}
+    vals = {mode: defaultdict(int) for mode in residual}  # contribution -> multiplicity
     for ev, m in pairs:
         if isinstance(ev, FrameStart):
             counts[frame] += m
@@ -408,7 +408,7 @@ def _tally(codec: Codec, pairs: Iterable[tuple[DecodeEvent, int]]) -> FeatureVec
                     else f"entropy mode illegal for {codec.value} (h264 only)"
                 )
             counts[residual[ev.entropy][0]] += m
-            vals[ev.entropy].append((coeff_value_contribution(codec, ev.value, ev.coded_bits), m))
+            vals[ev.entropy][coeff_value_contribution(codec, ev.value, ev.coded_bits)] += m
             continue
         elif isinstance(ev, SaoBlock):
             if sao is None:
@@ -423,7 +423,7 @@ def _tally(codec: Codec, pairs: Iterable[tuple[DecodeEvent, int]]) -> FeatureVec
         counts[entry[0]] += entry[1] * m
     for mode, (_, val) in residual.items():
         try:  # m copies of each value: the same multiset as one copy per event
-            counts[val] = math.fsum(chain.from_iterable(starmap(repeat, vals[mode])))
+            counts[val] = math.fsum(chain.from_iterable(starmap(repeat, vals[mode].items())))
         except OverflowError:
             raise DataValidationError(f"{fs.names[val]} sums past the float range") from None
     return FeatureVector(fs, counts)

@@ -40,8 +40,17 @@ from decegy.taxonomy import Codec, FeatureVector, Kind, build_feature_set
 
 def dataset_to_csv(dataset: Dataset, last_columns=MappingProxyType({})) -> str:
     """The dataset as CSV text, one ``csv_row`` per record, through ``csv.writer`` (which
-    leaves a cell that holds CR unquoted)."""
+    leaves a cell that holds CR unquoted); a dataset whose tags a CSV file cannot hold is
+    refused as ``export_dataset`` refused it, or for a tag named like a column."""
     tag_keys = sorted({key for tags in dataset.tags for key in tags})
+    if any(set(tags) != set(tag_keys) or not all(isinstance(v, str) for v in tags.values())
+           for tags in dataset.tags):
+        raise DataValidationError("a CSV file cannot hold rows with different tag keys or tag "
+                                  "values that are not text; export to .json instead")
+    for key in tag_keys:
+        if key in BASE_COLUMNS or key in dataset.feature_set.names:
+            raise DataValidationError(f"a CSV file cannot hold a tag named like its column "
+                                      f"{key!r}; export to .json instead")
 
     def rows():
         yield [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]

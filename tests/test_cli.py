@@ -1064,6 +1064,25 @@ def test_a_tag_that_holds_cr_survives_predict_and_fit(tmp_path, capsys):
     assert [tags["note"] for tags in load_dataset(predicted).tags] == ["a\rb"] * 4
 
 
+def test_predict_refuses_tags_that_a_csv_file_cannot_hold(tmp_path, capsys):
+    """Rows with different tag keys or a number tag would load back with other tags: the
+    error names --out, or the dataset when the CSV goes to stdout, and nothing is written."""
+    data, params = _hevc_files(tmp_path)
+    doc = json.loads(data.read_text())
+    for record, tags in zip(doc["records"], [{"qp": "1"}, {}, {"qp": 32}]):
+        record["tags"] = tags
+    data.write_text(json.dumps(doc))
+    out = tmp_path / "mixed.csv"
+    argv = ["predict", "--dataset", str(data), "--params", str(params)]
+    message = ("a CSV file cannot hold rows with different tag keys or tag values that are not "
+               "text; export to .json instead\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: {message}")
+    assert not out.exists()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {data}: {message}")
+
+
 def test_synth_errors_name_the_parameter_file_or_the_noise_level(tmp_path, capsys):
     """An energy that synth cannot make names the parameter file it came from, and a
     noise level that draws an infinite energy names noise_sigma."""

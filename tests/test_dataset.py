@@ -249,13 +249,20 @@ def test_default_tables_cover_every_feature():
 # round trips
 
 
+_MIXED_TAGS = "rows with different tag keys or tag values that are not text"
+
+
 @pytest.mark.parametrize(
-    "fmt, tags",
-    [pytest.param("csv", None, id="csv"), pytest.param("json", None, id="json"),
-     pytest.param("json", [{"qp": "1"}, {}], id="json-different-tag-keys"),
-     pytest.param("json", [{"qp": 32}], id="json-number-tag")],
+    "fmt, tags, fault",
+    [pytest.param("csv", None, None, id="csv"), pytest.param("json", None, None, id="json"),
+     pytest.param("json", [{"qp": "1"}, {}], _MIXED_TAGS, id="json-different-tag-keys"),
+     pytest.param("json", [{"qp": 32}], _MIXED_TAGS, id="json-number-tag"),
+     pytest.param("json", [{"width": "x"}], "a tag named like its column 'width'",
+                  id="json-tag-named-width"),
+     pytest.param("json", [{"e0": "1"}], "a tag named like its column 'e0'",
+                  id="json-tag-named-e0")],
 )
-def test_export_load_roundtrip_is_bitwise(tmp_path, fmt, tags):
+def test_export_load_roundtrip_is_bitwise(tmp_path, fmt, tags, fault):
     dataset = synth_dataset(SynthSpec(Codec.H264, 40, noise_sigma=0.05, seed=9))
     if tags:  # the rows tagged in turn, as only a JSON file holds them
         dataset = Dataset([replace(rec, tags=tags[i % len(tags)]) for i, rec in enumerate(dataset)])
@@ -272,8 +279,7 @@ def test_export_load_roundtrip_is_bitwise(tmp_path, fmt, tags):
         with pytest.raises(DataValidationError) as excinfo:
             export_dataset(dataset, other)
         assert str(excinfo.value) == (
-            f"{other}: a CSV file cannot hold rows with different tag keys or tag values that "
-            "are not text; export to .json instead")
+            f"{other}: a CSV file cannot hold {fault}; export to .json instead")
         assert not other.exists()
     else:
         export_dataset(dataset, other)
@@ -380,8 +386,10 @@ def test_records_equal_records_built_through_the_constructor(codec):
     typed = Dataset(map(_numpy_numbers, records))
     assert typed == dataset == pickle.loads(pickle.dumps(typed))
     assert list(map(repr, typed.records)) == list(map(repr, records))
-    assert dataset_to_csv(typed) == dataset_to_csv(dataset)
     assert dataset_to_json(typed) == dataset_to_json(dataset)
+    # a CSV file holds rows of one tag key set: the same records, every row tagged alike
+    alike = [replace(record, tags={"note": "a,b"}) for record in records]
+    assert dataset_to_csv(Dataset(map(_numpy_numbers, alike))) == dataset_to_csv(Dataset(alike))
     assert dataset_from_json(dataset_to_json(typed), require_energy=False) == dataset
 
 

@@ -126,9 +126,14 @@ _INTEGER = st.none() | st.integers(1, 2**53)
 @st.composite
 def written_datasets(draw):
     """A dataset of all four codecs with 0 to 5 rows, some metadata and energy cells
-    empty, awkward tags, and the columns to append, one value per row."""
+    empty, awkward tags, and the columns to append, one value per row.  The rows' tags
+    share one key set, or in some datasets each row draws its own, keys such as ``width``
+    too, which a CSV file cannot hold."""
     codec = draw(st.sampled_from(list(Codec)))
     fs = build_feature_set(codec)
+    keys = ["qp", "note", "a,b", "x\ny"]
+    shared = draw(st.sets(st.sampled_from(keys)))
+    free = draw(st.booleans())
     count = st.floats(0, 1e300) | st.integers(0, 2**60).map(float)
     records = []
     for i in range(draw(st.integers(0, 5))):
@@ -136,7 +141,8 @@ def written_datasets(draw):
         width, height, frames, size = (draw(_INTEGER) for _ in range(4))
         intra = draw(st.none() | st.integers(0, 2**53 if frames is None else frames))
         energy = draw(st.none() | st.floats(5e-324, 1e300))
-        tags = draw(st.dictionaries(st.sampled_from(["qp", "note", "a,b", "x\ny"]), _AWKWARD))
+        tags = draw(st.dictionaries(st.sampled_from([*keys, "width", "e0"]), _AWKWARD) if free
+                    else st.fixed_dictionaries(dict.fromkeys(shared, _AWKWARD)))
         features = FeatureVector(fs, counts)
         records.append(BitstreamRecord(f"s{i}", codec, features, width, height, frames, size,
                                        intra, energy, tags))

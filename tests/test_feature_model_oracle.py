@@ -4,7 +4,8 @@
 that ``decegy predict`` and ``decegy report`` need no numpy.  The oracles below are
 the numpy path they replaced: ``math.fsum(values * counts)`` over float64 arrays,
 and the same products split by ``FeatureSet.category_columns``, each with the
-library's overflow error for a sum that is not finite.  Python's float product is
+library's overflow error for a sum that is not finite (the split also for an
+estimate that is not, whose parts may be).  Python's float product is
 IEEE's, as numpy's is, so on random specific energies and counts of all four
 codecs, with products near and past the top of the float range, both must give
 bit-equal floats or the same error, row by row through a dataset too.
@@ -53,6 +54,7 @@ def oracle_estimate(values: np.ndarray, counts: np.ndarray) -> float:
 
 
 def oracle_category_sums(fs, values: np.ndarray, counts: np.ndarray) -> tuple[float, ...]:
+    oracle_estimate(values, counts)  # the parts of a finite estimate only, as in a report row
     with np.errstate(over="ignore"):
         products = (values * counts).tolist()
     return tuple(

@@ -148,6 +148,16 @@ def test_breakdown_always_reports_all_six_categories():
     assert breakdown[Category.SAO] == 0.0
 
 
+def test_breakdown_of_an_estimate_past_the_float_range_is_refused():
+    """Offset and inter parts of 1e308 each are finite but their sum is not: the breakdown
+    raises the estimate's error, as a report row does."""
+    energies = _energies({"e0": 1e308, "pel": 1e300})
+    vector = _vec({"e0": 1.0, "pel": 1e8})
+    for estimate in (predict_feature_model, category_breakdown):
+        with pytest.raises(DataValidationError, match="^estimated energy overflows the float"):
+            estimate(energies, vector)
+
+
 # ---------------------------------------------------------------------------
 # HL1
 
