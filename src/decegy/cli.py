@@ -172,9 +172,10 @@ def cmd_report(args) -> None:
         missing = wanted - {row.stream_id for row in rows}
         if missing:
             raise DataValidationError(f"unknown stream id(s): {', '.join(sorted(missing))}")
+    svg = args.svg and breakdown_svg(rows)  # before any output: a chart that fails writes none
     _emit(breakdown_csv(rows), args.out)
     if args.svg:
-        Path(args.svg).write_text(breakdown_svg(rows), encoding="utf-8", newline="")
+        Path(args.svg).write_text(svg, encoding="utf-8", newline="")
     if args.out or args.svg:
         print(f"reported {len(rows)} stream(s)")
 

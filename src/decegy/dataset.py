@@ -306,18 +306,18 @@ def dataset_to_csv(
     append, such as estimates, to their values, one per row: each replaces a tag column
     of its name, as a second ``predict`` replaces the first one's ``E_hat``.
 
-    Other tags must be text under the same keys in every row, none named like a column,
-    or the text would not load back as the rows: a DataValidationError.  The cells are
-    made column by column, each as the writer reads its row, so only the text is whole."""
+    Other tags must be text under the same keys in every row, none named like a column, or the
+    text would not load back: a DataValidationError names the first key at fault in sorted order.
+    The cells are made column by column, as the writer reads its rows: only the text is whole."""
     rows, names = dataset._rows, dataset.feature_set.names
-    key_sets = {frozenset(tags).difference(last_columns) for tags in rows.tags}
-    tag_keys = sorted(set().union(*key_sets))
-    if len(key_sets) > 1 or not all(isinstance(t[key], str) for t in rows.tags for key in tag_keys):
-        raise DataValidationError(_NOT_CSV % "rows with different tag keys or tag values that "
-                                  "are not text")
-    named = [key for key in tag_keys if key in BASE_COLUMNS or key in names]
-    if named:
-        raise DataValidationError(_NOT_CSV % f"a tag named like its column {named[0]!r}")
+    tag_keys = sorted(set().union(*rows.tags).difference(last_columns))
+    for key in tag_keys:
+        fault = ("is missing from some rows" if not all(key in tags for tags in rows.tags)
+                 else "holds a value that is not text"
+                 if not all(isinstance(tags[key], str) for tags in rows.tags)
+                 else "is named like a column" if key in BASE_COLUMNS or key in names else "")
+        if fault:
+            raise DataValidationError(f"a CSV file cannot hold the tag {key!r}, which {fault}")
     header = [*BASE_COLUMNS, *names, *tag_keys, *last_columns]
     columns = [
         rows.ids,
@@ -328,9 +328,6 @@ def dataset_to_csv(
         *(map(repr, map(float, values)) for values in last_columns.values()),
     ]
     return csv_text(chain([header], zip(*columns, strict=True)))
-
-
-_NOT_CSV = "a CSV file cannot hold %s; export to .json instead"
 
 
 def dataset_to_json(dataset: Dataset) -> str:

@@ -41,16 +41,19 @@ from decegy.taxonomy import Codec, FeatureVector, Kind, build_feature_set
 def dataset_to_csv(dataset: Dataset, last_columns=MappingProxyType({})) -> str:
     """The dataset as CSV text, one ``csv_row`` per record, through ``csv.writer`` (which
     leaves a cell that holds CR unquoted); a dataset whose tags a CSV file cannot hold is
-    refused as ``export_dataset`` refused it, or for a tag named like a column."""
+    refused for its first tag key in sorted order that some rows lack, that holds a value
+    which is not text, or that is named like a column, checked one key at a time."""
     tag_keys = sorted({key for tags in dataset.tags for key in tags})
-    if any(set(tags) != set(tag_keys) or not all(isinstance(v, str) for v in tags.values())
-           for tags in dataset.tags):
-        raise DataValidationError("a CSV file cannot hold rows with different tag keys or tag "
-                                  "values that are not text; export to .json instead")
     for key in tag_keys:
-        if key in BASE_COLUMNS or key in dataset.feature_set.names:
-            raise DataValidationError(f"a CSV file cannot hold a tag named like its column "
-                                      f"{key!r}; export to .json instead")
+        if any(key not in tags for tags in dataset.tags):
+            fault = "is missing from some rows"
+        elif any(not isinstance(tags[key], str) for tags in dataset.tags):
+            fault = "holds a value that is not text"
+        elif key in BASE_COLUMNS or key in dataset.feature_set.names:
+            fault = "is named like a column"
+        else:
+            continue
+        raise DataValidationError(f"a CSV file cannot hold the tag {key!r}, which {fault}")
 
     def rows():
         yield [*BASE_COLUMNS, *dataset.feature_set.names, *tag_keys, *last_columns]

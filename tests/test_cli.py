@@ -998,9 +998,13 @@ def test_chart_of_energies_outside_its_range_exits_2(tmp_path, capsys):
     doc = json.loads(params.read_text())
     doc["specific_energies"] = {name: 0.0 for name in doc["specific_energies"]}
     params.write_text(json.dumps(doc))
-    argv = ["report", "--dataset", str(data), "--params", str(params)]
-    assert main(argv + ["--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg")]) == 2
+    svg, out = tmp_path / "r.svg", tmp_path / "r.csv"
+    argv = ["report", "--dataset", str(data), "--params", str(params), "--svg", str(svg)]
+    assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: energy 5e-324 J is outside the chart's range\n"
+    assert not out.exists() and not svg.exists()
+    assert main(argv) == 2  # nor a CSV on standard output
+    assert capsys.readouterr() == ("", "error: energy 5e-324 J is outside the chart's range\n")
 
 
 def _h263_with_energies(path, energies, seed):
@@ -1074,8 +1078,7 @@ def test_predict_refuses_tags_that_a_csv_file_cannot_hold(tmp_path, capsys):
     data.write_text(json.dumps(doc))
     out = tmp_path / "mixed.csv"
     argv = ["predict", "--dataset", str(data), "--params", str(params)]
-    message = ("a CSV file cannot hold rows with different tag keys or tag values that are not "
-               "text; export to .json instead\n")
+    message = "a CSV file cannot hold the tag 'qp', which is missing from some rows\n"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {out}: {message}")
     assert not out.exists()

@@ -249,18 +249,19 @@ def test_default_tables_cover_every_feature():
 # round trips
 
 
-_MIXED_TAGS = "rows with different tag keys or tag values that are not text"
-
-
 @pytest.mark.parametrize(
     "fmt, tags, fault",
     [pytest.param("csv", None, None, id="csv"), pytest.param("json", None, None, id="json"),
-     pytest.param("json", [{"qp": "1"}, {}], _MIXED_TAGS, id="json-different-tag-keys"),
-     pytest.param("json", [{"qp": 32}], _MIXED_TAGS, id="json-number-tag"),
-     pytest.param("json", [{"width": "x"}], "a tag named like its column 'width'",
+     pytest.param("json", [{"qp": "1"}, {}], "'qp', which is missing from some rows",
+                  id="json-different-tag-keys"),
+     pytest.param("json", [{"qp": 32}], "'qp', which holds a value that is not text",
+                  id="json-number-tag"),
+     pytest.param("json", [{"width": "x"}], "'width', which is named like a column",
                   id="json-tag-named-width"),
-     pytest.param("json", [{"e0": "1"}], "a tag named like its column 'e0'",
-                  id="json-tag-named-e0")],
+     pytest.param("json", [{"e0": "1"}], "'e0', which is named like a column",
+                  id="json-tag-named-e0"),
+     pytest.param("json", [{"a": "1", "b": 2, "c": "x"}, {"a": "2", "b": 3}],
+                  "'b', which holds a value that is not text", id="json-first-key-at-fault")],
 )
 def test_export_load_roundtrip_is_bitwise(tmp_path, fmt, tags, fault):
     dataset = synth_dataset(SynthSpec(Codec.H264, 40, noise_sigma=0.05, seed=9))
@@ -279,7 +280,7 @@ def test_export_load_roundtrip_is_bitwise(tmp_path, fmt, tags, fault):
         with pytest.raises(DataValidationError) as excinfo:
             export_dataset(dataset, other)
         assert str(excinfo.value) == (
-            f"{other}: a CSV file cannot hold {fault}; export to .json instead")
+            f"{other}: a CSV file cannot hold the tag {fault}")
         assert not other.exists()
     else:
         export_dataset(dataset, other)
