@@ -176,7 +176,7 @@ def cmd_report(args) -> None:
     _emit(breakdown_csv(rows), args.out)
     if args.svg:
         Path(args.svg).write_text(svg, encoding="utf-8", newline="")
-    if args.out or args.svg:
+    if args.out:
         print(f"reported {len(rows)} stream(s)")
 
 

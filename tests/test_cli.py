@@ -1007,6 +1007,16 @@ def test_chart_of_energies_outside_its_range_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: energy 5e-324 J is outside the chart's range\n")
 
 
+def test_report_with_a_chart_and_no_out_writes_the_csv_alone_to_stdout(tmp_path, capsys):
+    data, params = _hevc_files(tmp_path, count=5)
+    out = tmp_path / "r.csv"
+    argv = ["report", "--dataset", str(data), "--params", str(params)]
+    assert main(argv + ["--svg", str(tmp_path / "r.svg")]) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert stdout == out.read_text(encoding="utf-8")
+
+
 def _h263_with_energies(path, energies, seed):
     records = synth_dataset(SynthSpec(Codec.H263, len(energies), seed=seed)).records
     export_dataset(Dataset(tuple(

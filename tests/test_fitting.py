@@ -1,6 +1,7 @@
 """Solvers: pivoted-QR least squares, NNLS active set, dogleg trust region."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -409,6 +410,8 @@ def test_hl1_fit_recovers_noise_free_truth():
     assert fitted.per_pixel_joules == pytest.approx(TRUE_HL1.per_pixel_joules, rel=1e-4)
     assert fitted.rate_coeff == pytest.approx(TRUE_HL1.rate_coeff, rel=1e-3)
     assert abs(fitted.rate_power - TRUE_HL1.rate_power) < 1e-3
+    _, capped = fit_hl1(records, TrustRegionOptions(max_iterations=2))
+    assert (capped.iterations, capped.termination) == (2, "max_iterations")
 
 
 def test_hl1_fit_degenerate_without_power_term():
@@ -445,6 +448,32 @@ def test_hl1_fit_underdetermined_cases():
     cloned = [(info_template, 1.0 + i * 0.0) for i in range(10)]
     with pytest.raises(FitError, match="under-determined"):
         fit_hl1(cloned)
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [([], True), ([math.nan] * 3, True), ([math.nan, 1.0], False), ([1.0, math.nan, 1.0], False),
+     ([math.inf] * 2, True), ([math.inf, -math.inf], False), ([0.0, -0.0], True),
+     ([2.0, 2.0, 2.0], True), ([2.0, 2.0, 3.0], False)],
+)
+def test_one_value_on_ties_nan_and_infinity(values, expected):
+    assert fitting._one_value(np.array(values, dtype=float)) is expected
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, 1.0 + 2**-52, 2.5, 1e-300, math.inf, -math.inf, math.nan,
+                -math.nan]
+
+
+def test_one_value_decides_as_np_unique_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(), max_size=6))
+    def check(values):
+        x = np.array(values, dtype=float)
+        assert fitting._one_value(x) == (np.unique(x).size < 2)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
