@@ -535,7 +535,9 @@ def _json_row(raw, fs: FeatureSet, require_energy: bool) -> tuple:
     tags = raw.get("tags", {})
     if not isinstance(tags, dict):
         raise DataValidationError(f"'tags': not an object: {tags!r}")
-    stream_id = str(raw.get("stream_id", ""))
+    stream_id = raw.get("stream_id", "")
+    if not isinstance(stream_id, str):
+        raise DataValidationError(f"'stream_id': not a string: {stream_id!r}")
     return stream_id, [counts[name] for name in fs.names], energy, metadata, tags
 
 

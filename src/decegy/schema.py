@@ -121,6 +121,8 @@ def _intra_pass(rows: Rows) -> bool:
 #: that fails it.  A test sees only rows that pass the rules before it.
 RULES = (
     (lambda rows: all(rows.ids), lambda row: "empty stream_id"),
+    (lambda rows: all(map(str.__eq__, rows.ids, map(str.strip, rows.ids))),
+     lambda row: f"stream_id has leading or trailing whitespace: {row.ids[0]!r}"),
     (_unicode_pass,
      lambda row: f"not valid Unicode: {next(filter(_SURROGATE.search, _texts(row)))!r}"),
     (lambda rows: rows.feature_set.codec is rows.codec,

@@ -275,8 +275,9 @@ def parse_trace(source: Iterable[str], codec: Codec | None = None) -> DecodeTrac
                 if "event" not in obj:
                     if "codec" in obj:
                         header_codec = _parse_codec(obj["codec"])
-                    if "stream_id" in obj:
-                        header_id = str(obj["stream_id"])
+                    header_id = obj.get("stream_id", "")
+                    if not isinstance(header_id, str):
+                        raise TraceParseError("field 'stream_id' must be a string")
                     header_line = line_no
                     continue
             append(decode(line))

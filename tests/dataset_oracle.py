@@ -201,10 +201,13 @@ def dataset_from_json(text: str, require_energy: bool = True) -> Dataset:
         tags = raw.get("tags", {})
         if not isinstance(tags, dict):
             raise DataValidationError(f"'tags': not an object: {tags!r}", row=i)
+        stream_id = raw.get("stream_id", "")
+        if not isinstance(stream_id, str):
+            raise DataValidationError(f"'stream_id': not a string: {stream_id!r}", row=i)
         try:
             records.append(
                 BitstreamRecord(
-                    stream_id=str(raw.get("stream_id", "")),
+                    stream_id=stream_id,
                     codec=codec,
                     features=FeatureVector.from_dict(fs, counts),
                     **metadata,

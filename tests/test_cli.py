@@ -26,7 +26,7 @@ from decegy import (
     synth_dataset,
 )
 from decegy.cli import main
-from decegy.dataset import BitstreamRecord, Dataset
+from decegy.dataset import BitstreamRecord, Dataset, dataset_to_csv
 from decegy.taxonomy import FeatureVector
 from util import replace
 
@@ -139,6 +139,10 @@ def test_analyze_parse_error_names_file_and_line(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad.jsonl" in err and "line 3" in err and "zero coefficient" in err
+    bad.write_text('{"codec":"hevc"}\n{"event":"frame_start"}\n{"codec":"hevc"}\n')
+    assert main(["analyze", str(bad)]) == 2
+    message = "missing 'event' field (a header line is only allowed first)"
+    assert capsys.readouterr().err == f"error: {bad}: line 3: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -199,6 +203,29 @@ def test_analyze_is_idempotent(tmp_path):
     assert main(["analyze", str(trace), "--out", str(out1)]) == 0
     assert main(["analyze", str(trace), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_analyze_writes_ids_that_need_quoting_as_the_dataset_writer_does(tmp_path):
+    """Ids from file stems and a header that CSV must quote, and a header-less trace under
+    --codec: the output loads back to the same ids and is written again byte for byte."""
+    note = json.dumps({"event": "sao", "note": "a\x85b\u2028c\x0cd"}, ensure_ascii=False)
+    header_id = 'a "b", c\nd\r\u00e9'
+    texts = {
+        "s,1": '\n{"event": "frame_start"}\r\n{"event": "intra", "w": 8, "h": 8}\n',
+        'q"': '{"codec": "hevc"}\n{"event": "frame_start"}\n' + note + "\n",
+        "t": json.dumps({"codec": "hevc", "stream_id": header_id}) + '\n{"event": "frame_start"}',
+    }
+    paths = []
+    for stem, text in texts.items():
+        paths.append(tmp_path / f"{stem}.jsonl")
+        paths[-1].write_text(text, encoding="utf-8", newline="")
+    out = tmp_path / "features.csv"
+    assert main(["analyze", *map(str, paths), "--codec", "hevc", "--out", str(out)]) == 0
+    text = out.read_bytes().decode("utf-8")
+    dataset = load_dataset(out, require_energy=False)
+    assert dataset.ids == ("s,1", 'q"', header_id)
+    assert [dataset.get(i).features["sao"] for i in dataset.ids] == [0.0, 1.0, 0.0]
+    assert dataset_to_csv(dataset) == text
 
 
 # ---------------------------------------------------------------------------
@@ -829,15 +856,29 @@ def test_bad_command_values_exit_2(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
 
 
-def test_lone_surrogate_in_a_stream_id_exits_2(tmp_path, capsys):
+_NOT_A_STRING = "line 2: field 'stream_id' must be a string"
+_PADDED = "stream_id has leading or trailing whitespace: ' padded\\t'"
+
+
+@pytest.mark.parametrize(
+    "value, row_error, header_error",
+    [('"\\ud800"', "not valid Unicode: '\\ud800'", "not valid Unicode: '\\ud800'"),
+     ('" padded\\t"', _PADDED, _PADDED),
+     ("null", "'stream_id': not a string: None", _NOT_A_STRING),
+     ("5", "'stream_id': not a string: 5", _NOT_A_STRING),
+     ('{"a": 1}', "'stream_id': not a string: {'a': 1}", _NOT_A_STRING)],
+    ids=["surrogate", "whitespace", "null", "number", "object"],
+)
+def test_a_bad_stream_id_exits_2(tmp_path, capsys, value, row_error, header_error):
+    """The same JSON value as a dataset row's stream id and as a trace header's."""
     data, params = _hevc_files(tmp_path)
-    data.write_text(data.read_text().replace('"synth-hevc-0001"', '"\\ud800"'))
+    data.write_text(data.read_text().replace('"synth-hevc-0001"', value))
     assert main(["predict", "--dataset", str(data), "--params", str(params)]) == 2
-    assert capsys.readouterr().err == f"error: {data}: row 2: not valid Unicode: '\\ud800'\n"
+    assert capsys.readouterr().err == f"error: {data}: row 2: {row_error}\n"
     trace = tmp_path / "t.jsonl"
-    trace.write_text('{"codec": "vp9", "stream_id": "\\udcff"}\n', encoding="utf-8")
+    trace.write_text(f'\n{{"codec": "vp9", "stream_id": {value}}}\n', encoding="utf-8")
     assert main(["analyze", str(trace)]) == 2
-    assert capsys.readouterr().err == f"error: {trace}: not valid Unicode: '\\udcff'\n"
+    assert capsys.readouterr().err == f"error: {trace}: {header_error}\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

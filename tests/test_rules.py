@@ -34,7 +34,7 @@ GOOD_METADATA = [None, 1, 2**53]
 GOOD_TAGS = [{}, {"qp": "22"}, {"qp": "22", "note": "a_b"}, {"note": "a_b", "qp": "22"}]
 #: Cells that may fail, by the column they go in ("count" is any count but e0's).
 BAD = {
-    "id": ["", "a\ud800", "\udfff"],
+    "id": ["", "a\ud800", "\udfff", " a", "a\t", " ", "\u2028\ud800"],
     "tag key": ["\ud800", "k\udc00"],
     "tag value": ["\ud800", "v\udfff"],
     "e0": [0.0, 2.0, -0.0, NAN, INF, 1e308],
@@ -98,6 +98,8 @@ def _reference_check(stream_id, codec, features, metadata, energy, tags):
     """The record check as it was written before the rules became one table."""
     if not stream_id:
         raise DataValidationError("empty stream_id")
+    if stream_id != stream_id.strip():
+        raise DataValidationError(f"stream_id has leading or trailing whitespace: {stream_id!r}")
     for text in (stream_id, *tags, *map(str, tags.values())):
         if text.encode("utf-8", "replace").decode("utf-8") != text:  # lone surrogates
             raise DataValidationError(f"not valid Unicode: {text!r}")

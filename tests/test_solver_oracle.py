@@ -10,7 +10,11 @@ same columns and clamp the same ones.  Linear coefficients must agree within
 values ``A @ x`` are compared at that tolerance instead, relative to the
 magnitude ``|A| @ |x|`` of their terms.  The one difference allowed is on an
 exact pivot tie: two columns equal once scaled, of which the paths may keep
-different ones; the fitted values must then agree.
+different ones; the fitted values must then agree.  HL1 is fitted on exact, noisy,
+extreme and unrelated columns, with the default options and under iteration caps
+1-12; the two paths must take the same iterations to the same termination, or fail
+with the same message.  The exponent-1 design of the extreme columns is not
+compared: at conditions up to about 3e7 its fitted values land up to 2e-9 apart.
 """
 
 import warnings
@@ -26,7 +30,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 import solver_oracle  # noqa: E402
 from decegy import fitting  # noqa: E402
-from decegy import HL1Params, HL2Params, LinearSystem, fit_hl1, fit_hl2, fit_linear_ls  # noqa: E402
+from decegy import FitError, HL1Params, HL2Params, LinearSystem, TrustRegionOptions  # noqa: E402
+from decegy import fit_hl1, fit_hl2, fit_linear_ls  # noqa: E402
 from decegy.models import HighLevelColumns  # noqa: E402
 from util import hl1_records, hl2_records  # noqa: E402
 
@@ -128,14 +133,41 @@ def _truths(rng):
     return hl1, hl2
 
 
+def _hl1_columns(rng, n: int, truth: HL1Params, noise: float, mode: str) -> HighLevelColumns:
+    """Columns from an HL1 truth; "extreme" draws pixels up to 1e15 and bytes per pixel
+    from 1e-12 to 1e12, and it and "unrelated" energies that owe nothing to the model."""
+    data = HighLevelColumns.of(hl1_records(rng, n, truth, noise_sigma=noise))
+    if mode == "extreme":
+        pixels_per_frame = 10.0 ** rng.uniform(0, 15, n)
+        sizes = 10.0 ** rng.uniform(-12, 12, n) * pixels_per_frame * data.frames
+        data = data._replace(pixels_per_frame=pixels_per_frame, file_size_bytes=sizes)
+    if mode != "truth":
+        data = data._replace(energies=10.0 ** rng.uniform(-3, 6, n))
+    return data
+
+
+def _fit_hl1(data, options):
+    """``fit_hl1``'s parameters and diagnostics, or the message of its FitError."""
+    try:
+        return fit_hl1(data, options)
+    except FitError as exc:
+        return str(exc)
+
+
 @settings(max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.sampled_from([0.0, 0.02, 0.2]))
-def test_hl1_fit_and_its_design_match_the_scipy_path(seed, n, noise):
+@given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.sampled_from([0.0, 0.02, 0.2]),
+       st.sampled_from(["truth", "extreme", "unrelated"]), st.none() | st.integers(1, 12))
+def test_hl1_fit_and_its_design_match_the_scipy_path(seed, n, noise, mode, max_iterations):
     rng = np.random.default_rng(seed)
     truth, _ = _truths(rng)
-    data = HighLevelColumns.of(hl1_records(rng, n, truth, noise_sigma=noise))
+    data = _hl1_columns(rng, n, truth, noise, mode)
     assume(np.unique(data.file_size_bytes / data.pixels).size > 1)
-    (params, diag), (params_ref, diag_ref) = _both(fit_hl1, data)
+    options = max_iterations and TrustRegionOptions(max_iterations, initial_radius=0.1)
+    mine, theirs = _both(_fit_hl1, data, options)
+    if isinstance(theirs, str):
+        assert mine == theirs
+        return
+    (params, diag), (params_ref, diag_ref) = mine, theirs
     assert diag.iterations == diag_ref.iterations
     assert diag.termination == diag_ref.termination
     if (diag_ref.condition or 1.0) > CONDITION_LIMIT:
@@ -144,6 +176,8 @@ def test_hl1_fit_and_its_design_match_the_scipy_path(seed, n, noise):
     else:
         mine, theirs = np.array(params._values()), np.array(params_ref._values())
         assert np.all(np.abs(mine - theirs) <= RTOL * np.abs(theirs)), (mine, theirs)
+    if mode == "extreme":  # see the module docstring
+        return
     # the preliminary design at exponent 1, as a linear system of its own
     design = np.column_stack([np.ones(n), data.pixels, data.file_size_bytes])
     system = LinearSystem(design, data.energies, ("base", "pixels", "bytes"))

@@ -12,6 +12,8 @@ counts each distinct line once, must give what ``parse_trace`` then ``analyze``
 give, or reject what they reject.
 """
 
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -198,6 +200,8 @@ _HEADERS = [[], ['{"codec": "h263"}'], ['{"stream_id": "s", "codec": "HEVC"}']] 
     [f'{{"codec": "{codec.value}"}}'] for codec in Codec
 ]
 _ENDINGS = ["", "\n", "\r\n", " \t\n"]
+#: Header stream ids: CSV quoting, a newline, non-ASCII text and a JSON \ud800 escape.
+_IDS = st.text(st.sampled_from(["s", ",", '"', "\n", "\u00e9", "\ud800"]), max_size=3)
 
 
 def _line(pool):
@@ -206,13 +210,24 @@ def _line(pool):
 
 @st.composite
 def trace_lines(draw):
-    """Header (or none), then lines from a small pool, so that lines repeat."""
+    """Header (or none), then lines from a small pool, so that lines repeat.  A header may
+    hold a drawn stream id and come again later; the first line may start with a
+    byte-order mark."""
     body = draw(st.lists(_line(_GOOD_LINES), max_size=30))
     if draw(st.booleans()):
         body.insert(0, draw(_line(_GOOD_LINES[:2])))
     if draw(st.booleans()):
         body.insert(draw(st.integers(0, len(body))), draw(_line(_BAD_LINES)))
-    return draw(st.sampled_from(_HEADERS)) + body
+    header = draw(st.sampled_from(_HEADERS))
+    if draw(st.integers(0, 3)) == 3:
+        codec = draw(st.sampled_from(list(Codec)))
+        header = [json.dumps({"stream_id": draw(_IDS), "codec": codec.value})]
+    if header and draw(st.integers(0, 4)) == 4:  # the header's text again, later
+        body.insert(draw(st.integers(0, len(body))), header[0])
+    lines = header + body
+    if lines and draw(st.integers(0, 9)) == 9:
+        lines[0] = "\ufeff" + lines[0]
+    return lines
 
 
 def _outcome(parse, lines, codec):

@@ -142,7 +142,9 @@ def parse_trace(source: Iterable[str], codec: Codec | None = None) -> DecodeTrac
             if "codec" in obj:
                 header_codec = _parse_codec(obj["codec"], line_no)
             if "stream_id" in obj:
-                header_id = str(obj["stream_id"])
+                header_id = obj["stream_id"]
+                if not isinstance(header_id, str):
+                    raise TraceParseError("field 'stream_id' must be a string", line=line_no)
             header_line = line_no
             seen_content = True
             continue
