@@ -162,16 +162,17 @@ def cmd_report(args) -> None:
         loaded.append((ds_path, dataset, params))
     known = {stream_id for _, dataset, _ in loaded for stream_id in dataset.ids}
     # a value that names a loaded id whole selects it; any other is split on commas
-    wanted = {s for v in args.streams or [] for s in ([v] if v in known else v.split(",")) if s}
+    picks = [[v] if v in known else [s for s in v.split(",") if s] for v in args.streams or []]
+    if [] in picks:
+        raise _UsageError(f"--streams {args.streams[picks.index([])]!r} names no stream id")
+    wanted = {stream_id for ids in picks for stream_id in ids}
+    if wanted - known:
+        raise DataValidationError(f"unknown stream id(s): {', '.join(sorted(wanted - known))}")
     rows = []
     for ds_path, dataset, params in loaded:
         selected = [i for i, stream_id in enumerate(dataset.ids) if stream_id in wanted]
         with about_rows(ds_path):
             rows.extend(breakdown_report(dataset, params, selected if wanted else None))
-    if wanted:
-        missing = wanted - {row.stream_id for row in rows}
-        if missing:
-            raise DataValidationError(f"unknown stream id(s): {', '.join(sorted(missing))}")
     svg = args.svg and breakdown_svg(rows)  # before any output: a chart that fails writes none
     _emit(breakdown_csv(rows), args.out)
     if args.svg:

@@ -55,6 +55,8 @@ from .taxonomy import Codec, FeatureSet, FeatureVector, Frozen, Kind, build_feat
 from .taxonomy import float_array
 from .taxonomy import validate_vector  # noqa: F401  bench/spans.py wraps it here
 
+_NO_TAGS = MappingProxyType({})  #: the read-only tag mapping that rows without tags share
+
 
 class BitstreamRecord(Frozen):
     """One bitstream: feature counts, high-level metadata, measured energy.
@@ -70,7 +72,7 @@ class BitstreamRecord(Frozen):
                  width: int | None = None, height: int | None = None, frames: int | None = None,
                  file_size_bytes: int | None = None, intra_frames: int | None = None,
                  energy_joules: float | None = None,
-                 tags: Mapping[str, str] = MappingProxyType({})):
+                 tags: Mapping[str, str] = _NO_TAGS):
         metadata = [width, height, frames, file_size_bytes, intra_frames]
         check_record(stream_id, codec, features, metadata, energy_joules, tags)
         tags = MappingProxyType(dict(tags))
@@ -124,12 +126,13 @@ _LINE = re.compile(".*\n|.+")
 
 def _check_rows(codec, ids, counts: array, energies, metadata, tags) -> Rows:
     """The rows of the columns, checked, as one :class:`~decegy.schema.Rows`: ids, energies,
-    metadata columns and tags tuples and each tag mapping read-only.  The first row that
-    breaks a row rule raises its error, with the row's ``index``: each rule of
-    :data:`~decegy.schema.RULES` tests the whole columns, and a rule that fails finds its
-    first bad row (:func:`~decegy.schema.first_fault`)."""
+    metadata columns and tags tuples and each tag mapping read-only (every empty one is
+    :data:`_NO_TAGS`).  The first row that breaks a row rule raises its error, with the row's
+    ``index``: each rule of :data:`~decegy.schema.RULES` tests the whole columns, and a rule
+    that fails finds its first bad row (:func:`~decegy.schema.first_fault`)."""
     rows = Rows(codec, codec and build_feature_set(codec), tuple(ids), counts, tuple(energies),
-                tuple(map(tuple, metadata)), tuple(map(MappingProxyType, tags)))
+                tuple(map(tuple, metadata)),
+                tuple(MappingProxyType(t) if t else _NO_TAGS for t in tags))
     fault = first_fault(rows)
     if fault:
         raise DataValidationError(fault[1], index=fault[0])

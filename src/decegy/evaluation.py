@@ -293,8 +293,6 @@ def cross_validate(
 # ---------------------------------------------------------------------------
 # Category breakdown reports
 
-_CATEGORY_ORDER = tuple(Category)
-
 
 class BreakdownRow(Frozen):
     __slots__ = ("stream_id", "measured_joules", "estimated_joules", "category_joules")
@@ -305,7 +303,7 @@ class BreakdownRow(Frozen):
 
     @property
     def by_category(self) -> dict[Category, float]:
-        return dict(zip(_CATEGORY_ORDER, self.category_joules))
+        return dict(zip(Category, self.category_joules))
 
 
 def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[BreakdownRow]:
@@ -327,7 +325,7 @@ def breakdown_report(dataset, energies: SpecificEnergies, rows=None) -> list[Bre
 
 
 def breakdown_csv(rows: list[BreakdownRow]) -> str:
-    header = ["stream_id", "E_dec", "E_hat", *(c.value for c in _CATEGORY_ORDER)]
+    header = ["stream_id", "E_dec", "E_hat", *(c.value for c in Category)]
     numbers = ([r.measured_joules, r.estimated_joules, *r.category_joules] for r in rows)
     columns = [[r.stream_id for r in rows], *(map(repr, column) for column in zip(*numbers))]
     return csv_text(chain([header], zip(*columns)))
@@ -342,7 +340,7 @@ _CATEGORY_COLORS = {
     Category.SAO: "#d9cb97",
 }
 _MEASURED_COLOR = "#36415c"
-_SEGMENTS = tuple((c.value, _CATEGORY_COLORS[c]) for c in _CATEGORY_ORDER)  # label, color
+_SEGMENTS = tuple((c.value, _CATEGORY_COLORS[c]) for c in Category)  # label, color
 
 
 def _nice_ticks(maximum: float) -> list[float]:

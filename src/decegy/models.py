@@ -185,12 +185,8 @@ def category_breakdown(
     All six categories are present in the result (zero when the codec has no
     such features); the values sum to :func:`predict_feature_model`.
     """
-    return dict(zip(Category, category_sums(energies, vector)))
-
-
-def category_sums(energies: SpecificEnergies, vector: FeatureVector) -> tuple[float, ...]:
-    """The values of :func:`category_breakdown`, in :class:`Category` order."""
-    return estimate_by_category(energies.feature_set, *_checked(energies, vector))[1]
+    _, parts = estimate_by_category(energies.feature_set, *_checked(energies, vector))
+    return dict(zip(Category, parts))
 
 
 def estimate_by_category(feature_set: FeatureSet, values, counts) -> tuple[float, tuple]:

@@ -531,6 +531,16 @@ def test_report_unknown_stream_id_exits_2(tmp_path, capsys):
     assert "unknown stream id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["", ",", ",,"])
+def test_report_streams_value_that_names_no_id_is_a_usage_error(tmp_path, capsys, value):
+    data, params = _hevc_files(tmp_path)
+    out = tmp_path / "b.csv"
+    argv = ["report", "--dataset", str(data), "--params", str(params), "--out", str(out)]
+    assert main([*argv, "--streams", "synth-hevc-0001", "--streams", value]) == 1
+    assert capsys.readouterr() == ("", f"usage error: --streams {value!r} names no stream id\n")
+    assert not out.exists()
+
+
 def test_report_with_high_level_params_exits_2_and_names_the_file(tmp_path, capsys):
     data = tmp_path / "data.csv"
     params = tmp_path / "hl2.json"

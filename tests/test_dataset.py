@@ -289,28 +289,19 @@ def test_export_load_roundtrip_is_bitwise(tmp_path, fmt, tags, fault):
 
 def test_tags_survive_the_roundtrip(tmp_path):
     dataset = synth_dataset(SynthSpec(Codec.HEVC, 3, seed=4))
-    tagged = Dataset(
-        tuple(
-            type(rec)(
-                stream_id=rec.stream_id,
-                codec=rec.codec,
-                features=rec.features,
-                width=rec.width,
-                height=rec.height,
-                frames=rec.frames,
-                file_size_bytes=rec.file_size_bytes,
-                intra_frames=rec.intra_frames,
-                energy_joules=rec.energy_joules,
-                tags={"qp": "32", "config": "lowdelay"},
-            )
-            for rec in dataset
-        )
-    )
+    tagged = Dataset([replace(rec, tags={"qp": "32", "config": "lowdelay"}) for rec in dataset])
     for fmt in ("csv", "json"):
         path = tmp_path / f"tagged.{fmt}"
         export_dataset(tagged, path)
         loaded = load_dataset(path)
         assert dict(loaded.records[0].tags) == {"qp": "32", "config": "lowdelay"}
+
+
+def test_rows_without_tags_share_one_read_only_mapping(tmp_path):
+    dataset = synth_dataset(SynthSpec(Codec.HEVC, 3, seed=4))
+    export_dataset(dataset, tmp_path / "plain.csv")
+    for rows in (dataset, load_dataset(tmp_path / "plain.csv")):
+        assert all(tags is rows.tags[0] for tags in rows.tags) and not rows.tags[0]
 
 
 def test_export_empty_dataset_rejected(tmp_path):

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from decegy import (
+    BitstreamRecord,
     Category,
     DataValidationError,
     Codec,
+    Dataset,
     FeatureVector,
     HL1Params,
     HL2Params,
     HighLevelInfo,
     SpecificEnergies,
+    breakdown_report,
     build_feature_set,
     category_breakdown,
     params_from_json,
@@ -24,6 +27,7 @@ from decegy import (
     predict_hl1,
     predict_hl2,
 )
+from decegy.evaluation import MODELS
 
 HEVC = build_feature_set(Codec.HEVC)
 
@@ -97,6 +101,9 @@ def test_summation_is_compensated_for_wide_dynamic_range():
     energies = _energies({"e0": 0.1, "pel": 1.0})
     vector = _vec({"e0": 1.0, "pel": 1e8})
     assert predict_feature_model(energies, vector) == math.fsum([0.1, 1e8])
+    # 0.1 + 1e17 - 1e17 in feature order: a left-to-right sum would give 0
+    energies = _energies({"e0": 0.1, "frame": 1.0, "pel": -1.0})
+    assert predict_feature_model(energies, _vec({"e0": 1.0, "frame": 1e17, "pel": 1e17})) == 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +155,69 @@ def test_breakdown_always_reports_all_six_categories():
     assert breakdown[Category.SAO] == 0.0
 
 
-def test_breakdown_of_an_estimate_past_the_float_range_is_refused():
-    """Offset and inter parts of 1e308 each are finite but their sum is not: the breakdown
-    raises the estimate's error, as a report row does."""
-    energies = _energies({"e0": 1e308, "pel": 1e300})
-    vector = _vec({"e0": 1.0, "pel": 1e8})
+@pytest.mark.parametrize(
+    "energies, counts",
+    [
+        ({"pel": 1e10, "frac": -1e10}, {"e0": 1.0, "pel": 1e300, "frac": 1e300}),
+        ({"pel": 1e10}, {"e0": 1.0, "pel": 1e300}),
+        ({"e0": 1e308, "pel": 1e300}, {"e0": 1.0, "pel": 1e8}),
+    ],
+    ids=["inf-minus-inf", "one-infinite-product", "finite-parts"],
+)
+def test_estimate_and_breakdown_past_the_float_range_are_refused(energies, counts):
+    """The breakdown raises the estimate's error, as a report row does, also where its parts
+    are finite (offset and inter parts of 1e308 each)."""
     for estimate in (predict_feature_model, category_breakdown):
         with pytest.raises(DataValidationError, match="^estimated energy overflows the float"):
-            estimate(energies, vector)
+            estimate(_energies(energies), _vec(counts))
+
+
+def _draws(count, number):
+    """``number`` seeded draws of a codec's feature set, specific energies of both signs over
+    wide magnitudes and ``count`` rows of counts (e0 = 1), some with zeroed features; about
+    half scale counts and energies to products near or past the top of the float range."""
+    for seed in range(number):
+        rng = np.random.default_rng(seed)
+        fs = build_feature_set(list(Codec)[seed % len(Codec)])
+        n = len(fs)
+        values = rng.uniform(-1e-5, 1e-2, n) * 10.0 ** rng.integers(-6, 3, n)
+        counts = rng.uniform(0, 1e8, (count, n)) * 10.0 ** rng.integers(-8, 1, (count, n))
+        counts[rng.random((count, n)) < rng.choice([0.0, 0.3])] = 0.0
+        if rng.integers(2):
+            counts *= 10.0 ** rng.integers(290, 301)
+            values *= 10.0 ** rng.integers(0, 13) * rng.choice([-1.0, 1.0], n)
+        counts[:, fs.index_of("e0")] = 1.0
+        yield fs, values, counts
+
+
+def _bits(estimate):
+    """The floats of ``estimate()`` as bytes, or its DataValidationError's type and message."""
+    try:
+        return np.array(estimate(), dtype=float).tobytes()
+    except DataValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_row_paths_and_category_parts_give_the_estimates_bit_for_bit():
+    """Each part of ``category_breakdown`` is the estimate of the vector with every other
+    category's counts set to 0, or it raises the first error of the whole estimate and these;
+    ``MODELS["feature"].predict`` and ``breakdown_report`` of a dataset row give the same."""
+    for fs, values, counts in _draws(4, 150):
+        energies, vectors = SpecificEnergies(fs, values), [FeatureVector(fs, c) for c in counts]
+        dataset = Dataset(BitstreamRecord(f"s{i}", fs.codec, vector, energy_joules=1.0)
+                          for i, vector in enumerate(vectors))
+        assert dataset.counts.tobytes() == counts.tobytes()
+        for i, (row, vector) in enumerate(zip(counts, vectors)):
+            kept = [row, *(row * [fid.category is cat for fid in fs] for cat in Category)]
+            whole, *alone = [_bits(lambda: predict_feature_model(energies, FeatureVector(fs, c)))
+                             for c in kept]
+            error = next((e for e in (whole, *alone) if isinstance(e, tuple)), None)
+            parts = _bits(lambda: [*category_breakdown(energies, vector).values()])
+            assert parts == (error or b"".join(alone))
+            assert _bits(lambda: MODELS["feature"].predict(energies, dataset, [i])) == whole
+            report = _bits(lambda: [(made.estimated_joules, *made.category_joules)
+                                    for made in breakdown_report(dataset, energies, [i])])
+            assert report == (error or whole + parts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import trace_oracle  # noqa: E402
@@ -257,6 +257,7 @@ def test_every_pool_line_matches_oracle_in_each_position(line):
 
 @settings(max_examples=200)
 @given(trace_lines(), st.sampled_from([None, *Codec]))
+@example(['{"codec": "hevc"}', '{"event": "frame_start"}', '{"codec": "hevc"}'], None)
 def test_counting_distinct_lines_matches_parse_and_analyze(lines, codec):
     try:
         trace = parse_trace(lines, codec=codec)
